@@ -18,11 +18,23 @@ A :class:`PlanarMap` wraps either a parsed expression pair or a native
 Python function written against the generic helpers in :mod:`planarinv.dual`.
 Both realizations satisfy the same evaluation contract, so everything
 downstream is agnostic to how a map was constructed.
+
+An expression pair is evaluated by two straight-line Python functions that
+:func:`compile_pair` generates from the trees on the map's first evaluation:
+a float-only value kernel and a forward-mode Jacobian kernel that keeps the
+value and both partials of every subexpression in float locals.  The
+Jacobian kernel repeats :class:`~planarinv.dual.Dual`'s arithmetic operation
+by operation, so both kernels return exactly what :func:`evaluate_node`
+returns on floats and on seeded duals, without walking the tree or
+allocating a dual per operation.  :func:`evaluate_node` remains the generic
+evaluator behind :meth:`PlanarMap.components`.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -33,6 +45,7 @@ from .linalg2 import Mat2
 _FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs")
 
 _BINARY = ("add", "sub", "mul", "div")
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _UNARY = ("neg",) + _FUNCTIONS
 _ARITY = {"num": 0, "x": 0, "y": 0, "pow": 1}
 _ARITY.update({k: 2 for k in _BINARY})
@@ -238,11 +251,262 @@ def unparse_node(node: ExprNode) -> str:
     if kind == "pow":
         return f"{unparse_node(node.children[0])}^{node.exponent}"
     if kind in _BINARY:
-        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-        return f"({unparse_node(node.children[0])} {op} {unparse_node(node.children[1])})"
+        return (f"({unparse_node(node.children[0])} {_INFIX[kind]} "
+                f"{unparse_node(node.children[1])})")
     if kind == "neg":
         return f"(-{unparse_node(node.children[0])})"
     return f"{kind}({unparse_node(node.children[0])})"
+
+
+_SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
+
+
+# The identifiers of generated kernels, held interned for the life of the
+# process.  Compiling interns every identifier, and an interned name that no
+# live object refers to is deleted again, so each map would insert and
+# delete its names in the interpreter's table of interned strings; that
+# churn fills the table with deleted slots until it grows, which with a
+# fresh name per temporary raised peak memory by about 1 MB.  Registers
+# (see _reuse_names) keep the names few enough to hold.
+_KERNEL_NAMES = tuple(sys.intern(name) for name in (
+    "make", "value", "jacobian", "_sinh", "_cosh", "_asinh", "_sqrt",
+    *(f"r{i}" for i in range(64)), *(f"c{i}" for i in range(32))))
+
+
+def _reuse_names(lines: list[str]) -> list[str]:
+    """Rename the single-assignment temporaries ``t<n>[_<suffix>]`` of
+    straight-line code to registers ``r<k>``, each register taken again
+    once its temporary is past its last use.
+
+    A temporary first appears where it is assigned, and its register is
+    released only after the line of its last use, so no line reads a
+    register that the same line assigns to another temporary.  A loop is
+    one header line and one body line, so a temporary read in the body
+    stays live for every pass of the loop.
+    """
+    last_use = {}
+    for i, line in enumerate(lines):
+        for name in _SSA_NAME.findall(line):
+            last_use[name] = i
+    registers: dict[str, str] = {}
+    free: list[str] = []
+    used = 0
+    renamed = []
+    for i, line in enumerate(lines):
+        names = _SSA_NAME.findall(line)
+        for name in names:
+            if name not in registers:
+                if not free:
+                    free.append(f"r{used}")
+                    used += 1
+                registers[name] = free.pop()
+        renamed.append(_SSA_NAME.sub(lambda m: registers[m.group()], line))
+        for name in dict.fromkeys(names):  # in order, so the code is reproducible
+            if last_use[name] == i:
+                free.append(registers[name])
+    return renamed
+
+
+class _KernelWriter:
+    """Writes the value and Jacobian kernels of one expression pair.
+
+    Every emitted subexpression is named by a tuple ``(value, partials)``:
+    ``value`` is the Python expression holding its value (a temporary, a
+    literal's parameter, ``x`` or ``y``) and ``partials`` names its d/dx and
+    d/dy in the Jacobian kernel, or is None where :func:`evaluate_node`
+    would hold a plain number rather than a Dual (a subtree free of x and y,
+    or a zeroth power).  The Jacobian kernel repeats the matching Dual
+    operation for each node, including Dual's constant-versus-Dual cases and
+    exception messages, so its results are bit-identical to the dual path.
+
+    Subexpressions are numbered by operation and operand names, so each
+    distinct subtree is emitted once.  Literals are keyed by type and repr
+    rather than by ``==``, which would merge 0.0 with -0.0 and 1 with 1.0.
+    """
+
+    def __init__(self):
+        self.literals: list = []
+        self.literal_names: dict[tuple, str] = {}
+        self.emitted: dict[tuple, tuple] = {}
+        self.value_lines: list[str] = []
+        self.jac_lines: list[str] = []
+
+    def emit(self, node: ExprNode) -> tuple:
+        kind = node.kind
+        if kind == "x":
+            return "x", ("1.0", "0.0")  # dual.seed
+        if kind == "y":
+            return "y", ("0.0", "1.0")
+        if kind == "num":
+            return self._literal(node.value), None
+        args = tuple(self.emit(child) for child in node.children)
+        key = (kind, node.exponent) + args
+        named = self.emitted.get(key)
+        if named is None:
+            named = self.emitted[key] = self._operation(kind, node.exponent, args)
+        return named
+
+    def _literal(self, value) -> str:
+        key = (type(value), repr(value))
+        name = self.literal_names.get(key)
+        if name is None:
+            name = self.literal_names[key] = f"c{len(self.literals)}"
+            self.literals.append(value)  # by reference: repr(1e999) is "inf"
+        return name
+
+    def _both(self, line: str) -> None:
+        self.value_lines.append(line)
+        self.jac_lines.append(line)
+
+    def _operation(self, kind: str, exponent: int | None, args: tuple) -> tuple:
+        t = f"t{len(self.emitted)}"
+        if kind == "pow":
+            return self._power(t, args[0], exponent)
+        a, da = args[0]
+        if kind in _INFIX:
+            b, db = args[1]
+            line = f"{t} = {a} {_INFIX[kind]} {b}"
+        elif kind == "neg":
+            line = f"{t} = -{a}"
+        elif kind == "abs":
+            line = f"{t} = abs({a})"
+        else:
+            line = f"{t} = _{kind}({a})"
+        self.value_lines.append(line)
+        if da is None and (kind not in _INFIX or db is None):
+            self.jac_lines.append(line)  # plain float arithmetic, as on values
+            return t, None
+        jac = self.jac_lines
+        tx, ty = f"{t}_x", f"{t}_y"
+        if kind in ("add", "sub"):
+            jac.append(line)
+            if da is not None and db is not None:
+                op = _INFIX[kind]
+                jac.append(f"{tx} = {da[0]} {op} {db[0]}; {ty} = {da[1]} {op} {db[1]}")
+            elif da is not None:
+                return t, da  # Dual +- number keeps the partials
+            elif kind == "add":
+                return t, db
+            else:
+                jac.append(f"{tx} = -{db[0]}; {ty} = -{db[1]}")
+        elif kind == "mul":
+            jac.append(line)
+            if da is not None and db is not None:
+                jac.append(f"{tx} = {da[0]} * {b} + {a} * {db[0]}; "
+                           f"{ty} = {da[1]} * {b} + {a} * {db[1]}")
+            elif da is not None:
+                jac.append(f"{tx} = {da[0]} * {b}; {ty} = {da[1]} * {b}")
+            else:
+                jac.append(f"{tx} = {db[0]} * {a}; {ty} = {db[1]} * {a}")
+        elif kind == "div":
+            jac.append(f"if {b} == 0.0: raise ZeroDivisionError('division by zero')")
+            if db is None:  # Dual / number
+                jac.append(f"{t}_i = 1.0 / {b}; {t} = {a} * {t}_i")
+                jac.append(f"{tx} = {da[0]} * {t}_i; {ty} = {da[1]} * {t}_i")
+            elif da is None:  # number / Dual
+                jac.append(f"{t} = {a} / {b}; {t}_s = -{t} / {b}")
+                jac.append(f"{tx} = {t}_s * {db[0]}; {ty} = {t}_s * {db[1]}")
+            else:
+                jac.append(f"{t}_i = 1.0 / {b}; {t} = {a} * {t}_i")
+                jac.append(f"{tx} = ({da[0]} - {t} * {db[0]}) * {t}_i; "
+                           f"{ty} = ({da[1]} - {t} * {db[1]}) * {t}_i")
+        elif kind == "neg":
+            jac.append(f"{line}; {tx} = -{da[0]}; {ty} = -{da[1]}")
+        else:
+            if kind == "sinh":
+                jac.append(f"{t}_d = _cosh({a}); {line}")
+            elif kind == "cosh":
+                jac.append(f"{t}_d = _sinh({a}); {line}")
+            elif kind == "asinh":
+                jac.append(f"{t}_d = 1.0 / _sqrt(1.0 + {a} * {a}); {line}")
+            elif kind == "sqrt":
+                jac.append(line)
+                jac.append(f"if {t} == 0.0: raise ZeroDivisionError('derivative of sqrt at zero')")
+                jac.append(f"{t}_d = 0.5 / {t}")
+            else:  # abs, with sign(0) taken as 0
+                jac.append(f"{t}_d = 1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0); {line}")
+            jac.append(f"{tx} = {t}_d * {da[0]}; {ty} = {t}_d * {da[1]}")
+        return t, (tx, ty)
+
+    def _power(self, t: str, arg: tuple, exponent: int) -> tuple:
+        """dual.ipow: ``out = 1.0`` times the base, ``exponent`` times."""
+        a, da = arg
+        if exponent == 0:
+            self._both(f"{t} = 1.0")  # the empty product, a number even for a Dual base
+            return t, None
+        if da is None:
+            # a number base may be an int literal: repeat ipow exactly
+            self._both(f"{t} = 1.0")
+            self._repeat(self.value_lines, exponent, f"{t} = {t} * {a}")
+            self._repeat(self.jac_lines, exponent, f"{t} = {t} * {a}")
+            return t, None
+        if exponent == 1:
+            return arg  # 1.0 * v is v, bit for bit, for a float or Dual v
+        tx, ty = f"{t}_x", f"{t}_y"
+        self.value_lines.append(f"{t} = {a}")
+        self._repeat(self.value_lines, exponent - 1, f"{t} = {t} * {a}")
+        self.jac_lines.append(f"{t}, {tx}, {ty} = {a}, {da[0]}, {da[1]}")
+        self._repeat(self.jac_lines, exponent - 1,
+                     f"{t}, {tx}, {ty} = {t} * {a}, {tx} * {a} + {t} * {da[0]}, "
+                     f"{ty} * {a} + {t} * {da[1]}")
+        return t, (tx, ty)
+
+    @staticmethod
+    def _repeat(lines: list[str], count: int, body: str) -> None:
+        if count == 1:
+            lines.append(body)
+        else:
+            lines.append(f"for _ in range({count}):")
+            lines.append(f"    {body}")
+
+    def source(self, first: tuple, second: tuple) -> str:
+        jac_out = []
+        for value, partials in (first, second):
+            jac_out.append((f"float({value})", "0.0", "0.0") if partials is None
+                           else (value,) + partials)
+        (u, ux, uy), (v, vx, vy) = jac_out
+        params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt"]
+                           + [f"c{i}" for i in range(len(self.literals))])
+        value_body = _reuse_names(self.value_lines + [f"return {first[0]}, {second[0]}"])
+        jac_body = _reuse_names(self.jac_lines + [f"return {u}, {v}, {ux}, {uy}, {vx}, {vy}"])
+        return "\n".join(
+            [f"def make({params}):", "    def value(x, y):"]
+            + [f"        {line}" for line in value_body]
+            + ["    def jacobian(x, y):"]
+            + [f"        {line}" for line in jac_body]
+            + ["    return value, jacobian", ""]
+        )
+
+
+def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]:
+    """Compile an expression pair into its value and Jacobian kernels.
+
+    ``value(x, y)`` returns ``(u, v)`` exactly as :func:`evaluate_node` does
+    on floats.  ``jacobian(x, y)`` returns ``(u, v, du/dx, du/dy, dv/dx,
+    dv/dy)`` exactly as :func:`evaluate_node` does on ``dual.seed(x, y)``,
+    with a number component read as a Dual of zero partials.  Both raise
+    the exceptions, with the messages, that the tree walk raises.
+    """
+    writer = _KernelWriter()
+    u = writer.emit(first)
+    v = writer.emit(second)
+    namespace: dict = {}
+    exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
+    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
+
+
+def _dual_jacobian(fn: Callable) -> Callable:
+    """Jacobian kernel of a native component function, run on seeded duals."""
+
+    def jacobian(x, y):
+        u, v = fn(*dual.seed(x, y))
+        if not isinstance(u, Dual):
+            u = Dual(u)
+        if not isinstance(v, Dual):
+            v = Dual(v)
+        return u.value, v.value, u.dx, u.dy, v.dx, v.dy
+
+    return jacobian
 
 
 @dataclass(frozen=True)
@@ -257,6 +521,9 @@ class PlanarMap:
     source: str
     _fn: Callable = field(repr=False)
     asts: tuple[ExprNode, ExprNode] | None = field(default=None, repr=False)
+    # (value, jacobian) kernels, built on the first evaluation
+    _kernels: tuple[Callable, Callable] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_expressions(cls, first: ExprNode, second: ExprNode, source: str) -> "PlanarMap":
@@ -276,30 +543,41 @@ class PlanarMap:
         """
         return self._fn(x, y)
 
+    def _build_kernels(self) -> tuple[Callable, Callable]:
+        if self.asts is None:
+            kernels = (self._fn, _dual_jacobian(self._fn))
+        else:
+            kernels = compile_pair(*self.asts)
+        object.__setattr__(self, "_kernels", kernels)
+        return kernels
+
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
+        kernel = (self._kernels or self._build_kernels())[0]
         try:
-            u, v = self._fn(float(p[0]), float(p[1]))
+            u, v = kernel(float(p[0]), float(p[1]))
         except ZeroDivisionError as exc:
             raise EvaluationError(str(exc) or "division by zero", (p[0], p[1])) from exc
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(str(exc), (p[0], p[1])) from exc
-        return (float(u), float(v))
+        u, v = float(u), float(v)
+        # zero times finite floats stays zero; an inf or NaN turns it into NaN
+        if not 0.0 * u * v == 0.0:
+            raise EvaluationError("non-finite map value", (p[0], p[1]))
+        return (u, v)
 
     def evaluate_with_jacobian(
         self, p: tuple[float, float]
     ) -> tuple[tuple[float, float], Mat2]:
-        x, y = dual.seed(float(p[0]), float(p[1]))
+        kernel = (self._kernels or self._build_kernels())[1]
         try:
-            u, v = self._fn(x, y)
+            u, v, ux, uy, vx, vy = kernel(float(p[0]), float(p[1]))
         except ZeroDivisionError as exc:
             raise EvaluationError(str(exc) or "division by zero", (p[0], p[1])) from exc
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(str(exc), (p[0], p[1])) from exc
-        if not isinstance(u, Dual):
-            u = Dual(u)
-        if not isinstance(v, Dual):
-            v = Dual(v)
-        return (u.value, v.value), Mat2(u.dx, u.dy, v.dx, v.dy)
+        if not 0.0 * u * v * ux * uy * vx * vy == 0.0:
+            raise EvaluationError("non-finite map value or derivative", (p[0], p[1]))
+        return (u, v), Mat2(ux, uy, vx, vy)
 
     def unparse(self) -> str:
         """Round-trippable source text (expression-backed maps only)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import PlanarMap
+from .expr import EvaluationError, PlanarMap
 from .involution import Region, default_region
 from .linalg2 import IDENTITY, Mat2, is_linear_involution
 from .linearize import StandardMap
@@ -124,12 +124,16 @@ def invert_standard_map(
 ) -> tuple[float, float]:
     """Newton-solve h(p) = target starting from ``guess``.
 
-    Raises :class:`InversionError` on a singular Jacobian or when the
-    iteration fails to converge, carrying the last iterate either way.
+    Raises :class:`InversionError` on a singular Jacobian, when ``h``
+    cannot be evaluated at an iterate (a non-finite sample included), or
+    when the iteration fails to converge, carrying the last iterate.
     """
     p = (float(guess[0]), float(guess[1]))
     for _ in range(max_iter + 1):
-        value, dh = h.evaluate_with_jacobian(p)
+        try:
+            value, dh = h.evaluate_with_jacobian(p)
+        except EvaluationError as exc:
+            raise InversionError(str(exc), p) from exc
         rx, ry = target[0] - value[0], target[1] - value[1]
         if math.hypot(rx, ry) <= tol:
             return p

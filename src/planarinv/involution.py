@@ -223,7 +223,9 @@ def find_fixed_points(
 ) -> FixedPointScan:
     """Locate fixed points from every grid seed and deduplicate the roots.
 
-    Roots closer than 1e-6 times the window diameter are merged.  When the
+    Roots closer than 1e-6 times the window diameter are merged; known
+    roots are bucketed into square cells whose side is that merge radius,
+    so only the 3x3 cell neighbourhood of a new root is searched.  When the
     number of distinct roots exceeds 5% of the per-axis grid resolution the
     fixed set is flagged as a curve: isolated fixed points of involutions
     come at most one per window, while one-dimensional fixed sets shed at
@@ -232,6 +234,7 @@ def find_fixed_points(
     region = region or default_region()
     merge_radius = 1e-6 * region.diameter
     roots: list[tuple[float, float]] = []
+    buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
     converged = 0
     skipped = 0
     for seed in region.nodes():
@@ -240,11 +243,16 @@ def find_fixed_points(
             skipped += 1
             continue
         converged += 1
-        for known in roots:
-            if math.hypot(root[0] - known[0], root[1] - known[1]) <= merge_radius:
-                break
-        else:
+        ci = math.floor(root[0] / merge_radius)
+        cj = math.floor(root[1] / merge_radius)
+        if not any(
+            math.hypot(root[0] - kx, root[1] - ky) <= merge_radius
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for kx, ky in buckets.get((ci + di, cj + dj), ())
+        ):
             roots.append(root)
+            buckets.setdefault((ci, cj), []).append(root)
     curve = len(roots) > 0.05 * region.grid_n
     points = []
     for root in roots:

@@ -139,3 +139,10 @@ def test_gallery_show(capsys):
 def test_gallery_show_unknown(capsys):
     assert run(["gallery", "show", "D"]) == 1
     assert "unknown gallery entry" in capsys.readouterr().err
+
+
+def test_analyze_non_finite_samples_fail_in_verify(capsys):
+    # every sample is NaN (0 * inf); the involution check used to pass on them
+    assert run(["analyze", "(x + 0*y^999, -y)", "--window", "3,5,3,5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: [verify] non-finite map value")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,32 @@ def test_recentered_conjugates_by_translation():
     assert shifted.evaluate((1.0, 2.0)) == (-1.0, -2.0)
     _, jac = shifted.evaluate_with_jacobian((0.3, 0.4))
     assert jac.rows() == ((-1.0, 0.0), (0.0, -1.0))
+
+
+def test_non_finite_samples_raise_with_point():
+    # 0 * inf: every sample on this window is NaN
+    m = parse("(x + 0*y^999, -y)")
+    with pytest.raises(EvaluationError) as err:
+        m.evaluate((4.0, 4.0))
+    assert err.value.point == (4.0, 4.0)
+    assert "non-finite" in str(err.value)
+    with pytest.raises(EvaluationError):
+        m.evaluate_with_jacobian((4.0, 4.0))
+    assert m.evaluate((4.0, 0.5)) == (4.0, -0.5)
+
+
+def test_non_finite_partial_raises_for_native_maps():
+    from planarinv.dual import Dual
+
+    def fn(x, y):
+        kink = Dual(0.0, math.inf, 0.0) if isinstance(y, Dual) else 0.0
+        return x, kink
+
+    m = PlanarMap.from_function(fn, "infinite-slope")
+    assert m.evaluate((1.0, 2.0)) == (1.0, 0.0)
+    with pytest.raises(EvaluationError) as err:
+        m.evaluate_with_jacobian((1.0, 2.0))
+    assert err.value.point == (1.0, 2.0)
+    overflow = PlanarMap.from_function(lambda x, y: (x * 1e308 * 10.0, y), "overflow")
+    with pytest.raises(EvaluationError):
+        overflow.evaluate((1.0, 0.0))

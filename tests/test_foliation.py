@@ -192,3 +192,13 @@ def test_truncated_leaf_on_collapsed_map():
     fol = diagonalize_involution(h.linear_part)
     leaf = trace_leaf(h, fol, math.pi / 4, Region(-6, 6, -6, 6))
     assert leaf.truncated or len(leaf.points) > 0
+
+
+def test_invert_standard_map_turns_non_finite_samples_into_inversion_error():
+    from planarinv.linearize import StandardMap
+
+    h = StandardMap(parse("(x + 0*y^999, -y)"), Mat2(1, 0, 0, -1))
+    with pytest.raises(InversionError) as err:
+        invert_standard_map(h, (0.0, 4.0), (0.0, 4.0))
+    assert err.value.last_iterate == (0.0, 4.0)
+    assert "non-finite" in str(err.value)

@@ -18,6 +18,7 @@ from planarinv.involution import (
     classify_fixed_point,
     find_fixed_points,
     orientation,
+    polish_fixed_point,
     verify_involution,
 )
 
@@ -129,3 +130,27 @@ def test_base_fixed_point_finds_recentering_target():
 def test_base_fixed_point_error_for_fixed_point_free_map():
     with pytest.raises(BasePointError):
         base_fixed_point(parse("(x + 1, y)"))
+
+
+def test_fixed_point_dedup_matches_pairwise_merge():
+    # a point reflection whose fixed point sits on a corner of the dedup
+    # cells: Newton's rounding scatters its roots over the four cells
+    corner = 1000 * 1e-6 * Region(-5, 5, -5, 5).diameter
+    cases = (
+        ("(x, -y)", Region(-2, 2, -2, 2, 21)),  # fixed x-axis: each root found 21 times
+        ("(x, y)", Region(-1, 1, -1, 1, 11)),  # every seed is its own root
+        ("(-x + y^2, -y)", Region(-3, 3, -3, 3, 15)),  # one root, reached with rounding
+        (get("B").map, get("B").window.with_grid(15)),
+        (f"({2 * corner!r} - x, {2 * corner!r} - y)", Region(-5, 5, -5, 5, 21)),
+    )
+    for source, region in cases:
+        m = parse(source) if isinstance(source, str) else source
+        radius = 1e-6 * region.diameter
+        expected = []
+        for seed in region.nodes():
+            root = polish_fixed_point(m, seed)
+            if root is not None and all(
+                    math.hypot(root[0] - k[0], root[1] - k[1]) > radius for k in expected):
+                expected.append(root)
+        scan = find_fixed_points(m, region)
+        assert [fp.location for fp in scan.points] == expected

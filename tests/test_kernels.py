@@ -1,0 +1,119 @@
+"""Compiled expression kernels against the tree-walking reference.
+
+``compile_pair`` must return, bit for bit, what ``evaluate_node`` returns on
+floats and on seeded duals, and raise the same exceptions with the same
+messages.  Results are compared by ``repr`` so that signed zeros, infinities
+and NaNs all count.
+"""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from planarinv import dual, gallery
+from planarinv.dual import Dual
+from planarinv.expr import ExprNode, compile_pair, evaluate_node, parse
+
+_BINARY = ("add", "sub", "mul", "div")
+_UNARY = ("neg", "sinh", "cosh", "asinh", "sqrt", "abs")
+
+_LITERALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 710.0, 1e300, 1e-300,
+                     float("1e999"), -math.inf, math.nan]),
+    st.floats(),
+)
+_LEAVES = st.one_of(
+    st.just(ExprNode("x")),
+    st.just(ExprNode("y")),
+    _LITERALS.map(lambda v: ExprNode("num", value=v)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(lambda k, a, b: ExprNode(k, (a, b)), st.sampled_from(_BINARY), sub, sub),
+        st.builds(lambda k, a: ExprNode(k, (a,)), st.sampled_from(_UNARY), sub),
+        st.builds(lambda a, n: ExprNode("pow", (a,), exponent=n), sub, st.integers(0, 7)),
+    ),
+    max_leaves=14,
+)
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-8, 400.0]),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _reference_value(first, second, x, y):
+    return evaluate_node(first, x, y), evaluate_node(second, x, y)
+
+
+def _reference_jacobian(first, second, x, y):
+    sx, sy = dual.seed(x, y)
+    u = evaluate_node(first, sx, sy)
+    v = evaluate_node(second, sx, sy)
+    u = u if isinstance(u, Dual) else Dual(u)
+    v = v if isinstance(v, Dual) else Dual(v)
+    return u.value, v.value, u.dx, u.dy, v.dx, v.dy
+
+
+def _assert_parity(first, second, points):
+    value, jacobian = compile_pair(first, second)
+    for x, y in points:
+        assert _outcome(value, x, y) == _outcome(_reference_value, first, second, x, y)
+        assert _outcome(jacobian, x, y) == _outcome(_reference_jacobian, first, second, x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, _TREES, st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+@example(ExprNode("num", value=2.0), ExprNode("y"), [(0.0, 0.0)])
+@example(ExprNode("num", value=float("1e999")), ExprNode("num", value=-0.0), [(1.0, -1.0)])
+def test_kernels_match_tree_walk(first, second, points):
+    _assert_parity(first, second, points)
+
+
+def test_kernels_match_on_literal_edge_cases():
+    cases = [
+        "(1e999 - 1e999*x, 2)",  # inf literal, NaN value, number component
+        "(x + 0*y^999, -y)",  # inf times zero: NaN value and partials
+        "(x/(y - y), 1/x)",  # Dual / Dual and number / Dual at zero
+        "(sqrt(x^2), abs(y - 1))",  # sqrt derivative at zero, abs kink
+        "(cosh(800*x), sinh(x)^0)",  # overflow; zeroth power of a Dual
+        "((2^3)^2 / 0, x)",  # number-only division by zero
+        "(asinh(x/2) + asinh(x/2), -(-x))",  # shared subtrees
+    ]
+    points = [(0.0, 0.0), (-0.0, 1.0), (1.0, -1.0), (3.0, 4.0), (-2.0, 0.5)]
+    for source in cases:
+        _assert_parity(*parse(source).asts, points)
+
+
+def test_literals_equal_under_eq_stay_distinct():
+    plus = ExprNode("add", (ExprNode("x"), ExprNode("num", value=0.0)))
+    minus = ExprNode("add", (ExprNode("x"), ExprNode("num", value=-0.0)))
+    assert plus == minus  # so == cannot identify common subexpressions
+    value, _ = compile_pair(plus, minus)
+    assert repr(value(-0.0, 1.0)) == "(0.0, -0.0)"
+    _assert_parity(plus, minus, [(-0.0, 1.0)])
+    two, int_two = ExprNode("num", value=2.0), ExprNode("num", value=2)
+    _assert_parity(ExprNode("neg", (two,)), ExprNode("neg", (int_two,)), [(1.0, 1.0)])
+    _assert_parity(ExprNode("pow", (int_two,), exponent=1),
+                   ExprNode("div", (int_two, ExprNode("num", value=0))), [(1.0, 1.0)])
+
+
+def test_kernels_match_on_every_gallery_expression():
+    for name in gallery.list_entries():
+        for n in ((0, 1, 2) if name in ("A1", "A2", "A3", "A4") else (None,)):
+            entry = gallery.get(name, n)
+            if entry.map.asts is not None:
+                planar_map = entry.map
+            elif entry.recentered_at is not None:
+                planar_map = parse(entry.formula)  # the expression before recentering
+            else:
+                continue  # native map
+            _assert_parity(*planar_map.asts, list(entry.window.nodes()))
