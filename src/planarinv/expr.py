@@ -592,16 +592,39 @@ def parse(source: str) -> PlanarMap:
     return PlanarMap.from_expressions(first, second, source)
 
 
+def _substitute(node: ExprNode, x: ExprNode, y: ExprNode) -> ExprNode:
+    """``node`` with its ``x`` and ``y`` leaves replaced by the trees ``x`` and ``y``."""
+    if node.kind == "x":
+        return x
+    if node.kind == "y":
+        return y
+    children = tuple(_substitute(child, x, y) for child in node.children)
+    return ExprNode(node.kind, children, node.value, node.exponent)
+
+
 def recentered(base: PlanarMap, center: tuple[float, float]) -> PlanarMap:
     """Conjugate a map by the translation taking ``center`` to the origin.
 
     The result fixes the origin whenever ``base`` fixes ``center``; the
-    Jacobian is unchanged up to the coordinate shift.
+    Jacobian is unchanged up to the coordinate shift.  An expression map
+    stays one, with ``x + cx`` and ``y + cy`` substituted into its trees and
+    ``cx``, ``cy`` subtracted from its components, so it runs on compiled
+    kernels; the operations, and so the results, are those of the wrapper
+    that a native map gets.
     """
     cx, cy = float(center[0]), float(center[1])
+    source = f"recentered({base.source} @ ({cx:g}, {cy:g}))"
+    if base.asts is not None:
+        shift_x = ExprNode("num", value=cx)
+        shift_y = ExprNode("num", value=cy)
+        x = ExprNode("add", (ExprNode("x"), shift_x))
+        y = ExprNode("add", (ExprNode("y"), shift_y))
+        first, second = (_substitute(tree, x, y) for tree in base.asts)
+        return PlanarMap.from_expressions(
+            ExprNode("sub", (first, shift_x)), ExprNode("sub", (second, shift_y)), source)
 
     def fn(x, y):
         u, v = base.components(x + cx, y + cy)
         return u - cx, v - cy
 
-    return PlanarMap(f"recentered({base.source} @ ({cx:g}, {cy:g}))", fn, None)
+    return PlanarMap(source, fn, None)

@@ -16,7 +16,10 @@ spectrum identity Spc(Dg(p)) = Spc(Dphi(p)) - 1, which
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .expr import PlanarMap
 from .involution import BasePointError, Region, default_region
@@ -119,48 +122,97 @@ def injectivity_scan(
     (almost) the same image.
 
     Images are bucketed into square cells of side ``collision_tol`` and
-    only the 3x3 cell neighborhood is compared, so no pair within the
+    only points in touching cells are compared, so no pair within the
     tolerance can be missed.  A pair counts as a collision when the images
     are within ``collision_tol`` but the sources are at least
     ``separation_min`` apart (default: 1e-3 of the window diameter), which
     screens out adjacent grid points with nearby images.  The first
-    qualifying pair in scan order is reported.
+    qualifying pair in scan order is reported, with the number of distinct
+    cells before its later point; otherwise the whole grid's count.
 
-    ``h`` may be any object with an ``evaluate((x, y))`` method.
+    ``h`` may be any object with an ``evaluate((x, y))`` method; it is
+    called once per node, in row-major order, until a call raises.  That
+    exception (or one from computing a node's cell) is raised only if no
+    collision precedes the node.
+
+    Which cells touch is decided for the whole grid at once: each cell
+    ``(ci, cj)`` is packed into the int ``ci*w + cj - min_cj`` with
+    ``w = max_cj - min_cj + 3``, so the eight neighbours of a cell are at
+    the fixed offsets ``±1, ±(w-1), ±w, ±(w+1)`` and ``cj ± 1`` never
+    reaches another row.  Set intersections find the points that share or
+    touch a cell with another point ("crowded" points); the others cannot
+    collide, and only the crowded ones are compared pairwise.
     """
     region = region or default_region()
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
     if separation_min is None:
         separation_min = 1e-3 * region.diameter
-    scan = region.with_grid(scan_n)
     cell = collision_tol
-    buckets: dict[tuple[int, int], list[int]] = {}
-    points: list[tuple[float, float]] = []
+    points = list(region.with_grid(scan_n).nodes())
     images: list[tuple[float, float]] = []
-    for p in scan.nodes():
-        u, v = h.evaluate(p)
-        ci = math.floor(u / cell)
-        cj = math.floor(v / cell)
+    error: Exception | None = None
+    evaluate = h.evaluate
+    try:
+        for p in points:
+            images.append(evaluate(p))
+    except Exception as exc:
+        error = exc
+    us = [u for u, _ in images]
+    vs = [v for _, v in images]
+    try:
+        cis = list(map(math.floor, map(operator.truediv, us, repeat(cell))))
+        cjs = list(map(math.floor, map(operator.truediv, vs, repeat(cell))))
+    except Exception:
+        # node by node: the first node whose cell cannot be computed ends the scan
+        cis, cjs = [], []
+        for u, v in images:
+            try:
+                ci = math.floor(u / cell)
+                cj = math.floor(v / cell)
+            except Exception as exc:
+                error = exc
+                break
+            cis.append(ci)
+            cjs.append(cj)
+        del images[len(cis):]
+    if not images:
+        raise error
+    min_cj = min(cjs)
+    w = max(cjs) - min_cj + 3
+    keys = list(map(operator.add, map(operator.mul, cis, repeat(w)),
+                    map(operator.sub, cjs, repeat(min_cj))))
+    cells = set(keys)
+    crowded: set[int] = set()
+    if len(cells) < len(keys):
+        crowded.update(k for k, c in Counter(keys).items() if c > 1)
+    for d in (1, w - 1, w, w + 1):
+        upper = cells.intersection(map(operator.add, cells, repeat(d)))
+        crowded |= upper
+        crowded.update(map(operator.sub, upper, repeat(d)))
+    offsets = (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1)
+    buckets: dict[int, list[int]] = {}
+    for j in compress(range(len(keys)), map(crowded.__contains__, keys)):
+        p = points[j]
+        u, v = images[j]
+        key = keys[j]
         best = None
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for idx in buckets.get((ci + di, cj + dj), ()):
-                    iu, iv = images[idx]
-                    if math.hypot(u - iu, v - iv) > collision_tol:
-                        continue
-                    q = points[idx]
-                    if math.hypot(p[0] - q[0], p[1] - q[1]) < separation_min:
-                        continue
-                    if best is None or idx < best:
-                        best = idx
+        for d in offsets:
+            for idx in buckets.get(key + d, ()):
+                iu, iv = images[idx]
+                if math.hypot(u - iu, v - iv) > collision_tol:
+                    continue
+                q = points[idx]
+                if math.hypot(p[0] - q[0], p[1] - q[1]) < separation_min:
+                    continue
+                if best is None or idx < best:
+                    best = idx
         if best is not None:
-            return InjectivityCertificate(COLLISION, (points[best], p), len(buckets))
-        idx = len(points)
-        points.append(p)
-        images.append((u, v))
-        buckets.setdefault((ci, cj), []).append(idx)
-    return InjectivityCertificate(NO_COLLISION_FOUND, None, len(buckets))
+            return InjectivityCertificate(COLLISION, (points[best], p), len(set(keys[:j])))
+        buckets.setdefault(key, []).append(j)
+    if error is not None:
+        raise error
+    return InjectivityCertificate(NO_COLLISION_FOUND, None, len(cells))
 
 
 def spectrum_shift_check(planar_map: PlanarMap, region: Region | None = None) -> float:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from planarinv import gallery
 from planarinv.expr import EvaluationError, ParseError, PlanarMap, parse, recentered
+from planarinv.involution import Region
 
 
 def test_parse_polynomial_shear():
@@ -155,6 +157,37 @@ def test_recentered_conjugates_by_translation():
     assert shifted.evaluate((1.0, 2.0)) == (-1.0, -2.0)
     _, jac = shifted.evaluate_with_jacobian((0.3, 0.4))
     assert jac.rows() == ((-1.0, 0.0), (0.0, -1.0))
+
+
+def _outcome(fn, p):
+    try:
+        return "ok", repr(fn(p))
+    except EvaluationError as exc:
+        return "raised", str(exc)
+
+
+def test_recentered_expression_maps_compile_and_match_the_wrapper():
+    def wrapped(base, center):  # how native maps are recentered
+        cx, cy = center
+
+        def fn(x, y):
+            u, v = base.components(x + cx, y + cy)
+            return u - cx, v - cy
+
+        return PlanarMap(base.source, fn, None)
+
+    entries = [gallery.get("A2", 0), gallery.get("A4", 0)]
+    assert entries[0].map.asts is not None
+    cases = [(parse(e.formula), e.recentered_at, e.window) for e in entries]
+    cases.append((parse("(sqrt(x) + 1/y, -y + x^2)"), (0.25, -0.5), Region(-2, 2, -2, 2, 17)))
+    for base, center, window in cases:
+        shifted, reference = recentered(base, center), wrapped(base, center)
+        assert shifted.asts is not None
+        assert shifted.source == f"recentered({base.source} @ ({center[0]:g}, {center[1]:g}))"
+        for p in window.nodes():
+            assert _outcome(shifted.evaluate, p) == _outcome(reference.evaluate, p)
+            assert (_outcome(shifted.evaluate_with_jacobian, p)
+                    == _outcome(reference.evaluate_with_jacobian, p))
 
 
 def test_non_finite_samples_raise_with_point():
