@@ -13,7 +13,7 @@ from planarinv import (
     find_fixed_points,
     get,
     standard_map,
-    trace_leaf,
+    trace_leaves,
 )
 from planarinv.svgplot import write_portrait
 
@@ -22,10 +22,8 @@ def portrait(name: str, path: str) -> None:
     entry = get(name)
     h = standard_map(entry.map)
     fol = diagonalize_involution(h.linear_part)
-    leaves = [
-        trace_leaf(h, fol, c, entry.window)
-        for c in default_leaf_parameters(h, fol, entry.window)
-    ]
+    leaves = trace_leaves(h, fol, default_leaf_parameters(h, fol, entry.window),
+                          entry.window)
     scan = find_fixed_points(entry.map, entry.window)
     write_portrait(path, entry.window, leaves, scan.points,
                    title=f"invariant foliation of {name}")

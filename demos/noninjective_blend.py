@@ -18,7 +18,7 @@ from planarinv import (
     sample_spectrum,
     check_condition_A,
     standard_map,
-    trace_leaf,
+    trace_leaves,
     default_leaf_parameters,
 )
 from planarinv.svgplot import write_portrait
@@ -48,10 +48,7 @@ def main() -> None:
     print(f"injectivity scan: {cert.status}, witness pair {cert.witness_pair}")
 
     fol = diagonalize_involution(h.linear_part)
-    leaves = [
-        trace_leaf(h, fol, c, window)
-        for c in default_leaf_parameters(h, fol, window)
-    ]
+    leaves = trace_leaves(h, fol, default_leaf_parameters(h, fol, window), window)
     truncated = sum(1 for leaf in leaves if leaf.truncated)
     write_portrait("foliation_blend.svg", window, leaves, [],
                    title="degenerate foliation of the rotation blend")

@@ -27,7 +27,7 @@ from .foliation import (
     default_leaf_parameters,
     diagonalize_involution,
     leaf_invariance_check,
-    trace_leaf,
+    trace_leaves,
 )
 from .gallery import GalleryEntry, get as gallery_get, list_entries
 from .involution import (
@@ -371,17 +371,17 @@ def cmd_foliate(args) -> int:
 
         phase = "trace"
         parameters = default_leaf_parameters(h, fol, region, args.leaves)
-        leaves = [
-            trace_leaf(h, fol, c, region, step=args.step)
-            for c in parameters
-        ]
+        leaves = trace_leaves(h, fol, parameters, region, args.step)
         invariance = max(
             (leaf_invariance_check(planar_map, h, fol, leaf) for leaf in leaves),
             default=0.0,
         )
 
         phase = "fixed-points"
-        scan = find_fixed_points(planar_map, region, args.tol) if check.passed else None
+        scan = None
+        if args.svg is not None and check.passed:
+            # only the portrait marks the fixed points
+            scan = find_fixed_points(planar_map, region, args.tol)
 
         phase = "write"
         if args.csv is not None:

@@ -565,18 +565,28 @@ class PlanarMap:
             raise EvaluationError("non-finite map value", (p[0], p[1]))
         return (u, v)
 
-    def evaluate_with_jacobian(
-        self, p: tuple[float, float]
-    ) -> tuple[tuple[float, float], Mat2]:
+    def jacobian_entries(self, p: tuple[float, float]) -> tuple[float, ...]:
+        """Value and Jacobian at ``p`` as ``(u, v, du/dx, du/dy, dv/dx, dv/dy)``.
+
+        Plain floats for callers in a hot loop; raises EvaluationError on a
+        failed or non-finite evaluation, like :meth:`evaluate`.
+        """
         kernel = (self._kernels or self._build_kernels())[1]
         try:
-            u, v, ux, uy, vx, vy = kernel(float(p[0]), float(p[1]))
+            entries = kernel(float(p[0]), float(p[1]))
         except ZeroDivisionError as exc:
             raise EvaluationError(str(exc) or "division by zero", (p[0], p[1])) from exc
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(str(exc), (p[0], p[1])) from exc
+        u, v, ux, uy, vx, vy = entries
         if not 0.0 * u * v * ux * uy * vx * vy == 0.0:
             raise EvaluationError("non-finite map value or derivative", (p[0], p[1]))
+        return entries
+
+    def evaluate_with_jacobian(
+        self, p: tuple[float, float]
+    ) -> tuple[tuple[float, float], Mat2]:
+        u, v, ux, uy, vx, vy = self.jacobian_entries(p)
         return (u, v), Mat2(ux, uy, vx, vy)
 
     def unparse(self) -> str:

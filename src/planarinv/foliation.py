@@ -9,6 +9,11 @@ polyline by marching along the canonical leaf in the target plane and
 pulling every target point back through a Newton inversion of h, seeded
 with the previous preimage (predictor-corrector continuation).
 
+The Newton step reads h and Dh as plain floats from
+``StandardMap.jacobian_entries``.  :func:`trace_leaves` traces a family of
+leaves; for a vertical foliation it computes the window's eigen-coordinates
+once, and every leaf takes its starting node from that one grid.
+
 Radial leaves start at radius 1e-3, not 0: the origin does not belong to
 the radial foliation and the ray equation is undefined there.
 """
@@ -129,38 +134,44 @@ def invert_standard_map(
     when the iteration fails to converge, carrying the last iterate.
     """
     p = (float(guess[0]), float(guess[1]))
+    entries = h.jacobian_entries
     for _ in range(max_iter + 1):
         try:
-            value, dh = h.evaluate_with_jacobian(p)
+            hx, hy, a11, a12, a21, a22 = entries(p)
         except EvaluationError as exc:
             raise InversionError(str(exc), p) from exc
-        rx, ry = target[0] - value[0], target[1] - value[1]
+        rx, ry = target[0] - hx, target[1] - hy
         if math.hypot(rx, ry) <= tol:
             return p
-        det = dh.det
-        scale = dh.max_abs()
+        det = a11 * a22 - a12 * a21
+        scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
         if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
             raise InversionError("singular Jacobian during inversion", p)
-        nx = p[0] + (rx * dh.a22 - dh.a12 * ry) / det
-        ny = p[1] + (dh.a11 * ry - dh.a21 * rx) / det
+        nx = p[0] + (rx * a22 - a12 * ry) / det
+        ny = p[1] + (a11 * ry - a21 * rx) / det
         if not (math.isfinite(nx) and math.isfinite(ny)):
             raise InversionError("inversion iterate became non-finite", p)
         p = (nx, ny)
     raise InversionError(f"no convergence after {max_iter} iterations", p)
 
 
-def _vertical_anchor(
-    h: StandardMap, s: Mat2, c: float, region: Region
-) -> tuple[float, tuple[float, float]]:
+EigenGrid = list[tuple[tuple[float, float], tuple[float, float]]]
+
+
+def _eigen_grid(h: StandardMap, s: Mat2, region: Region) -> EigenGrid:
+    """``(S h(p), p)`` at every window node, in row-major order."""
+    return [(s.apply(h.evaluate(p)), p) for p in region.nodes()]
+
+
+def _vertical_anchor(grid: EigenGrid, c: float) -> tuple[float, tuple[float, float]]:
     """Window node whose first eigen-coordinate is closest to the leaf's c.
 
     Returns the node's second eigen-coordinate (the march start) and the
-    node itself (the first Newton guess)."""
+    node itself (the first Newton guess); ties go to the first node."""
     best = math.inf
     best_t = 0.0
     best_p = (0.0, 0.0)
-    for p in region.nodes():
-        w = s.apply(h.evaluate(p))
+    for w, p in grid:
         gap = abs(w[0] - c)
         if gap < best:
             best = gap
@@ -178,16 +189,19 @@ def trace_leaf(
     inversion_tol: float = 1e-10,
     max_iter: int = 50,
     max_points: int = 20000,
+    grid: EigenGrid | None = None,
 ) -> Leaf:
     """Trace one leaf of the induced foliation through the window.
 
     Radial: the canonical leaf is the ray at angle ``parameter``; the march
     runs outward from radius 1e-3.  Vertical: the canonical leaf is the
     line {first eigen-coordinate = parameter}; the march starts from the
-    window point nearest the leaf and runs both ways.  The step lives in
-    the target plane and is halved (up to 10 times) when an inversion
-    fails; the trace stops once the preimage leaves the window, keeping the
-    exit point.
+    window node nearest the leaf and runs both ways.  ``grid`` holds the
+    window's eigen-coordinates as :func:`trace_leaves` shares them between
+    leaves; without it they are computed here.  The step lives in the
+    target plane and is halved (up to 10 times) when an inversion fails;
+    the trace stops once the preimage leaves the window, keeping the exit
+    point.
     """
     region = region or default_region()
     if fol.kind == RADIAL:
@@ -216,7 +230,9 @@ def trace_leaf(
             w = s.apply(h.evaluate(p))
             return abs(w[0] - c)
 
-        t0, guess0 = _vertical_anchor(h, s, c, region)
+        if grid is None:
+            grid = _eigen_grid(h, s, region)
+        t0, guess0 = _vertical_anchor(grid, c)
         directions = (1.0, -1.0)
 
     try:
@@ -279,6 +295,26 @@ def trace_leaf(
         points = list(reversed(branches[1])) + seedpts + branches[0]
     residuals = [residual_at(p) for p in points]
     return Leaf(parameter, points, residuals, truncated)
+
+
+def trace_leaves(
+    h: StandardMap,
+    fol: CanonicalFoliation,
+    parameters: list[float],
+    region: Region | None = None,
+    step: float = 1e-2,
+) -> list[Leaf]:
+    """:func:`trace_leaf` for every parameter, in order.
+
+    A vertical foliation's leaves all start from the window node nearest
+    them, so the window's eigen-coordinates are computed once here and
+    shared instead of once per leaf.
+    """
+    region = region or default_region()
+    grid = None
+    if fol.kind == VERTICAL:
+        grid = _eigen_grid(h, fol.change_of_basis, region)
+    return [trace_leaf(h, fol, c, region, step, grid=grid) for c in parameters]
 
 
 def _window_gap(region: Region, p: tuple[float, float]) -> float:

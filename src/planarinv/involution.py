@@ -151,14 +151,20 @@ def verify_involution(
 
 
 def orientation(planar_map: PlanarMap, region: Region | None = None) -> OrientationClass:
-    """Classify det(Dphi) sign over the grid; mixed or vanishing signs raise."""
+    """Classify det(Dphi) sign over the grid; mixed or vanishing signs raise.
+
+    A determinant vanishes when ``|det| <= 1e-12 * scale**2``, with
+    ``scale`` the largest Jacobian entry at the node, so the test does not
+    depend on the units of the map.
+    """
     region = region or default_region()
     sign = 0
     min_abs = math.inf
     for p in region.nodes():
         _, jac = planar_map.evaluate_with_jacobian(p)
         d = jac.det
-        if abs(d) <= 1e-12:
+        scale = jac.max_abs()
+        if abs(d) <= 1e-12 * scale * scale:
             raise DegenerateJacobianError("Jacobian determinant vanishes", p)
         s = 1 if d > 0 else -1
         if sign == 0:

@@ -23,7 +23,7 @@ from itertools import compress, repeat
 
 from .expr import PlanarMap
 from .involution import BasePointError, Region, default_region
-from .linalg2 import IDENTITY, MINUS_IDENTITY, Mat2, eigenvalues, set_distance
+from .linalg2 import MINUS_IDENTITY, Mat2, eigenvalues, set_distance
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
@@ -37,8 +37,8 @@ class NotApplicableError(ValueError):
 class StandardMap:
     """Derived map h(p) = (p + Dphi(0) phi(p)) / 2 with its linear part.
 
-    ``evaluate_with_jacobian`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2
-    from the base map's propagated Jacobian; :meth:`as_planar_map` instead
+    ``jacobian_entries`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2 from
+    the base map's propagated Jacobian; :meth:`as_planar_map` instead
     routes derivative propagation through the composed expression, giving
     an independent second route for cross-checks.
     """
@@ -48,16 +48,35 @@ class StandardMap:
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
         fx, fy = self.base.evaluate(p)
-        ax, ay = self.linear_part.apply((fx, fy))
-        return (0.5 * (p[0] + ax), 0.5 * (p[1] + ay))
+        a = self.linear_part
+        return (0.5 * (p[0] + (a.a11 * fx + a.a12 * fy)),
+                0.5 * (p[1] + (a.a21 * fx + a.a22 * fy)))
+
+    def jacobian_entries(self, p: tuple[float, float]) -> tuple[float, ...]:
+        """h(p) and Dh(p) as the floats ``(hx, hy, h11, h12, h21, h22)``.
+
+        Each entry takes the operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)``
+        in :class:`Mat2` arithmetic, in the same order (``0.0 +`` included,
+        which turns a -0.0 into 0.0), so the floats are those of
+        :meth:`evaluate_with_jacobian`.
+        """
+        u, v, ux, uy, vx, vy = self.base.jacobian_entries(p)
+        a = self.linear_part
+        a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
+        return (
+            0.5 * (p[0] + (a11 * u + a12 * v)),
+            0.5 * (p[1] + (a21 * u + a22 * v)),
+            0.5 * (1.0 + (a11 * ux + a12 * vx)),
+            0.5 * (0.0 + (a11 * uy + a12 * vy)),
+            0.5 * (0.0 + (a21 * ux + a22 * vx)),
+            0.5 * (1.0 + (a21 * uy + a22 * vy)),
+        )
 
     def evaluate_with_jacobian(
         self, p: tuple[float, float]
     ) -> tuple[tuple[float, float], Mat2]:
-        (fx, fy), jac = self.base.evaluate_with_jacobian(p)
-        ax, ay = self.linear_part.apply((fx, fy))
-        value = (0.5 * (p[0] + ax), 0.5 * (p[1] + ay))
-        return value, (IDENTITY + self.linear_part @ jac).scale(0.5)
+        hx, hy, h11, h12, h21, h22 = self.jacobian_entries(p)
+        return (hx, hy), Mat2(h11, h12, h21, h22)
 
     def auxiliary(self, p: tuple[float, float]) -> tuple[float, float]:
         """g(p) = Dphi(0) p + phi(p)."""

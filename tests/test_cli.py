@@ -146,3 +146,24 @@ def test_analyze_non_finite_samples_fail_in_verify(capsys):
     assert run(["analyze", "(x + 0*y^999, -y)", "--window", "3,5,3,5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("analyze: [verify] non-finite map value")
+
+
+def test_foliate_finds_fixed_points_only_for_the_svg(tmp_path, monkeypatch):
+    from planarinv import cli
+
+    calls = []
+    original = cli.find_fixed_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_fixed_points", counting)
+    both_csv = tmp_path / "both.csv"
+    only_csv = tmp_path / "only.csv"
+    assert run(["foliate", "gallery:A1:1", "--csv", str(both_csv),
+                "--svg", str(tmp_path / "a1.svg")]) == 0
+    assert len(calls) == 1
+    assert run(["foliate", "gallery:A1:1", "--csv", str(only_csv)]) == 0
+    assert len(calls) == 1
+    assert only_csv.read_bytes() == both_csv.read_bytes()

@@ -78,6 +78,17 @@ def test_orientation_rejects_degenerate_jacobian():
         orientation(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11))
 
 
+def test_orientation_determinant_test_is_relative_to_scale():
+    # det = 1e-14 everywhere: small in absolute terms, but the map is a scaling
+    o = orientation(parse("(1e-7*x, 1e-7*y)"), Region(-1, 1, -1, 1, 11))
+    assert o.kind == ORIENTATION_PRESERVING
+    assert o.min_abs_det == pytest.approx(1e-14)
+    with pytest.raises(DegenerateJacobianError, match="vanishes"):
+        orientation(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11))
+    with pytest.raises(DegenerateJacobianError, match="vanishes"):
+        orientation(parse("(2, 3)"), Region(-1, 1, -1, 1, 11))
+
+
 def test_fixed_points_isolated_minus():
     scan = find_fixed_points(get("A2").map, Region(-4, 4, -4, 4))
     assert not scan.curve
