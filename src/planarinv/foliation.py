@@ -189,16 +189,17 @@ def trace_leaf(
     inversion_tol: float = 1e-10,
     max_iter: int = 50,
     max_points: int = 20000,
-    grid: EigenGrid | None = None,
+    *,
+    _grid: EigenGrid | None = None,
 ) -> Leaf:
     """Trace one leaf of the induced foliation through the window.
 
     Radial: the canonical leaf is the ray at angle ``parameter``; the march
     runs outward from radius 1e-3.  Vertical: the canonical leaf is the
     line {first eigen-coordinate = parameter}; the march starts from the
-    window node nearest the leaf and runs both ways.  ``grid`` holds the
-    window's eigen-coordinates as :func:`trace_leaves` shares them between
-    leaves; without it they are computed here.  The step lives in the
+    window node nearest the leaf and runs both ways.  ``_grid`` is internal
+    to :func:`trace_leaves`, which shares the window's eigen-coordinates
+    between leaves; without it they are computed here.  The step lives in the
     target plane and is halved (up to 10 times) when an inversion fails;
     the trace stops once the preimage leaves the window, keeping the exit
     point.
@@ -230,8 +231,7 @@ def trace_leaf(
             w = s.apply(h.evaluate(p))
             return abs(w[0] - c)
 
-        if grid is None:
-            grid = _eigen_grid(h, s, region)
+        grid = _eigen_grid(h, s, region) if _grid is None else _grid
         t0, guess0 = _vertical_anchor(grid, c)
         directions = (1.0, -1.0)
 
@@ -314,7 +314,7 @@ def trace_leaves(
     grid = None
     if fol.kind == VERTICAL:
         grid = _eigen_grid(h, fol.change_of_basis, region)
-    return [trace_leaf(h, fol, c, region, step, grid=grid) for c in parameters]
+    return [trace_leaf(h, fol, c, region, step, _grid=grid) for c in parameters]
 
 
 def _window_gap(region: Region, p: tuple[float, float]) -> float:

@@ -153,9 +153,10 @@ def verify_involution(
 def orientation(planar_map: PlanarMap, region: Region | None = None) -> OrientationClass:
     """Classify det(Dphi) sign over the grid; mixed or vanishing signs raise.
 
-    A determinant vanishes when ``|det| <= 1e-12 * scale**2``, with
-    ``scale`` the largest Jacobian entry at the node, so the test does not
-    depend on the units of the map.
+    A determinant ``a11*a22 - a12*a21`` vanishes when it is within
+    ``1e-12 * (|a11*a22| + |a12*a21|)`` of zero, the size of the rounding
+    error of its two products, so the test depends neither on the units of
+    the map nor on one large entry whose product does not cancel.
     """
     region = region or default_region()
     sign = 0
@@ -163,8 +164,7 @@ def orientation(planar_map: PlanarMap, region: Region | None = None) -> Orientat
     for p in region.nodes():
         _, jac = planar_map.evaluate_with_jacobian(p)
         d = jac.det
-        scale = jac.max_abs()
-        if abs(d) <= 1e-12 * scale * scale:
+        if abs(d) <= 1e-12 * (abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
             raise DegenerateJacobianError("Jacobian determinant vanishes", p)
         s = 1 if d > 0 else -1
         if sign == 0:

@@ -83,6 +83,12 @@ def test_orientation_determinant_test_is_relative_to_scale():
     o = orientation(parse("(1e-7*x, 1e-7*y)"), Region(-1, 1, -1, 1, 11))
     assert o.kind == ORIENTATION_PRESERVING
     assert o.min_abs_det == pytest.approx(1e-14)
+    # det = -1 exactly, beside a Jacobian entry of 1e7
+    o = orientation(parse("(-x, y + 1e7*x)"), Region(-1, 1, -1, 1, 11))
+    assert o.kind == ORIENTATION_REVERSING
+    assert o.min_abs_det == 1.0
+    o = orientation(parse("(-x, y + x^5)"), Region(-25, 25, -25, 25, 11))
+    assert o.kind == ORIENTATION_REVERSING
     with pytest.raises(DegenerateJacobianError, match="vanishes"):
         orientation(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11))
     with pytest.raises(DegenerateJacobianError, match="vanishes"):
