@@ -19,14 +19,17 @@ Python function written against the generic helpers in :mod:`planarinv.dual`.
 Both realizations satisfy the same evaluation contract, so everything
 downstream is agnostic to how a map was constructed.
 
-An expression pair is evaluated by two straight-line Python functions that
-:func:`compile_pair` generates from the trees on the map's first evaluation:
-a float-only value kernel and a forward-mode Jacobian kernel that keeps the
-value and both partials of every subexpression in float locals.  The
-Jacobian kernel repeats :class:`~planarinv.dual.Dual`'s arithmetic operation
-by operation, so both kernels return exactly what :func:`evaluate_node`
-returns on floats and on seeded duals, without walking the tree or
-allocating a dual per operation.  :func:`evaluate_node` remains the generic
+An expression pair is evaluated by straight-line Python functions generated
+from the trees on the map's first evaluation.  :func:`compile_pair` returns
+the first two: a float-only value kernel and a forward-mode Jacobian kernel
+that keeps the value and both partials of every subexpression in float
+locals.  The Jacobian kernel repeats :class:`~planarinv.dual.Dual`'s
+arithmetic operation by operation, so both kernels return exactly what
+:func:`evaluate_node` returns on floats and on seeded duals, without walking
+the tree or allocating a dual per operation.  The same ``exec`` builds a
+third kernel, ``grid``, which runs the value lines over a whole grid of
+nodes in one loop and keeps the standard map's values there (see
+:meth:`PlanarMap.grid_kernel`).  :func:`evaluate_node` remains the generic
 evaluator behind :meth:`PlanarMap.components`.
 """
 
@@ -269,7 +272,8 @@ _SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
 # fresh name per temporary raised peak memory by about 1 MB.  Registers
 # (see _reuse_names) keep the names few enough to hold.
 _KERNEL_NAMES = tuple(sys.intern(name) for name in (
-    "make", "value", "jacobian", "_sinh", "_cosh", "_asinh", "_sqrt",
+    "make", "value", "jacobian", "grid", "_sinh", "_cosh", "_asinh", "_sqrt",
+    "xs", "ys", "us", "vs", "a11", "a12", "a21", "a22", "append_u", "append_v",
     *(f"r{i}" for i in range(64)), *(f"c{i}" for i in range(32))))
 
 
@@ -308,7 +312,7 @@ def _reuse_names(lines: list[str]) -> list[str]:
 
 
 class _KernelWriter:
-    """Writes the value and Jacobian kernels of one expression pair.
+    """Writes the value, Jacobian and grid kernels of one expression pair.
 
     Every emitted subexpression is named by a tuple ``(value, partials)``:
     ``value`` is the Python expression holding its value (a temporary, a
@@ -469,13 +473,37 @@ class _KernelWriter:
                            + [f"c{i}" for i in range(len(self.literals))])
         value_body = _reuse_names(self.value_lines + [f"return {first[0]}, {second[0]}"])
         jac_body = _reuse_names(self.jac_lines + [f"return {u}, {v}, {ux}, {uy}, {vx}, {vy}"])
+        # the value lines once per node, with PlanarMap.evaluate's float() and
+        # finiteness test, then StandardMap.evaluate's operations
+        grid_body = _reuse_names(self.value_lines + [
+            f"{name} = {value}" if partials is not None else f"{name} = float({value})"
+            for name, (value, partials) in (("u", first), ("v", second))])
         return "\n".join(
             [f"def make({params}):", "    def value(x, y):"]
             + [f"        {line}" for line in value_body]
             + ["    def jacobian(x, y):"]
             + [f"        {line}" for line in jac_body]
-            + ["    return value, jacobian", ""]
+            + ["    def grid(xs, ys, a11, a12, a21, a22, us, vs):",
+               "        append_u, append_v = us.append, vs.append",
+               "        for y in ys:",
+               "            for x in xs:"]
+            + [f"                {line}" for line in grid_body]
+            + ["                if not 0.0 * u * v == 0.0:",
+               "                    return",
+               "                append_u(0.5 * (x + (a11 * u + a12 * v)))",
+               "                append_v(0.5 * (y + (a21 * u + a22 * v)))",
+               "    return value, jacobian, grid", ""]
         )
+
+
+def _compile_kernels(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable, Callable]:
+    """The value, Jacobian and grid kernels of an expression pair, from one ``exec``."""
+    writer = _KernelWriter()
+    u = writer.emit(first)
+    v = writer.emit(second)
+    namespace: dict = {}
+    exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
+    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
 
 
 def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]:
@@ -487,12 +515,25 @@ def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]
     with a number component read as a Dual of zero partials.  Both raise
     the exceptions, with the messages, that the tree walk raises.
     """
-    writer = _KernelWriter()
-    u = writer.emit(first)
-    v = writer.emit(second)
-    namespace: dict = {}
-    exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
-    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
+    return _compile_kernels(first, second)[:2]
+
+
+def _native_grid(fn: Callable) -> Callable:
+    """Grid kernel of a native component function: the loop that the
+    compiled grid kernel runs, calling ``fn`` at each node."""
+
+    def grid(xs, ys, a11, a12, a21, a22, us, vs):
+        append_u, append_v = us.append, vs.append
+        for y in ys:
+            for x in xs:
+                u, v = fn(x, y)
+                u, v = float(u), float(v)
+                if not 0.0 * u * v == 0.0:
+                    return
+                append_u(0.5 * (x + (a11 * u + a12 * v)))
+                append_v(0.5 * (y + (a21 * u + a22 * v)))
+
+    return grid
 
 
 def _dual_jacobian(fn: Callable) -> Callable:
@@ -521,8 +562,8 @@ class PlanarMap:
     source: str
     _fn: Callable = field(repr=False)
     asts: tuple[ExprNode, ExprNode] | None = field(default=None, repr=False)
-    # (value, jacobian) kernels, built on the first evaluation
-    _kernels: tuple[Callable, Callable] | None = field(
+    # (value, jacobian, grid) kernels, built on the first evaluation
+    _kernels: tuple[Callable, Callable, Callable] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -543,13 +584,26 @@ class PlanarMap:
         """
         return self._fn(x, y)
 
-    def _build_kernels(self) -> tuple[Callable, Callable]:
+    def _build_kernels(self) -> tuple[Callable, Callable, Callable]:
         if self.asts is None:
-            kernels = (self._fn, _dual_jacobian(self._fn))
+            kernels = (self._fn, _dual_jacobian(self._fn), _native_grid(self._fn))
         else:
-            kernels = compile_pair(*self.asts)
+            kernels = _compile_kernels(*self.asts)
         object.__setattr__(self, "_kernels", kernels)
         return kernels
+
+    def grid_kernel(self) -> Callable:
+        """The kernel ``grid(xs, ys, a11, a12, a21, a22, us, vs)``, which
+        evaluates the standard map of linear part ``[[a11, a12], [a21, a22]]``
+        at the nodes ``(x, y)``, ``y`` outer and ``x`` inner.
+
+        At each node it takes the operations of :meth:`evaluate` and then
+        appends ``0.5 * (x + (a11*u + a12*v))`` to ``us`` and
+        ``0.5 * (y + (a21*u + a22*v))`` to ``vs``.  It returns at the first
+        node whose value is not finite and lets an exception of the map
+        propagate unwrapped; either way the lists end before that node.
+        """
+        return (self._kernels or self._build_kernels())[2]
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
         kernel = (self._kernels or self._build_kernels())[0]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import EvaluationError, PlanarMap
-from .linalg2 import IDENTITY, Mat2, solve_min_norm
+from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
 
 ORIENTATION_PRESERVING = "preserving"
 ORIENTATION_REVERSING = "reversing"
@@ -185,6 +185,10 @@ def classify_fixed_point(
     with negative Jacobian determinant the result is UNCLASSIFIED.
     """
     _, jac = planar_map.evaluate_with_jacobian(p)
+    return _classify_jacobian(jac, class_tol)
+
+
+def _classify_jacobian(jac: Mat2, class_tol: float) -> str:
     if jac.det <= 0.0:
         return UNCLASSIFIED
     if (jac - IDENTITY).max_abs() <= class_tol:
@@ -200,23 +204,29 @@ def polish_fixed_point(
     tol: float = 1e-9,
     max_iter: int = 60,
 ) -> tuple[float, float] | None:
-    """Newton-polish a fixed-point seed; None if the iteration fails."""
-    p = (float(seed[0]), float(seed[1]))
+    """Newton-polish a fixed-point seed; None if the iteration fails.
+
+    Runs on the plain floats of ``planar_map.jacobian_entries``; the step
+    solves ``(Dphi(p) - I) delta = p - phi(p)`` with the operations of
+    ``solve_min_norm(jac - IDENTITY, (-rx, -ry))``.
+    """
+    px, py = float(seed[0]), float(seed[1])
+    jacobian_entries = planar_map.jacobian_entries
     for _ in range(max_iter + 1):
         try:
-            (fx, fy), jac = planar_map.evaluate_with_jacobian(p)
+            fx, fy, j11, j12, j21, j22 = jacobian_entries((px, py))
         except EvaluationError:
             return None  # iterate escaped the map's numeric range
-        rx, ry = fx - p[0], fy - p[1]
+        rx, ry = fx - px, fy - py
         if math.hypot(rx, ry) <= tol:
-            return p
-        step = solve_min_norm(jac - IDENTITY, (-rx, -ry))
-        nx, ny = p[0] + step[0], p[1] + step[1]
+            return (px, py)
+        sx, sy = solve_min_norm_entries(j11 - 1.0, j12 - 0.0, j21 - 0.0, j22 - 1.0, -rx, -ry)
+        nx, ny = px + sx, py + sy
         if not (math.isfinite(nx) and math.isfinite(ny)) or math.hypot(nx, ny) > 1e9:
             return None
-        if step == (0.0, 0.0):
+        if sx == 0.0 and sy == 0.0:
             return None  # stalled on a zero step with residual remaining
-        p = (nx, ny)
+        px, py = nx, ny
     return None
 
 
@@ -262,8 +272,8 @@ def find_fixed_points(
     curve = len(roots) > 0.05 * region.grid_n
     points = []
     for root in roots:
-        cls = classify_fixed_point(planar_map, root, class_tol)
         _, jac = planar_map.evaluate_with_jacobian(root)
+        cls = _classify_jacobian(jac, class_tol)
         if curve and cls == UNCLASSIFIED:
             cls = CURVE
         points.append(FixedPoint(root, cls, jac))

@@ -148,20 +148,27 @@ def solve_min_norm(m: Mat2, r: tuple[float, float]) -> tuple[float, float]:
     structurally singular (e.g. root sets that form a curve), where the
     minimum-norm step still converges to the nearest root.
     """
-    scale = m.max_abs()
+    return solve_min_norm_entries(m.a11, m.a12, m.a21, m.a22, r[0], r[1])
+
+
+def solve_min_norm_entries(
+    a11: float, a12: float, a21: float, a22: float, rx: float, ry: float
+) -> tuple[float, float]:
+    """:func:`solve_min_norm` on the entries of ``m`` and ``r``, for callers
+    that keep the matrix as plain floats."""
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if scale == 0.0:
         return (0.0, 0.0)
-    d = m.det
-    rx, ry = r
+    d = a11 * a22 - a12 * a21
     if abs(d) > 1e-12 * scale * scale:
-        return ((rx * m.a22 - m.a12 * ry) / d, (m.a11 * ry - m.a21 * rx) / d)
+        return ((rx * a22 - a12 * ry) / d, (a11 * ry - a21 * rx) / d)
     # rank <= 1: delta = pinv(m) r via the normal equations G = m^T m,
     # whose single eigenvalue equals its trace.
-    g1 = m.a11 * rx + m.a21 * ry
-    g2 = m.a12 * rx + m.a22 * ry
-    g11 = m.a11 * m.a11 + m.a21 * m.a21
-    g22 = m.a12 * m.a12 + m.a22 * m.a22
-    g12 = m.a11 * m.a12 + m.a21 * m.a22
+    g1 = a11 * rx + a21 * ry
+    g2 = a12 * rx + a22 * ry
+    g11 = a11 * a11 + a21 * a21
+    g22 = a12 * a12 + a22 * a22
+    g12 = a11 * a12 + a21 * a22
     total = g11 + g22
     if total <= 0.0:
         return (0.0, 0.0)

@@ -52,6 +52,33 @@ class StandardMap:
         return (0.5 * (p[0] + (a.a11 * fx + a.a12 * fy)),
                 0.5 * (p[1] + (a.a21 * fx + a.a22 * fy)))
 
+    def evaluate_grid(
+        self, xs: list[float], ys: list[float]
+    ) -> tuple[list[float], list[float], Exception | None]:
+        """h at the nodes ``(x, y)``, ``y`` outer and ``x`` inner, in one call.
+
+        Returns ``(us, vs, error)``: the components of h at every node
+        before the first node where :meth:`evaluate` fails, bit for bit
+        those of :meth:`evaluate`, and the exception that :meth:`evaluate`
+        raises at that node (None if there is none).
+        """
+        a = self.linear_part
+        us: list[float] = []
+        vs: list[float] = []
+        try:
+            self.base.grid_kernel()(xs, ys, a.a11, a.a12, a.a21, a.a22, us, vs)
+        except Exception:
+            pass  # the node is evaluated again below, for evaluate's exception
+        j = len(us)
+        if j == len(xs) * len(ys):
+            return us, vs, None
+        n = len(xs)
+        try:
+            self.evaluate((xs[j % n], ys[j // n]))
+        except Exception as exc:
+            return us, vs, exc
+        raise RuntimeError(f"the grid kernel stopped at node {j}, where evaluate succeeds")
+
     def jacobian_entries(self, p: tuple[float, float]) -> tuple[float, ...]:
         """h(p) and Dh(p) as the floats ``(hx, hy, h11, h12, h21, h22)``.
 
@@ -149,10 +176,16 @@ def injectivity_scan(
     qualifying pair in scan order is reported, with the number of distinct
     cells before its later point; otherwise the whole grid's count.
 
-    ``h`` may be any object with an ``evaluate((x, y))`` method; it is
-    called once per node, in row-major order, until a call raises.  That
-    exception (or one from computing a node's cell) is raised only if no
-    collision precedes the node.
+    ``h`` may be any object with an ``evaluate((x, y))`` method.  If it
+    also has ``evaluate_grid(xs, ys)`` (as :class:`StandardMap` does), that
+    is called once with the scan's x and y coordinates and must return
+    ``(us, vs, error)``: the image components of the nodes in row-major
+    order (``y`` outer, ``x`` inner) up to the first node where ``evaluate``
+    raises, and that exception, or None.  Otherwise ``evaluate`` is called
+    once per node, in row-major order, until a call raises.  The exception
+    (or one from computing a node's cell) is raised only if no collision
+    precedes the node.  Node ``j`` is ``(xs[j % scan_n], ys[j // scan_n])``;
+    the points are built only where they are compared or reported.
 
     Which cells touch is decided for the whole grid at once: each cell
     ``(ci, cj)`` is packed into the int ``ci*w + cj - min_cj`` with
@@ -168,24 +201,20 @@ def injectivity_scan(
     if separation_min is None:
         separation_min = 1e-3 * region.diameter
     cell = collision_tol
-    points = list(region.with_grid(scan_n).nodes())
-    images: list[tuple[float, float]] = []
-    error: Exception | None = None
-    evaluate = h.evaluate
-    try:
-        for p in points:
-            images.append(evaluate(p))
-    except Exception as exc:
-        error = exc
-    us = [u for u, _ in images]
-    vs = [v for _, v in images]
+    scan = region.with_grid(scan_n)
+    xs, ys = scan.xs(), scan.ys()
+    evaluate_grid = getattr(h, "evaluate_grid", None)
+    if evaluate_grid is not None:
+        us, vs, error = evaluate_grid(xs, ys)
+    else:
+        us, vs, error = _evaluate_nodes(h, xs, ys)
     try:
         cis = list(map(math.floor, map(operator.truediv, us, repeat(cell))))
         cjs = list(map(math.floor, map(operator.truediv, vs, repeat(cell))))
     except Exception:
         # node by node: the first node whose cell cannot be computed ends the scan
         cis, cjs = [], []
-        for u, v in images:
+        for u, v in zip(us, vs):
             try:
                 ci = math.floor(u / cell)
                 cj = math.floor(v / cell)
@@ -194,8 +223,7 @@ def injectivity_scan(
                 break
             cis.append(ci)
             cjs.append(cj)
-        del images[len(cis):]
-    if not images:
+    if not cis:
         raise error
     min_cj = min(cjs)
     w = max(cjs) - min_cj + 3
@@ -212,26 +240,39 @@ def injectivity_scan(
     offsets = (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1)
     buckets: dict[int, list[int]] = {}
     for j in compress(range(len(keys)), map(crowded.__contains__, keys)):
-        p = points[j]
-        u, v = images[j]
+        px, py = xs[j % scan_n], ys[j // scan_n]
+        u, v = us[j], vs[j]
         key = keys[j]
         best = None
         for d in offsets:
             for idx in buckets.get(key + d, ()):
-                iu, iv = images[idx]
-                if math.hypot(u - iu, v - iv) > collision_tol:
+                if math.hypot(u - us[idx], v - vs[idx]) > collision_tol:
                     continue
-                q = points[idx]
-                if math.hypot(p[0] - q[0], p[1] - q[1]) < separation_min:
+                if math.hypot(px - xs[idx % scan_n], py - ys[idx // scan_n]) < separation_min:
                     continue
                 if best is None or idx < best:
                     best = idx
         if best is not None:
-            return InjectivityCertificate(COLLISION, (points[best], p), len(set(keys[:j])))
+            witness = ((xs[best % scan_n], ys[best // scan_n]), (px, py))
+            return InjectivityCertificate(COLLISION, witness, len(set(keys[:j])))
         buckets.setdefault(key, []).append(j)
     if error is not None:
         raise error
     return InjectivityCertificate(NO_COLLISION_FOUND, None, len(cells))
+
+
+def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Exception | None]:
+    """``evaluate_grid``'s triple from one ``h.evaluate`` call per node."""
+    images = []
+    error: Exception | None = None
+    evaluate = h.evaluate
+    try:
+        for y in ys:
+            for x in xs:
+                images.append(evaluate((x, y)))
+    except Exception as exc:
+        error = exc
+    return [u for u, _ in images], [v for _, v in images], error
 
 
 def spectrum_shift_check(planar_map: PlanarMap, region: Region | None = None) -> float:
