@@ -15,7 +15,6 @@ and exit nonzero.  Reports are deterministic apart from the timing fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from .involution import (
     BasePointError,
     DegenerateJacobianError,
     FixedPointScan,
+    GridSample,
     Region,
     find_fixed_points,
     verify_involution,
@@ -248,9 +248,11 @@ def cmd_analyze(args) -> int:
     if entry is not None and entry.recentered_at is not None:
         report["recentered_at"] = _ser_point(entry.recentered_at)
 
+    # one Jacobian per window node, read by every grid phase below
+    sample = timed("sample", lambda: GridSample(planar_map, region))
     try:
         phase = "verify"
-        check = timed(phase, lambda: verify_involution(planar_map, region, args.tol))
+        check = timed(phase, lambda: verify_involution(planar_map, region, args.tol, sample))
         report["involution"] = {
             "max_residual": check.max_residual,
             "passed": check.passed,
@@ -278,21 +280,29 @@ def cmd_analyze(args) -> int:
             return 0
 
         phase = "fixed-points"
-        scan = timed(phase, lambda: find_fixed_points(planar_map, region, args.tol))
+        scan = timed(phase, lambda: find_fixed_points(planar_map, region, args.tol,
+                                                      sample=sample))
 
         phase = "spectrum"
-        assessment = timed(phase, lambda: theorem_verdict(planar_map, region, args.eps))
+        assessment = timed(phase, lambda: theorem_verdict(planar_map, region, args.eps,
+                                                          sample=sample))
 
         phase = "injectivity"
         h = standard_map(planar_map)
-        sep = 1e-3 * region.diameter
-        cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, 1e-6, sep))
 
+        # the last reader of the sample runs before the scan, whose grids are
+        # the largest allocation, so that the sample is freed first
         phase = "spectrum-shift"
         shift_deviation = None
         if (assessment.orientation.kind == ORIENTATION_PRESERVING
                 and (h.linear_part - MINUS_IDENTITY).max_abs() <= 1e-9):
-            shift_deviation = timed(phase, lambda: spectrum_shift_check(planar_map, region))
+            shift_deviation = timed(phase, lambda: spectrum_shift_check(planar_map, region,
+                                                                        sample))
+        del sample
+
+        phase = "injectivity"
+        sep = 1e-3 * region.diameter
+        cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, 1e-6, sep))
 
         phase = "foliation-kind"
         try:
@@ -339,9 +349,10 @@ def cmd_foliate(args) -> int:
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
 
+    sample = GridSample(planar_map, region)
     try:
         phase = "verify"
-        check = verify_involution(planar_map, region, args.tol)
+        check = verify_involution(planar_map, region, args.tol, sample)
         if not check.passed and not args.force:
             print(
                 f"foliate: [{phase}] not an involution on the window "
@@ -354,7 +365,7 @@ def cmd_foliate(args) -> int:
         certified = False
         verdict = "skipped (--force)"
         if check.passed:
-            assessment = theorem_verdict(planar_map, region, args.eps)
+            assessment = theorem_verdict(planar_map, region, args.eps, sample=sample)
             certified = assessment.linearizable_on_window
             verdict = assessment.verdict
         if not certified and not args.force:
@@ -381,7 +392,7 @@ def cmd_foliate(args) -> int:
         scan = None
         if args.svg is not None and check.passed:
             # only the portrait marks the fixed points
-            scan = find_fixed_points(planar_map, region, args.tol)
+            scan = find_fixed_points(planar_map, region, args.tol, sample=sample)
 
         phase = "write"
         if args.csv is not None:
@@ -406,13 +417,15 @@ def cmd_foliate(args) -> int:
 
 
 def _write_leaf_csv(path: str, leaves) -> None:
+    """One row per leaf point, as ``csv.writer`` writes them: no field (an
+    int or a float ``repr``) needs quoting, and rows end in ``\\r\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["leaf_id", "leaf_parameter", "point_index", "x", "y", "residual"])
+        fh.write("leaf_id,leaf_parameter,point_index,x,y,residual\r\n")
         for leaf_id, leaf in enumerate(leaves):
-            for i, (p, res) in enumerate(zip(leaf.points, leaf.point_residuals)):
-                writer.writerow([leaf_id, repr(leaf.parameter), i,
-                                 repr(p[0]), repr(p[1]), repr(res)])
+            head = f"{leaf_id},{leaf.parameter!r},"
+            fh.write("".join(
+                f"{head}{i},{p[0]!r},{p[1]!r},{res!r}\r\n"
+                for i, (p, res) in enumerate(zip(leaf.points, leaf.point_residuals))))
 
 
 # ----------------------------------------------------------------------

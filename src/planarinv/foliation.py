@@ -159,8 +159,14 @@ EigenGrid = list[tuple[tuple[float, float], tuple[float, float]]]
 
 
 def _eigen_grid(h: StandardMap, s: Mat2, region: Region) -> EigenGrid:
-    """``(S h(p), p)`` at every window node, in row-major order."""
-    return [(s.apply(h.evaluate(p)), p) for p in region.nodes()]
+    """``(S h(p), p)`` at every window node, in row-major order, from one
+    ``h.evaluate_grid`` call; raises where ``h.evaluate`` fails."""
+    xs, ys = region.xs(), region.ys()
+    us, vs, error = h.evaluate_grid(xs, ys)
+    if error is not None:
+        raise error
+    nodes = [(x, y) for y in ys for x in xs]
+    return [(s.apply((u, v)), p) for u, v, p in zip(us, vs, nodes)]
 
 
 def _vertical_anchor(grid: EigenGrid, c: float) -> tuple[float, tuple[float, float]]:
@@ -373,13 +379,16 @@ def canonical_parameter_range(
     region = region or default_region()
     if fol.kind == RADIAL:
         return (0.0, 2.0 * math.pi)
-    s = fol.change_of_basis
+    us, vs, error = h.evaluate_grid(region.xs(), region.ys())
+    if error is not None:
+        raise error
+    s11, s12 = fol.change_of_basis.a11, fol.change_of_basis.a12
     lo = math.inf
     hi = -math.inf
-    for p in region.nodes():
-        w = s.apply(h.evaluate(p))
-        lo = min(lo, w[0])
-        hi = max(hi, w[0])
+    for u, v in zip(us, vs):
+        w0 = s11 * u + s12 * v  # the first entry of S.apply((u, v))
+        lo = min(lo, w0)
+        hi = max(hi, w0)
     return (lo, hi)
 
 

@@ -10,12 +10,16 @@ Fixed points are located by Newton iteration on phi(p) - p seeded from
 every grid node.  The Newton step uses a minimum-norm least-squares solve,
 which keeps the iteration convergent when the fixed set is a curve and the
 Jacobian of the residual is structurally singular.
+
+Every grid phase reads one :class:`GridSample`: the value and Jacobian of
+the map at each window node, taken once and kept as plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 
 from .expr import EvaluationError, PlanarMap
 from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
@@ -96,6 +100,72 @@ def default_region() -> Region:
     return Region(-5.0, 5.0, -5.0, 5.0, 41)
 
 
+class GridSample:
+    """``planar_map.jacobian_entries`` at every node of ``region``, in
+    :meth:`Region.nodes` order, as flat lists of floats.
+
+    ``px``, ``py`` hold the coordinates of every node.  ``u``, ``v``,
+    ``ux``, ``uy``, ``vx``, ``vy`` hold the value and Jacobian entries of
+    every node before the first node where ``jacobian_entries`` raises;
+    ``error`` is that exception, or None.  A phase that reaches that node
+    makes its own per-node call there, as it would without a sample, so
+    every exception keeps its phase and its message.
+    """
+
+    def __init__(self, planar_map: PlanarMap, region: Region):
+        self.planar_map = planar_map
+        self.region = region
+        xs, ys = region.xs(), region.ys()
+        self.px = xs * len(ys)
+        self.py = [y for y in ys for _ in xs]
+        self.error: Exception | None = None
+        rows = []
+        append, entries = rows.append, planar_map.jacobian_entries
+        try:
+            for p in zip(self.px, self.py):
+                append(entries(p))
+        except Exception as exc:  # noqa: BLE001 - a phase reaching this node repeats the call
+            self.error = exc
+        columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in range(6)]
+        self.u, self.v, self.ux, self.uy, self.vx, self.vy = columns
+
+    def values(self):
+        """``(x, y, u, v)`` per node, ``(u, v)`` bit for bit :meth:`PlanarMap.evaluate`.
+
+        The sample's values serve where the map's are exact (see
+        :meth:`PlanarMap.exact_values`); from the sample's failing node, or
+        from the first node otherwise, each node is one ``evaluate`` call.
+        """
+        if not self.planar_map.exact_values():
+            return self._evaluated_from(0)
+        return chain(zip(self.px, self.py, self.u, self.v), self._evaluated_from(len(self.u)))
+
+    def _evaluated_from(self, k: int):
+        evaluate = self.planar_map.evaluate
+        for x, y in zip(self.px[k:], self.py[k:]):
+            fx, fy = evaluate((x, y))
+            yield x, y, fx, fy
+
+    def raise_failure(self) -> None:
+        """At the sample's failing node, if there is one, make the per-node
+        ``jacobian_entries`` call, which raises that node's exception."""
+        if self.error is None:
+            return
+        j = len(self.u)
+        self.planar_map.jacobian_entries((self.px[j], self.py[j]))
+        raise RuntimeError(f"the grid sample failed at node {j}, where jacobian_entries succeeds")
+
+
+def sample_for(planar_map: PlanarMap, region: Region | None, sample: GridSample | None) -> GridSample:
+    """``sample`` checked against the phase's map and window, or a new one."""
+    region = region or default_region()
+    if sample is None:
+        return GridSample(planar_map, region)
+    if sample.planar_map is not planar_map or sample.region != region:
+        raise ValueError("the grid sample was taken of another map or window")
+    return sample
+
+
 @dataclass(frozen=True)
 class InvolutionCheck:
     max_residual: float
@@ -133,24 +203,33 @@ class FixedPointScan:
 
 
 def verify_involution(
-    planar_map: PlanarMap, region: Region | None = None, tol: float = 1e-9
+    planar_map: PlanarMap,
+    region: Region | None = None,
+    tol: float = 1e-9,
+    sample: GridSample | None = None,
 ) -> InvolutionCheck:
     """Grid-certify phi(phi(p)) == p with the normalized residual
-    ||phi(phi(p)) - p|| / (1 + ||p||)."""
-    region = region or default_region()
+    ||phi(phi(p)) - p|| / (1 + ||p||).
+
+    phi(p) comes from the grid sample (``sample``, or one taken here), and
+    phi(phi(p)) from one ``evaluate`` call per node.
+    """
+    sample = sample_for(planar_map, region, sample)
+    evaluate = planar_map.evaluate
     worst = 0.0
-    worst_point = (region.x_min, region.y_min)
-    for p in region.nodes():
-        q = planar_map.evaluate(p)
-        r = planar_map.evaluate(q)
-        res = math.hypot(r[0] - p[0], r[1] - p[1]) / (1.0 + math.hypot(p[0], p[1]))
+    worst_point = (sample.region.x_min, sample.region.y_min)
+    for x, y, fx, fy in sample.values():
+        r = evaluate((fx, fy))
+        res = math.hypot(r[0] - x, r[1] - y) / (1.0 + math.hypot(x, y))
         if res > worst:
             worst = res
-            worst_point = p
+            worst_point = (x, y)
     return InvolutionCheck(worst, worst <= tol, worst_point)
 
 
-def orientation(planar_map: PlanarMap, region: Region | None = None) -> OrientationClass:
+def orientation(
+    planar_map: PlanarMap, region: Region | None = None, sample: GridSample | None = None
+) -> OrientationClass:
     """Classify det(Dphi) sign over the grid; mixed or vanishing signs raise.
 
     A determinant ``a11*a22 - a12*a21`` vanishes when it is within
@@ -158,20 +237,21 @@ def orientation(planar_map: PlanarMap, region: Region | None = None) -> Orientat
     error of its two products, so the test depends neither on the units of
     the map nor on one large entry whose product does not cancel.
     """
-    region = region or default_region()
+    sample = sample_for(planar_map, region, sample)
     sign = 0
     min_abs = math.inf
-    for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
-        d = jac.det
-        if abs(d) <= 1e-12 * (abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
-            raise DegenerateJacobianError("Jacobian determinant vanishes", p)
+    for x, y, a11, a12, a21, a22 in zip(sample.px, sample.py, sample.ux, sample.uy,
+                                         sample.vx, sample.vy):
+        d = a11 * a22 - a12 * a21
+        if abs(d) <= 1e-12 * (abs(a11 * a22) + abs(a12 * a21)):
+            raise DegenerateJacobianError("Jacobian determinant vanishes", (x, y))
         s = 1 if d > 0 else -1
         if sign == 0:
             sign = s
         elif s != sign:
-            raise DegenerateJacobianError("Jacobian determinant changes sign", p)
+            raise DegenerateJacobianError("Jacobian determinant changes sign", (x, y))
         min_abs = min(min_abs, abs(d))
+    sample.raise_failure()
     kind = ORIENTATION_PRESERVING if sign > 0 else ORIENTATION_REVERSING
     return OrientationClass(kind, min_abs)
 
@@ -203,20 +283,25 @@ def polish_fixed_point(
     seed: tuple[float, float],
     tol: float = 1e-9,
     max_iter: int = 60,
+    *,
+    _first: tuple[float, ...] | None = None,
 ) -> tuple[float, float] | None:
     """Newton-polish a fixed-point seed; None if the iteration fails.
 
     Runs on the plain floats of ``planar_map.jacobian_entries``; the step
     solves ``(Dphi(p) - I) delta = p - phi(p)`` with the operations of
-    ``solve_min_norm(jac - IDENTITY, (-rx, -ry))``.
+    ``solve_min_norm(jac - IDENTITY, (-rx, -ry))``.  ``_first`` is internal
+    to :func:`find_fixed_points`: the seed's entries, from its grid sample.
     """
     px, py = float(seed[0]), float(seed[1])
     jacobian_entries = planar_map.jacobian_entries
+    entries = _first
     for _ in range(max_iter + 1):
         try:
-            fx, fy, j11, j12, j21, j22 = jacobian_entries((px, py))
+            fx, fy, j11, j12, j21, j22 = entries or jacobian_entries((px, py))
         except EvaluationError:
             return None  # iterate escaped the map's numeric range
+        entries = None
         rx, ry = fx - px, fy - py
         if math.hypot(rx, ry) <= tol:
             return (px, py)
@@ -236,8 +321,12 @@ def find_fixed_points(
     newton_tol: float = 1e-9,
     max_iter: int = 60,
     class_tol: float = 1e-6,
+    sample: GridSample | None = None,
 ) -> FixedPointScan:
     """Locate fixed points from every grid seed and deduplicate the roots.
+
+    Each seed's first Newton iteration reads the grid sample; seeds from
+    the sample's failing node on take all their iterations from the map.
 
     Roots closer than 1e-6 times the window diameter are merged; known
     roots are bucketed into square cells whose side is that merge radius,
@@ -247,14 +336,16 @@ def find_fixed_points(
     come at most one per window, while one-dimensional fixed sets shed at
     least a root per grid line.
     """
-    region = region or default_region()
+    sample = sample_for(planar_map, region, sample)
+    region = sample.region
     merge_radius = 1e-6 * region.diameter
     roots: list[tuple[float, float]] = []
     buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
     converged = 0
     skipped = 0
-    for seed in region.nodes():
-        root = polish_fixed_point(planar_map, seed, newton_tol, max_iter)
+    firsts = zip(sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
+    for seed, first in zip_longest(zip(sample.px, sample.py), firsts):
+        root = polish_fixed_point(planar_map, seed, newton_tol, max_iter, _first=first)
         if root is None:
             skipped += 1
             continue

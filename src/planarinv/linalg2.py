@@ -114,14 +114,24 @@ def eigenvalues(m: Mat2) -> Spectrum:
     Real-discriminant matrices yield eigenvalues with imaginary part
     exactly 0.0; a negative discriminant yields a conjugate pair.
     """
-    t = m.trace
-    d = m.det
+    re1, im1, re2, im2 = eigen_entries(m.a11, m.a12, m.a21, m.a22)
+    return Spectrum(complex(re1, im1), complex(re2, im2))
+
+
+def eigen_entries(
+    a11: float, a12: float, a21: float, a22: float
+) -> tuple[float, float, float, float]:
+    """:func:`eigenvalues` of ``[[a11, a12], [a21, a22]]`` as the floats
+    ``(Re lambda1, Im lambda1, Re lambda2, Im lambda2)``, for callers that
+    keep the matrix as plain floats."""
+    t = a11 + a22
+    d = a11 * a22 - a12 * a21
     disc = t * t - 4.0 * d
     if disc >= 0.0:
         s = math.sqrt(disc)
-        return Spectrum(complex((t - s) / 2.0, 0.0), complex((t + s) / 2.0, 0.0))
+        return (t - s) / 2.0, 0.0, (t + s) / 2.0, 0.0
     s = math.sqrt(-disc)
-    return Spectrum(complex(t / 2.0, -s / 2.0), complex(t / 2.0, s / 2.0))
+    return t / 2.0, -s / 2.0, t / 2.0, s / 2.0
 
 
 def is_linear_involution(m: Mat2, tol: float = 1e-9) -> bool:
@@ -134,10 +144,21 @@ def set_distance(a: Spectrum, b: Spectrum) -> float:
 
     Minimum over the two pairings of the larger eigenvalue distance.
     """
-    d11 = abs(a.lambda1 - b.lambda1)
-    d22 = abs(a.lambda2 - b.lambda2)
-    d12 = abs(a.lambda1 - b.lambda2)
-    d21 = abs(a.lambda2 - b.lambda1)
+    a1, a2, b1, b2 = a.lambda1, a.lambda2, b.lambda1, b.lambda2
+    return set_distance_entries(a1.real, a1.imag, a2.real, a2.imag,
+                                b1.real, b1.imag, b2.real, b2.imag)
+
+
+def set_distance_entries(
+    a1r: float, a1i: float, a2r: float, a2i: float,
+    b1r: float, b1i: float, b2r: float, b2i: float,
+) -> float:
+    """:func:`set_distance` on the eigenvalue pairs' real and imaginary
+    parts; each distance is the ``abs`` of a complex difference, as there."""
+    d11 = abs(complex(a1r - b1r, a1i - b1i))
+    d22 = abs(complex(a2r - b2r, a2i - b2i))
+    d12 = abs(complex(a1r - b2r, a1i - b2i))
+    d21 = abs(complex(a2r - b1r, a2i - b1i))
     return min(max(d11, d22), max(d12, d21))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .expr import PlanarMap
-from .involution import BasePointError, Region, default_region
-from .linalg2 import MINUS_IDENTITY, Mat2, eigenvalues, set_distance
+from .involution import BasePointError, GridSample, Region, default_region, sample_for
+from .linalg2 import MINUS_IDENTITY, Mat2, eigen_entries, set_distance_entries
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
@@ -275,25 +275,33 @@ def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Ex
     return [u for u, _ in images], [v for _, v in images], error
 
 
-def spectrum_shift_check(planar_map: PlanarMap, region: Region | None = None) -> float:
+def spectrum_shift_check(
+    planar_map: PlanarMap, region: Region | None = None, sample: GridSample | None = None
+) -> float:
     """Max deviation over the grid between Spc(Dg(p)) and Spc(Dphi(p)) - 1.
 
     Applies to orientation-preserving involutions with Dphi(0) = -I; both
-    eigenvalue sets are compared as unordered pairs.
+    eigenvalue sets are compared as unordered pairs.  The Jacobians are
+    those of the grid sample (``sample``, or one taken here); each node
+    takes the float operations of ``set_distance(eigenvalues(linear_part +
+    jac), eigenvalues(jac).shifted(-1.0))``.
     """
-    region = region or default_region()
     _, linear_part = planar_map.evaluate_with_jacobian((0.0, 0.0))
     if (linear_part - MINUS_IDENTITY).max_abs() > 1e-9:
         raise NotApplicableError(
             "the spectrum shift identity needs Dphi(0) = -I; "
             f"got linear part {linear_part.rows()}"
         )
+    sample = sample_for(planar_map, region, sample)
+    sample.raise_failure()
+    l11, l12, l21, l22 = linear_part.a11, linear_part.a12, linear_part.a21, linear_part.a22
     worst = 0.0
-    for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
-        spec_g = eigenvalues(linear_part + jac)
-        spec_shifted = eigenvalues(jac).shifted(-1.0)
-        worst = max(worst, set_distance(spec_g, spec_shifted))
+    for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
+        g1r, g1i, g2r, g2i = eigen_entries(l11 + a11, l12 + a12, l21 + a21, l22 + a22)
+        s1r, s1i, s2r, s2i = eigen_entries(a11, a12, a21, a22)
+        distance = set_distance_entries(g1r, g1i, g2r, g2i,
+                                        s1r - 1.0, s1i + 0.0, s2r - 1.0, s2i + 0.0)
+        worst = max(worst, distance)
     return worst
 
 

@@ -18,18 +18,20 @@ condition: Trace(Dphi(0) Dphi(p)) > -1 at every sample.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .expr import PlanarMap
 from .involution import (
     ORIENTATION_PRESERVING,
+    GridSample,
     OrientationClass,
     Region,
     base_fixed_point,
-    default_region,
     orientation,
+    sample_for,
 )
-from .linalg2 import Spectrum, eigenvalues
+from .linalg2 import Mat2, Spectrum, eigen_entries, eigenvalues
 
 COND_A_IDENTITY = "A-a"
 COND_A_GAP = "A-b"
@@ -71,35 +73,61 @@ class SpectralAssessment:
     linearizable_on_window: bool
 
 
+class SpectrumSamples(Sequence):
+    """The spectrum samples of a grid sample, one per node in grid order.
+
+    Holds the sample's Jacobian floats and the linear part; an item is a
+    :class:`SpectrumSample` built on access, with :func:`eigenvalues` and
+    ``(linear_part @ jac).trace``.  :func:`check_condition_A` and
+    :func:`check_condition_B` reduce over the floats and build items only
+    for their witnesses.
+    """
+
+    def __init__(self, sample: GridSample, linear_part: Mat2):
+        self.sample = sample
+        self.linear_part = linear_part
+
+    def __len__(self) -> int:
+        return len(self.sample.ux)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]
+        s = self.sample
+        jac = Mat2(s.ux[j], s.uy[j], s.vx[j], s.vy[j])
+        return SpectrumSample((s.px[j], s.py[j]), eigenvalues(jac),
+                              (self.linear_part @ jac).trace)
+
+    def jacobians(self):
+        """``(a11, a12, a21, a22)`` of Dphi at every node."""
+        s = self.sample
+        return zip(s.ux, s.uy, s.vx, s.vy)
+
+
 def sample_spectrum(
     planar_map: PlanarMap,
     region: Region | None = None,
     base: tuple[float, float] | None = None,
-) -> list[SpectrumSample]:
+    sample: GridSample | None = None,
+) -> SpectrumSamples:
     """One spectrum sample per grid node, in deterministic grid order.
 
     The linear part entering the trace product is evaluated once, at the
-    origin if it is fixed, else at the FixMinus point found from it.
+    origin if it is fixed, else at the FixMinus point found from it.  The
+    Jacobians are those of the grid sample (``sample``, or one taken here).
     """
-    region = region or default_region()
+    sample = sample_for(planar_map, region, sample)
     if base is None:
         base = base_fixed_point(planar_map)
     _, linear_part = planar_map.evaluate_with_jacobian(base)
-    samples = []
-    for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
-        samples.append(SpectrumSample(p, eigenvalues(jac), (linear_part @ jac).trace))
-    return samples
+    sample.raise_failure()
+    return SpectrumSamples(sample, linear_part)
 
 
-def _eigen_iter(sample: SpectrumSample):
-    yield sample.spectrum.lambda1
-    yield sample.spectrum.lambda2
-
-
-def _distance_to_band(lam: complex, epsilon: float) -> float:
-    """Euclidean distance from an eigenvalue to the real segment [1, 1+eps]."""
-    re, im = lam.real, lam.imag
+def _distance_to_band(re: float, im: float, epsilon: float) -> float:
+    """Euclidean distance from the eigenvalue ``re + im i`` to the real
+    segment [1, 1+eps]."""
     if re < 1.0:
         dx = 1.0 - re
     elif re > 1.0 + epsilon:
@@ -110,7 +138,7 @@ def _distance_to_band(lam: complex, epsilon: float) -> float:
 
 
 def check_condition_A(
-    samples: list[SpectrumSample],
+    samples: SpectrumSamples,
     epsilon: float = 0.1,
     im_tol: float = 1e-9,
     one_tol: float = 1e-9,
@@ -129,6 +157,11 @@ def check_condition_A(
     The witness reported for (b) is the violating sample whose eigenvalue
     sits lowest in the band: that eigenvalue falsifies the hypothesis for
     every smaller eps as well, so it is the binding counterexample.
+
+    Each eigenvalue is reduced as the floats of :func:`eigen_entries`, with
+    the operations of complex arithmetic on :func:`eigenvalues` (``|lambda
+    - 1|`` is the ``abs`` of a complex); witnesses are node indices until
+    the verdicts are built.
     """
     max_dev_one = 0.0
     witness_a = None
@@ -137,57 +170,64 @@ def check_condition_A(
     min_band_dist = math.inf
     binding_re = math.inf
     witness_b = None
-    for sample in samples:
-        for lam in _eigen_iter(sample):
-            dev = abs(lam - 1.0)
+    for j, entries in enumerate(samples.jacobians()):
+        re1, im1, re2, im2 = eigen_entries(*entries)
+        for re, im in ((re1, im1), (re2, im2)):
+            dev = abs(complex(re - 1.0, im))
             if dev > max_dev_one:
                 max_dev_one = dev
             if witness_a is None and dev > one_tol:
-                witness_a = sample
-            im = abs(lam.imag)
+                witness_a = j
+            im = abs(im)
             if im > max_imag:
                 max_imag = im
             if witness_c is None and im > im_tol:
-                witness_c = sample
-            violates_b = im <= im_tol and 1.0 <= lam.real < 1.0 + epsilon
+                witness_c = j
+            violates_b = im <= im_tol and 1.0 <= re < 1.0 + epsilon
             if violates_b:
-                if lam.real < binding_re:
-                    binding_re = lam.real
-                    witness_b = sample
+                if re < binding_re:
+                    binding_re = re
+                    witness_b = j
             else:
-                min_band_dist = min(min_band_dist, _distance_to_band(lam, epsilon))
+                min_band_dist = min(min_band_dist, _distance_to_band(re, im, epsilon))
     a_holds = max_dev_one <= one_tol
     c_holds = max_imag <= im_tol
     b_holds = witness_b is None
     verdict_a = ConditionVerdict(
-        COND_A_IDENTITY, a_holds, None if a_holds else witness_a, one_tol - max_dev_one
+        COND_A_IDENTITY, a_holds, None if a_holds else samples[witness_a], one_tol - max_dev_one
     )
     if b_holds:
         margin_b = min_band_dist if min_band_dist < math.inf else math.inf
         verdict_b = ConditionVerdict(COND_A_GAP, True, None, margin_b)
     else:
-        verdict_b = ConditionVerdict(COND_A_GAP, False, witness_b, (binding_re - 1.0) - epsilon)
+        verdict_b = ConditionVerdict(COND_A_GAP, False, samples[witness_b],
+                                     (binding_re - 1.0) - epsilon)
     verdict_c = ConditionVerdict(
-        COND_A_REAL, c_holds, None if c_holds else witness_c, im_tol - max_imag
+        COND_A_REAL, c_holds, None if c_holds else samples[witness_c], im_tol - max_imag
     )
     return TheoremAChecks(verdict_a, verdict_b, verdict_c)
 
 
-def check_condition_B(samples: list[SpectrumSample]) -> ConditionVerdict:
+def check_condition_B(samples: SpectrumSamples) -> ConditionVerdict:
     """Trace condition for orientation-reversing involutions.
 
     Holds iff min Trace(Dphi(0) Dphi(p)) > -1; the margin is that minimum
     plus one, so a margin of 3 means the trace never dropped below 2.
+    Each trace takes the operations of ``(linear_part @ jac).trace``.
     """
+    lin = samples.linear_part
+    l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     min_tp = math.inf
     witness = None
-    for sample in samples:
-        if sample.trace_product < min_tp:
-            min_tp = sample.trace_product
-        if witness is None and sample.trace_product <= -1.0:
-            witness = sample
+    for j, (a11, a12, a21, a22) in enumerate(samples.jacobians()):
+        tp = (l11 * a11 + l12 * a21) + (l21 * a12 + l22 * a22)
+        if tp < min_tp:
+            min_tp = tp
+        if witness is None and tp <= -1.0:
+            witness = j
     holds = min_tp > -1.0
-    return ConditionVerdict(COND_B_TRACE, holds, None if holds else witness, min_tp + 1.0)
+    return ConditionVerdict(COND_B_TRACE, holds, None if holds else samples[witness],
+                            min_tp + 1.0)
 
 
 def _window_str(region: Region) -> str:
@@ -201,18 +241,21 @@ def theorem_verdict(
     epsilon: float = 0.1,
     im_tol: float = 1e-9,
     one_tol: float = 1e-9,
+    sample: GridSample | None = None,
 ) -> SpectralAssessment:
     """Decide which linearization hypothesis (if any) holds on the window.
 
     Orientation-preserving maps are linearizable on the window iff (a),
     (b), or (c) holds; orientation-reversing maps iff the trace condition
     holds.  The verdict string names the condition used and the window it
-    was sampled on.
+    was sampled on.  Orientation and spectrum read one grid sample
+    (``sample``, or one taken here).
     """
-    region = region or default_region()
-    orient = orientation(planar_map, region)
+    sample = sample_for(planar_map, region, sample)
+    region = sample.region
+    orient = orientation(planar_map, region, sample)
     base = base_fixed_point(planar_map)
-    samples = sample_spectrum(planar_map, region, base)
+    samples = sample_spectrum(planar_map, region, base, sample)
     win = _window_str(region)
     if orient.kind == ORIENTATION_PRESERVING:
         checks = check_condition_A(samples, epsilon, im_tol, one_tol)

@@ -1,0 +1,506 @@
+"""Every phase that reads a ``GridSample`` against the per-node code it replaced.
+
+The references below are the per-node loops that ``verify_involution``,
+``orientation``, ``sample_spectrum``, ``check_condition_A``,
+``check_condition_B``, ``spectrum_shift_check`` and ``find_fixed_points``
+ran before they read one shared grid sample, and the per-node window grid
+of ``foliation``.  Results are compared by ``repr`` (witnesses, margins and
+signed zeros included) and exceptions by type and message.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+from decimal import Decimal
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_grid import _GRID_MAPS, FLIP_Y
+from test_scan import _WINDOWS
+
+from planarinv import cli, foliation, gallery, involution, linearize, spectral
+from planarinv.expr import ExprNode, PlanarMap, parse
+from planarinv.foliation import Leaf, canonical_parameter_range, diagonalize_involution
+from planarinv.involution import (
+    ORIENTATION_PRESERVING,
+    ORIENTATION_REVERSING,
+    UNCLASSIFIED,
+    CURVE,
+    DegenerateJacobianError,
+    FixedPoint,
+    FixedPointScan,
+    GridSample,
+    InvolutionCheck,
+    OrientationClass,
+    Region,
+    base_fixed_point,
+    find_fixed_points,
+    orientation,
+    polish_fixed_point,
+    verify_involution,
+)
+from planarinv.linalg2 import MINUS_IDENTITY, eigenvalues, set_distance
+from planarinv.linearize import NotApplicableError, StandardMap, spectrum_shift_check
+from planarinv.spectral import (
+    COND_A_GAP,
+    COND_A_IDENTITY,
+    COND_A_REAL,
+    COND_B_TRACE,
+    ConditionVerdict,
+    SpectrumSample,
+    TheoremAChecks,
+    check_condition_A,
+    check_condition_B,
+    sample_spectrum,
+    theorem_verdict,
+)
+
+# ----------------------------------------------------------------------
+# the per-node references
+# ----------------------------------------------------------------------
+
+
+def _ref_verify(planar_map, region, tol=1e-9):
+    worst = 0.0
+    worst_point = (region.x_min, region.y_min)
+    for p in region.nodes():
+        q = planar_map.evaluate(p)
+        r = planar_map.evaluate(q)
+        res = math.hypot(r[0] - p[0], r[1] - p[1]) / (1.0 + math.hypot(p[0], p[1]))
+        if res > worst:
+            worst = res
+            worst_point = p
+    return InvolutionCheck(worst, worst <= tol, worst_point)
+
+
+def _ref_orientation(planar_map, region):
+    sign = 0
+    min_abs = math.inf
+    for p in region.nodes():
+        _, jac = planar_map.evaluate_with_jacobian(p)
+        d = jac.det
+        if abs(d) <= 1e-12 * (abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
+            raise DegenerateJacobianError("Jacobian determinant vanishes", p)
+        s = 1 if d > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            raise DegenerateJacobianError("Jacobian determinant changes sign", p)
+        min_abs = min(min_abs, abs(d))
+    kind = ORIENTATION_PRESERVING if sign > 0 else ORIENTATION_REVERSING
+    return OrientationClass(kind, min_abs)
+
+
+def _ref_sample_spectrum(planar_map, region, base=None):
+    if base is None:
+        base = base_fixed_point(planar_map)
+    _, linear_part = planar_map.evaluate_with_jacobian(base)
+    samples = []
+    for p in region.nodes():
+        _, jac = planar_map.evaluate_with_jacobian(p)
+        samples.append(SpectrumSample(p, eigenvalues(jac), (linear_part @ jac).trace))
+    return samples
+
+
+def _ref_distance_to_band(lam, epsilon):
+    re, im = lam.real, lam.imag
+    if re < 1.0:
+        dx = 1.0 - re
+    elif re > 1.0 + epsilon:
+        dx = re - (1.0 + epsilon)
+    else:
+        dx = 0.0
+    return math.hypot(dx, im)
+
+
+def _ref_check_A(samples, epsilon=0.1, im_tol=1e-9, one_tol=1e-9):
+    max_dev_one = 0.0
+    witness_a = None
+    max_imag = 0.0
+    witness_c = None
+    min_band_dist = math.inf
+    binding_re = math.inf
+    witness_b = None
+    for sample in samples:
+        for lam in (sample.spectrum.lambda1, sample.spectrum.lambda2):
+            dev = abs(lam - 1.0)
+            if dev > max_dev_one:
+                max_dev_one = dev
+            if witness_a is None and dev > one_tol:
+                witness_a = sample
+            im = abs(lam.imag)
+            if im > max_imag:
+                max_imag = im
+            if witness_c is None and im > im_tol:
+                witness_c = sample
+            violates_b = im <= im_tol and 1.0 <= lam.real < 1.0 + epsilon
+            if violates_b:
+                if lam.real < binding_re:
+                    binding_re = lam.real
+                    witness_b = sample
+            else:
+                min_band_dist = min(min_band_dist, _ref_distance_to_band(lam, epsilon))
+    a_holds = max_dev_one <= one_tol
+    c_holds = max_imag <= im_tol
+    verdict_a = ConditionVerdict(
+        COND_A_IDENTITY, a_holds, None if a_holds else witness_a, one_tol - max_dev_one)
+    if witness_b is None:
+        verdict_b = ConditionVerdict(COND_A_GAP, True, None, min_band_dist)
+    else:
+        verdict_b = ConditionVerdict(COND_A_GAP, False, witness_b, (binding_re - 1.0) - epsilon)
+    verdict_c = ConditionVerdict(
+        COND_A_REAL, c_holds, None if c_holds else witness_c, im_tol - max_imag)
+    return TheoremAChecks(verdict_a, verdict_b, verdict_c)
+
+
+def _ref_check_B(samples):
+    min_tp = math.inf
+    witness = None
+    for sample in samples:
+        if sample.trace_product < min_tp:
+            min_tp = sample.trace_product
+        if witness is None and sample.trace_product <= -1.0:
+            witness = sample
+    holds = min_tp > -1.0
+    return ConditionVerdict(COND_B_TRACE, holds, None if holds else witness, min_tp + 1.0)
+
+
+def _ref_shift(planar_map, region):
+    _, linear_part = planar_map.evaluate_with_jacobian((0.0, 0.0))
+    if (linear_part - MINUS_IDENTITY).max_abs() > 1e-9:
+        raise NotApplicableError(
+            "the spectrum shift identity needs Dphi(0) = -I; "
+            f"got linear part {linear_part.rows()}")
+    worst = 0.0
+    for p in region.nodes():
+        _, jac = planar_map.evaluate_with_jacobian(p)
+        spec_g = eigenvalues(linear_part + jac)
+        spec_shifted = eigenvalues(jac).shifted(-1.0)
+        worst = max(worst, set_distance(spec_g, spec_shifted))
+    return worst
+
+
+def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60, class_tol=1e-6):
+    merge_radius = 1e-6 * region.diameter
+    roots = []
+    buckets = {}
+    converged = skipped = 0
+    for seed in region.nodes():
+        root = polish_fixed_point(planar_map, seed, newton_tol, max_iter)
+        if root is None:
+            skipped += 1
+            continue
+        converged += 1
+        ci = math.floor(root[0] / merge_radius)
+        cj = math.floor(root[1] / merge_radius)
+        if not any(
+            math.hypot(root[0] - kx, root[1] - ky) <= merge_radius
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for kx, ky in buckets.get((ci + di, cj + dj), ())
+        ):
+            roots.append(root)
+            buckets.setdefault((ci, cj), []).append(root)
+    curve = len(roots) > 0.05 * region.grid_n
+    points = []
+    for root in roots:
+        _, jac = planar_map.evaluate_with_jacobian(root)
+        cls = involution._classify_jacobian(jac, class_tol)
+        if curve and cls == UNCLASSIFIED:
+            cls = CURVE
+        points.append(FixedPoint(root, cls, jac))
+    return FixedPointScan(points, curve, converged, skipped)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        return "raised", type(exc), str(exc)
+    if isinstance(result, (list, spectral.SpectrumSamples)):
+        return "ok", len(result), [repr(item) for item in result]
+    return "ok", repr(result)
+
+
+def _assert_phases_match(planar_map, region, epsilon=0.1):
+    """Each sample-reading phase, on one shared sample and on its own,
+    against its reference."""
+    shared = GridSample(planar_map, region)
+    pairs = [
+        (verify_involution, _ref_verify, ()),
+        (orientation, _ref_orientation, ()),
+        (sample_spectrum, _ref_sample_spectrum, ()),
+        (spectrum_shift_check, _ref_shift, ()),
+        (find_fixed_points, _ref_find_fixed_points, ()),
+    ]
+    for phase, reference, extra in pairs:
+        expected = _outcome(reference, planar_map, region, *extra)
+        assert _outcome(phase, planar_map, region, *extra) == expected, phase.__name__
+        assert _outcome(phase, planar_map, region, *extra, sample=shared) == expected, \
+            phase.__name__
+    try:
+        new = sample_spectrum(planar_map, region, sample=shared)
+        old = _ref_sample_spectrum(planar_map, region)
+    except Exception:  # noqa: BLE001 - the raise itself matched above
+        return
+    for eps, im_tol, one_tol in ((epsilon, 1e-9, 1e-9), (0.5, 1e-3, 0.0), (1e9, 0.0, 10.0)):
+        assert _outcome(check_condition_A, new, eps, im_tol, one_tol) == \
+            _outcome(_ref_check_A, old, eps, im_tol, one_tol)
+    assert _outcome(check_condition_B, new) == _outcome(_ref_check_B, old)
+
+
+# ----------------------------------------------------------------------
+# parity on random maps, gallery entries and hand-picked edge cases
+# ----------------------------------------------------------------------
+
+_EPSILONS = st.sampled_from([0.1, 0.5, 1e-12]) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRID_MAPS, _WINDOWS, st.integers(2, 6), _EPSILONS)
+@example(parse("(x, -y + 0*sqrt(x*x))"), Region(-5, 5, -5, 5), 5, 0.1)
+@example(parse("(-x + y^2/3, -y)"), Region(-5, 5, -5, 5), 5, 0.1)
+@example(parse("(x + 0*y^999, -y)"), Region(3, 5, 3, 5), 3, 0.1)
+@example(parse("(x^2, y)"), Region(-1, 1, -1, 1), 5, 0.1)
+@example(parse("(2, 3)"), Region(-1, 1, -1, 1), 3, 0.1)
+@example(parse("(-0*x, -y)"), Region(-1, 1, -1, 1), 3, 0.1)
+@example(parse("(1e200*x, 1e200*y)"), Region(-1, 1, -1, 1), 3, 0.1)
+def test_phases_match_per_node_reference(planar_map, region, grid_n, epsilon):
+    _assert_phases_match(planar_map, region.with_grid(grid_n), epsilon)
+
+
+def test_phases_match_per_node_reference_on_every_gallery_entry():
+    for name in gallery.list_entries():
+        entry = gallery.get(name)
+        _assert_phases_match(entry.map, entry.window.with_grid(13))
+
+
+def test_phases_match_on_a_decimal_constant_component():
+    # the constant component is a Decimal that evaluate and the Jacobian
+    # kernel turn into a float; mixed with x it raises TypeError everywhere
+    constant = ExprNode("num", value=Decimal("2.5"))
+    region = Region(-1, 1, -1, 1, 4)
+    _assert_phases_match(PlanarMap.from_expressions(constant, ExprNode("y"), "decimal"), region)
+    mixed = ExprNode("add", (ExprNode("x"), constant))
+    _assert_phases_match(PlanarMap.from_expressions(mixed, ExprNode("y"), "mixed"), region)
+
+
+def test_phases_match_on_native_maps():
+    region = Region(-1, 1, -1, 1, 5)
+    natives = {
+        "raises": lambda x, y: (1.0 / x if x > 0 else -x, -y),
+        "non-finite": lambda x, y: (x * 1e308 * 10.0 if x > 0 else -x, -y),
+        "not a pair": lambda x, y: (x, y, x) if y > 0 else (-x, y),
+        "int values": lambda x, y: (-x, 3) if x == -1.0 else (-x, -y),
+    }
+    for name, fn in natives.items():
+        _assert_phases_match(PlanarMap.from_function(fn, name), region)
+
+
+def test_theorem_verdict_reads_one_sample():
+    for name in gallery.list_entries():
+        entry = gallery.get(name)
+        sample = GridSample(entry.map, entry.window)
+        assert repr(theorem_verdict(entry.map, entry.window, sample=sample)) == \
+            repr(theorem_verdict(entry.map, entry.window))
+
+
+# ----------------------------------------------------------------------
+# the sample itself
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_GRID_MAPS, _WINDOWS, st.integers(2, 6))
+@example(parse("(x/3, y/(x + 7))"), Region(-5, 5, -5, 5), 6)
+def test_sample_values_are_evaluate_values_where_exact(planar_map, region, grid_n):
+    region = region.with_grid(grid_n)
+    sample = GridSample(planar_map, region)
+    nodes = list(region.nodes())
+    assert list(zip(sample.px, sample.py)) == nodes
+    columns = (sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
+    assert len({len(column) for column in columns}) == 1
+    k = len(sample.u)
+    assert (sample.error is None) == (k == len(nodes))
+    for j, p in enumerate(nodes[:k]):
+        assert tuple(column[j] for column in columns) == planar_map.jacobian_entries(p)
+        if planar_map.exact_values():
+            got = (sample.u[j], sample.v[j])
+            assert repr(got) == repr(planar_map.evaluate(p))
+            assert all(type(value) is float for value in got)
+    if k < len(nodes):
+        with pytest.raises(type(sample.error)) as raised:
+            planar_map.jacobian_entries(nodes[k])
+        assert str(raised.value) == str(sample.error)
+
+
+def test_division_by_a_subexpression_of_x_or_y_is_not_exact():
+    assert parse("(x - y^3, 1/(1 + x*x))").exact_values()  # a number divided by a Dual
+    assert parse("(x/2, (x + y)/0.25)").exact_values()  # exact reciprocals
+    assert not parse("(x/3, y)").exact_values()  # a Dual times the reciprocal of 3
+    assert not parse("(x, y/(x + 7))").exact_values()
+    assert not parse("(x/(1 + 1), y)").exact_values()  # not a literal
+    assert not parse("(x/1e-320, y)").exact_values()  # its reciprocal overflows
+    assert not gallery.get("C").map.exact_values()  # native
+    m = parse("(x/3, y)")
+    assert any(m.evaluate((x, 0.0))[0] != m.jacobian_entries((x, 0.0))[0]
+               for x in (0.1 * i for i in range(1, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1021, 1022), st.sampled_from([1.0, -1.0]),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, -0.0]))
+def test_dividing_by_a_power_of_two_keeps_values_exact(k, sign, x):
+    divisor = ExprNode("num", value=sign * 2.0 ** k)
+    m = PlanarMap.from_expressions(ExprNode("div", (ExprNode("x"), divisor)), ExprNode("y"), "p2")
+    assert m.exact_values()
+    try:
+        entries = m.jacobian_entries((x, 1.0))
+    except ArithmeticError:
+        return  # the quotient overflows
+    assert repr(entries[:2]) == repr(m.evaluate((x, 1.0)))
+
+
+def test_a_sample_of_another_map_or_window_is_refused():
+    m = parse("(x, -y)")
+    sample = GridSample(m, Region(-1, 1, -1, 1, 5))
+    with pytest.raises(ValueError, match="another map or window"):
+        orientation(m, Region(-1, 1, -1, 1, 6), sample)
+    with pytest.raises(ValueError, match="another map or window"):
+        verify_involution(parse("(x, -y)"), Region(-1, 1, -1, 1, 5), sample=sample)
+
+
+def test_spectrum_samples_are_a_sequence():
+    entry = gallery.get("A1")
+    new = sample_spectrum(entry.map, entry.window.with_grid(5))
+    old = _ref_sample_spectrum(entry.map, entry.window.with_grid(5))
+    assert len(new) == 25
+    assert repr(new[-1]) == repr(old[-1]) and repr(new[3]) == repr(old[3])
+    assert [repr(s) for s in new[2:9:3]] == [repr(s) for s in old[2:9:3]]
+    with pytest.raises(IndexError):
+        new[25]
+
+
+# ----------------------------------------------------------------------
+# one Jacobian per window node in analyze
+# ----------------------------------------------------------------------
+
+def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
+    # an even grid keeps the origin (where h's and the trace product's linear
+    # part are taken) off the nodes; Newton iterations after the first run
+    # inside polish_fixed_point and are not counted, and a root that is a
+    # node is classified from one more Jacobian there
+    region = Region(-5.0, 5.0, -5.0, 5.0, 10)
+    nodes = set(region.nodes())
+    counts = {"nodes": 0, "polish": 0}
+    depth = [0]
+    entries, polish = PlanarMap.jacobian_entries, involution.polish_fixed_point
+
+    def counting_entries(self, p):
+        if not depth[0] and (p[0], p[1]) in nodes:
+            counts["nodes"] += 1
+        return entries(self, p)
+
+    def counting_polish(*args, **kwargs):
+        counts["polish"] += 1
+        depth[0] += 1
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(PlanarMap, "jacobian_entries", counting_entries)
+    monkeypatch.setattr(involution, "polish_fixed_point", counting_polish)
+    for spec in ("gallery:A1:1", "gallery:A2:1", "gallery:C", "(x - y^3, -y)"):
+        counts.update(nodes=0, polish=0)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["analyze", spec, "--grid", "10", "--window", "-5,5,-5,5",
+                             "--scan", "11"]) == 0
+        report = json.loads(out.getvalue())
+        assert report["window"]["grid_n"] == 10 and report["fixed_points"]["count"] <= 64
+        roots_on_nodes = sum(tuple(point["location"]) in nodes
+                             for point in report["fixed_points"]["points"])
+        assert counts == {"nodes": 100 + roots_on_nodes, "polish": 100}, spec
+
+
+def test_analyze_reports_the_failing_node_of_a_finite_valued_map(capsys):
+    # 0*sqrt(x*x) has a finite value everywhere but no derivative at x = 0:
+    # verify passes on values, and the spectrum phase names the first such node
+    assert cli.main(["analyze", "(x, -y + 0*sqrt(x*x))", "--grid", "5", "--scan", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("analyze: [spectrum] derivative of sqrt at zero "
+                            "while evaluating at (0.0, -5.0)\n")
+
+
+# ----------------------------------------------------------------------
+# foliate: the window grid of h and the CSV writer
+# ----------------------------------------------------------------------
+
+def _ref_eigen_grid(h, s, region):
+    return [(s.apply(h.evaluate(p)), p) for p in region.nodes()]
+
+
+def _ref_parameter_range(h, fol, region):
+    if fol.kind == foliation.RADIAL:
+        return (0.0, 2.0 * math.pi)
+    s = fol.change_of_basis
+    lo, hi = math.inf, -math.inf
+    for p in region.nodes():
+        w = s.apply(h.evaluate(p))
+        lo = min(lo, w[0])
+        hi = max(hi, w[0])
+    return (lo, hi)
+
+
+def test_window_grid_of_h_matches_per_node_reference(monkeypatch):
+    fol = diagonalize_involution(FLIP_Y)
+    region = Region(-1.0, 1.0, 0.5, 3.0, 7)
+    hs = [linearize.standard_map(gallery.get(name).map)
+          for name in ("A1", "A3", "B", "flip-y")]
+    hs += [StandardMap(parse(source), FLIP_Y) for source in
+           ("(1/(x - 0.5), y)", "(x, 1/(y - 2))", "(1e308*x*1e10, y)", "(5e307*x, 0)")]
+    for h in hs:
+        s = fol.change_of_basis
+        assert _outcome(foliation._eigen_grid, h, s, region) == \
+            _outcome(_ref_eigen_grid, h, s, region)
+        assert _outcome(canonical_parameter_range, h, fol, region) == \
+            _outcome(_ref_parameter_range, h, fol, region)
+    calls = {"grid": 0, "evaluate": 0}
+    grid, evaluate = StandardMap.evaluate_grid, StandardMap.evaluate
+
+    def counting_grid(self, xs, ys):
+        calls["grid"] += 1
+        return grid(self, xs, ys)
+
+    def counting_evaluate(self, p):
+        calls["evaluate"] += 1
+        return evaluate(self, p)
+
+    monkeypatch.setattr(StandardMap, "evaluate_grid", counting_grid)
+    monkeypatch.setattr(StandardMap, "evaluate", counting_evaluate)
+    canonical_parameter_range(hs[2], fol, region)
+    foliation._eigen_grid(hs[2], fol.change_of_basis, region)
+    assert calls == {"grid": 2, "evaluate": 0}
+
+
+def test_leaf_csv_bytes_are_csv_writer_bytes(tmp_path):
+    values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, -2.5e-300]
+    leaves = [
+        Leaf(-0.0, [(v, -v) for v in values], values[::-1], truncated=True),
+        Leaf(math.nan, [], []),
+        Leaf(1e16, [(5e-324, math.inf)], [math.nan]),
+        Leaf(5e-324, [(0.0, 1.0), (2.0, 3.0)], [0.0, -0.0]),
+    ]
+    path = tmp_path / "leaves.csv"
+    cli._write_leaf_csv(str(path), leaves)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["leaf_id", "leaf_parameter", "point_index", "x", "y", "residual"])
+    for leaf_id, leaf in enumerate(leaves):
+        for i, (p, res) in enumerate(zip(leaf.points, leaf.point_residuals)):
+            writer.writerow([leaf_id, repr(leaf.parameter), i,
+                             repr(p[0]), repr(p[1]), repr(res)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
