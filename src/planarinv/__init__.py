@@ -38,9 +38,10 @@ from .involution import (
     InvolutionCheck,
     OrientationClass,
     Region,
-    base_fixed_point,
     classify_fixed_point,
     find_fixed_points,
+    fix_origin,
+    linear_part,
     orientation,
     polish_fixed_point,
     verify_involution,
@@ -85,82 +86,3 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dual",
-    "ExprNode",
-    "PlanarMap",
-    "ParseError",
-    "EvaluationError",
-    "parse",
-    "recentered",
-    "Mat2",
-    "Spectrum",
-    "IDENTITY",
-    "MINUS_IDENTITY",
-    "SingularMatrixError",
-    "eigenvalues",
-    "is_linear_involution",
-    "set_distance",
-    "Region",
-    "GridSample",
-    "InvolutionCheck",
-    "OrientationClass",
-    "FixedPoint",
-    "FixedPointScan",
-    "BasePointError",
-    "DegenerateJacobianError",
-    "ORIENTATION_PRESERVING",
-    "ORIENTATION_REVERSING",
-    "FIX_PLUS",
-    "FIX_MINUS",
-    "CURVE",
-    "UNCLASSIFIED",
-    "verify_involution",
-    "orientation",
-    "find_fixed_points",
-    "classify_fixed_point",
-    "polish_fixed_point",
-    "base_fixed_point",
-    "SpectrumSample",
-    "SpectrumSamples",
-    "ConditionVerdict",
-    "TheoremAChecks",
-    "SpectralAssessment",
-    "COND_A_IDENTITY",
-    "COND_A_GAP",
-    "COND_A_REAL",
-    "COND_B_TRACE",
-    "sample_spectrum",
-    "check_condition_A",
-    "check_condition_B",
-    "theorem_verdict",
-    "StandardMap",
-    "InjectivityCertificate",
-    "JacobianBounds",
-    "NotApplicableError",
-    "NO_COLLISION_FOUND",
-    "COLLISION",
-    "standard_map",
-    "conjugacy_residual",
-    "injectivity_scan",
-    "spectrum_shift_check",
-    "theorem_B_jacobian_check",
-    "CanonicalFoliation",
-    "Leaf",
-    "InversionError",
-    "RADIAL",
-    "VERTICAL",
-    "diagonalize_involution",
-    "invert_standard_map",
-    "trace_leaf",
-    "trace_leaves",
-    "leaf_invariance_check",
-    "canonical_parameter_range",
-    "default_leaf_parameters",
-    "GalleryEntry",
-    "list_entries",
-    "get",
-    "example_c_map",
-    "__version__",
-]

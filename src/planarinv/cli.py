@@ -37,6 +37,7 @@ from .involution import (
     GridSample,
     Region,
     find_fixed_points,
+    fix_origin,
     verify_involution,
 )
 from .linalg2 import MINUS_IDENTITY, Mat2, SingularMatrixError, Spectrum
@@ -88,21 +89,33 @@ def _parse_gallery_spec(text: str) -> tuple[str, int | None]:
     raise ValueError(f"bad gallery spec {text!r}: expected NAME or NAME:n")
 
 
-def _resolve_map(args) -> tuple[PlanarMap, str, GalleryEntry | None]:
+def _check_flags(args) -> None:
+    if not 0.0 < args.eps < math.inf:
+        raise ValueError(f"bad --eps {args.eps!r}: expected a finite number > 0")
+    if getattr(args, "scan", 2) < 2:
+        raise ValueError(f"bad --scan {args.scan!r}: expected at least 2")
+
+
+def _resolve_map(args) -> tuple[PlanarMap, str, GalleryEntry | None, tuple[float, float] | None]:
+    """The map, its source, its gallery entry (or None) and the fixed point
+    that was moved to the origin (or None).  A map that does not fix the
+    origin is recentered, so every window and point is in its coordinates."""
     spec = getattr(args, "map_spec", None)
     if spec is None and args.map is None and args.gallery is None:
         raise ValueError("no map given: pass MAP_SPEC, --map EXPR, or --gallery NAME[:n]")
-    if spec is not None:
-        if spec.startswith("gallery:"):
-            name, n = _parse_gallery_spec(spec[len("gallery:"):])
-            entry = gallery_get(name, n)
-            return entry.map, _canonical_source(entry), entry
-        return parse(spec), spec, None
-    if args.gallery is not None:
-        name, n = _parse_gallery_spec(args.gallery)
-        entry = gallery_get(name, n)
-        return entry.map, _canonical_source(entry), entry
-    return parse(args.map), args.map, None
+    if spec is not None and spec.startswith("gallery:"):
+        return _gallery_map(spec[len("gallery:"):])
+    if spec is None and args.gallery is not None:
+        return _gallery_map(args.gallery)
+    source = spec if spec is not None else args.map
+    planar_map, offset = fix_origin(parse(source))
+    return planar_map, source, None, offset
+
+
+def _gallery_map(text: str) -> tuple[PlanarMap, str, GalleryEntry, tuple[float, float] | None]:
+    name, n = _parse_gallery_spec(text)
+    entry = gallery_get(name, n)
+    return entry.map, _canonical_source(entry), entry, entry.recentered_at
 
 
 def _canonical_source(entry: GalleryEntry) -> str:
@@ -230,7 +243,8 @@ def cmd_analyze(args) -> int:
 
     phase = "setup"
     try:
-        planar_map, source, entry = _resolve_map(args)
+        _check_flags(args)
+        planar_map, source, entry, offset = _resolve_map(args)
         region = _resolve_window(args, entry)
     except _PHASE_ERRORS as exc:
         return _fail("analyze", phase, exc)
@@ -245,8 +259,8 @@ def cmd_analyze(args) -> int:
             "scan": args.scan,
         },
     }
-    if entry is not None and entry.recentered_at is not None:
-        report["recentered_at"] = _ser_point(entry.recentered_at)
+    if offset is not None:
+        report["recentered_at"] = _ser_point(offset)
 
     # one Jacobian per window node, read by every grid phase below
     sample = timed("sample", lambda: GridSample(planar_map, region))
@@ -315,7 +329,7 @@ def cmd_analyze(args) -> int:
                 "kind": assessment.orientation.kind,
                 "min_abs_det": assessment.orientation.min_abs_det,
             },
-            "base_point": _ser_point(assessment.base_point),
+            "base_point": [0.0, 0.0],  # the map fixes the origin since setup
             "fixed_points": _ser_fixed_points(scan),
             "conditions": [_ser_condition(c) for c in assessment.conditions],
             "theorem_verdict": assessment.verdict,
@@ -344,7 +358,8 @@ def cmd_foliate(args) -> int:
 
     phase = "setup"
     try:
-        planar_map, source, entry = _resolve_map(args)
+        _check_flags(args)
+        planar_map, source, entry, _ = _resolve_map(args)
         region = _resolve_window(args, entry)
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
@@ -475,7 +490,7 @@ def _add_map_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="involution / fixed-point tolerance (default 1e-9)")
     sub.add_argument("--eps", type=float, default=0.1,
-                     help="epsilon for the [1, 1+eps) spectral gap test (default 0.1)")
+                     help="epsilon > 0 for the [1, 1+eps) spectral gap test (default 0.1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,8 +26,8 @@ from typing import Callable
 
 from . import dual
 from .dual import clamp, cos, sin, value_of
-from .expr import PlanarMap, parse, recentered
-from .involution import Region, polish_fixed_point
+from .expr import PlanarMap, parse
+from .involution import Region, fix_origin
 
 _NAMES = ("A1", "A2", "A3", "A4", "B", "C", "identity", "minus-identity", "flip-y")
 _PARAMETRIC = ("A1", "A2", "A3", "A4")
@@ -111,9 +111,8 @@ def _entry_a(name: str, n: int) -> GalleryEntry:
         )
     if name == "A2":
         formula = f"(-x + y^{even}, -y)"
-        planar_map = parse(formula)
         known_h = (lambda x, y, k=even: (x - dual.ipow(y, k) / 2.0, y)) if n >= 1 else None
-        planar_map, offset = _recenter_if_needed(planar_map)
+        planar_map, offset = fix_origin(parse(formula))
         return GalleryEntry(
             name, n, planar_map, Region(-5, 5, -5, 5),
             "preserving", "Theorem A(c)", formula,
@@ -132,8 +131,7 @@ def _entry_a(name: str, n: int) -> GalleryEntry:
             known_h=(lambda x, y, k=w_pow: _diagonal_h(x, y, k)) if n >= 1 else None,
         )
     formula = f"(-x + {sym}, -y - {sym})"
-    planar_map = parse(formula)
-    planar_map, offset = _recenter_if_needed(planar_map)
+    planar_map, offset = fix_origin(parse(formula))
     return GalleryEntry(
         "A4", n, planar_map, Region(-5, 5, -5, 5),
         "preserving", "Theorem A(c)", formula,
@@ -146,16 +144,6 @@ def _entry_a(name: str, n: int) -> GalleryEntry:
 def _diagonal_h(x: float, y: float, k: int) -> tuple[float, float]:
     w = dual.ipow((x + y) / 2.0, k)
     return (x - w / 2.0, y + w / 2.0)
-
-
-def _recenter_if_needed(planar_map: PlanarMap) -> tuple[PlanarMap, tuple[float, float] | None]:
-    v0 = planar_map.evaluate((0.0, 0.0))
-    if math.hypot(v0[0], v0[1]) <= 1e-9:
-        return planar_map, None
-    root = polish_fixed_point(planar_map, (0.0, 0.0))
-    if root is None:
-        raise ValueError(f"could not recenter {planar_map.source!r}: no fixed point found")
-    return recentered(planar_map, root), root
 
 
 def get(name: str, n: int | None = None) -> GalleryEntry:

@@ -13,6 +13,12 @@ Jacobian of the residual is structurally singular.
 
 Every grid phase reads one :class:`GridSample`: the value and Jacobian of
 the map at each window node, taken once and kept as plain floats.
+
+The theorems and the standard map are stated for an involution fixing the
+origin.  This module owns that base point: :func:`fix_origin` moves a fixed
+point to the origin by conjugating with a translation, and
+:func:`linear_part` returns Dphi(0), refusing a map that does not fix the
+origin.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 
-from .expr import EvaluationError, PlanarMap
+from .expr import EvaluationError, PlanarMap, recentered
 from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
 
 ORIENTATION_PRESERVING = "preserving"
@@ -42,7 +48,7 @@ class DegenerateJacobianError(ValueError):
 
 
 class BasePointError(ValueError):
-    """No usable fixed base point; recenter the map so the origin is fixed."""
+    """The map does not fix the origin, so Dphi(0) is no linear part."""
 
 
 @dataclass(frozen=True)
@@ -331,10 +337,10 @@ def find_fixed_points(
     Roots closer than 1e-6 times the window diameter are merged; known
     roots are bucketed into square cells whose side is that merge radius,
     so only the 3x3 cell neighbourhood of a new root is searched.  When the
-    number of distinct roots exceeds 5% of the per-axis grid resolution the
-    fixed set is flagged as a curve: isolated fixed points of involutions
-    come at most one per window, while one-dimensional fixed sets shed at
-    least a root per grid line.
+    number of distinct roots exceeds both one and 5% of the per-axis grid
+    resolution the fixed set is flagged as a curve: isolated fixed points
+    of involutions come at most one per window, while one-dimensional
+    fixed sets shed at least a root per grid line.
     """
     sample = sample_for(planar_map, region, sample)
     region = sample.region
@@ -360,7 +366,7 @@ def find_fixed_points(
         ):
             roots.append(root)
             buckets.setdefault((ci, cj), []).append(root)
-    curve = len(roots) > 0.05 * region.grid_n
+    curve = len(roots) > max(1, 0.05 * region.grid_n)
     points = []
     for root in roots:
         _, jac = planar_map.evaluate_with_jacobian(root)
@@ -371,18 +377,37 @@ def find_fixed_points(
     return FixedPointScan(points, curve, converged, skipped)
 
 
-def base_fixed_point(
-    planar_map: PlanarMap, tol: float = 1e-9, max_iter: int = 60
-) -> tuple[float, float]:
-    """Base point at which the linear part is taken: the origin if fixed,
-    otherwise a FixMinus point reached from the origin."""
-    v0 = planar_map.evaluate((0.0, 0.0))
-    if math.hypot(v0[0], v0[1]) <= tol:
-        return (0.0, 0.0)
-    root = polish_fixed_point(planar_map, (0.0, 0.0), tol, max_iter)
-    if root is not None and classify_fixed_point(planar_map, root) == FIX_MINUS:
-        return root
-    raise BasePointError(
-        "the origin is not fixed and no FixMinus point was found near it; "
-        "recenter the map so that the origin is a fixed point"
-    )
+def linear_part(planar_map: PlanarMap) -> Mat2:
+    """Dphi(0), the linear part that both theorems and ``h`` are built on.
+
+    Raises :class:`BasePointError` unless the map fixes the origin, that is
+    ``|phi(0)| <= 1e-9``; :func:`fix_origin` recenters a map that does not.
+    """
+    u, v, a11, a12, a21, a22 = planar_map.jacobian_entries((0.0, 0.0))
+    drift = math.hypot(u, v)
+    if drift > 1e-9:
+        raise BasePointError(
+            f"the linear part needs the origin fixed, but |phi(0)| = {drift:.3e}; "
+            "recenter the map at a fixed point first"
+        )
+    return Mat2(a11, a12, a21, a22)
+
+
+def fix_origin(planar_map: PlanarMap) -> tuple[PlanarMap, tuple[float, float] | None]:
+    """The map conjugated so that it fixes the origin, and the offset.
+
+    A map that fixes the origin is returned as it is, with offset None.
+    Otherwise it is recentered at the root that :func:`polish_fixed_point`
+    reaches from the origin, and that root is the offset.  If Newton
+    reaches no root, the map is returned as it is, with None, and the later
+    phases report what is wrong with it.
+    """
+    try:
+        linear_part(planar_map)
+    except BasePointError:
+        root = polish_fixed_point(planar_map, (0.0, 0.0))
+        if root is not None:
+            return recentered(planar_map, root), root
+    except EvaluationError:
+        pass  # Newton from the origin fails on the same error
+    return planar_map, None

@@ -58,9 +58,6 @@ class Mat2:
     def scale(self, c: float) -> "Mat2":
         return Mat2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
 
-    def __rmul__(self, c: float) -> "Mat2":
-        return self.scale(c)
-
     def apply(self, p: tuple[float, float]) -> tuple[float, float]:
         x, y = p
         return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)
@@ -97,12 +94,6 @@ class Spectrum:
 
     def as_pair(self) -> tuple[complex, complex]:
         return (self.lambda1, self.lambda2)
-
-    def max_imag(self) -> float:
-        return max(abs(self.lambda1.imag), abs(self.lambda2.imag))
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return self.max_imag() <= tol
 
     def shifted(self, offset: float) -> "Spectrum":
         return Spectrum(self.lambda1 + offset, self.lambda2 + offset)

@@ -2,6 +2,9 @@
 
 ``h`` conjugates an involution fixing the origin to its linear part there:
 h(phi(p)) = Dphi(0) h(p) holds identically whenever phi is an involution.
+Dphi(0) comes from :func:`planarinv.involution.linear_part`, which refuses
+a map that does not fix the origin; recenter such a map first with
+:func:`planarinv.involution.fix_origin`.
 Global linearization additionally needs h injective, which the spectral
 conditions guarantee; the scan here is the empirical counterpart.  It is a
 falsification instrument: a reported collision is decisive, while
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .expr import PlanarMap
-from .involution import BasePointError, GridSample, Region, default_region, sample_for
+from .involution import GridSample, Region, default_region, linear_part, sample_for
 from .linalg2 import MINUS_IDENTITY, Mat2, eigen_entries, set_distance_entries
 
 NO_COLLISION_FOUND = "NoCollisionFound"
@@ -111,11 +114,6 @@ class StandardMap:
         ax, ay = self.linear_part.apply(p)
         return (ax + fx, ay + fy)
 
-    def auxiliary_jacobian(self, p: tuple[float, float]) -> Mat2:
-        """Dg(p) = Dphi(0) + Dphi(p)."""
-        _, jac = self.base.evaluate_with_jacobian(p)
-        return self.linear_part + jac
-
     def as_planar_map(self) -> PlanarMap:
         a = self.linear_part
 
@@ -136,17 +134,9 @@ class InjectivityCertificate:
     cells_checked: int
 
 
-def standard_map(planar_map: PlanarMap, base_tol: float = 1e-9) -> StandardMap:
-    """Build h for a map fixing the origin (within ``base_tol``)."""
-    v0 = planar_map.evaluate((0.0, 0.0))
-    drift = math.hypot(v0[0], v0[1])
-    if drift > base_tol:
-        raise BasePointError(
-            f"the standard map needs the origin fixed, but |phi(0)| = {drift:.3e}; "
-            "recenter the map at a fixed point first"
-        )
-    _, linear_part = planar_map.evaluate_with_jacobian((0.0, 0.0))
-    return StandardMap(planar_map, linear_part)
+def standard_map(planar_map: PlanarMap) -> StandardMap:
+    """Build h for a map fixing the origin, with :func:`linear_part`."""
+    return StandardMap(planar_map, linear_part(planar_map))
 
 
 def conjugacy_residual(h: StandardMap, p: tuple[float, float]) -> float:
@@ -280,21 +270,21 @@ def spectrum_shift_check(
 ) -> float:
     """Max deviation over the grid between Spc(Dg(p)) and Spc(Dphi(p)) - 1.
 
-    Applies to orientation-preserving involutions with Dphi(0) = -I; both
-    eigenvalue sets are compared as unordered pairs.  The Jacobians are
+    Applies to orientation-preserving involutions fixing the origin with
+    Dphi(0) = -I (from :func:`linear_part`); both eigenvalue sets are compared as unordered pairs.  The Jacobians are
     those of the grid sample (``sample``, or one taken here); each node
     takes the float operations of ``set_distance(eigenvalues(linear_part +
     jac), eigenvalues(jac).shifted(-1.0))``.
     """
-    _, linear_part = planar_map.evaluate_with_jacobian((0.0, 0.0))
-    if (linear_part - MINUS_IDENTITY).max_abs() > 1e-9:
+    lin = linear_part(planar_map)
+    if (lin - MINUS_IDENTITY).max_abs() > 1e-9:
         raise NotApplicableError(
             "the spectrum shift identity needs Dphi(0) = -I; "
-            f"got linear part {linear_part.rows()}"
+            f"got linear part {lin.rows()}"
         )
     sample = sample_for(planar_map, region, sample)
     sample.raise_failure()
-    l11, l12, l21, l22 = linear_part.a11, linear_part.a12, linear_part.a21, linear_part.a22
+    l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     worst = 0.0
     for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
         g1r, g1i, g2r, g2i = eigen_entries(l11 + a11, l12 + a12, l21 + a21, l22 + a22)

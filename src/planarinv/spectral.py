@@ -13,6 +13,11 @@ map is a global linearization under any of:
 
 For an orientation-reversing involution the criterion is the trace
 condition: Trace(Dphi(0) Dphi(p)) > -1 at every sample.
+
+The trace condition's Dphi(0) comes from
+:func:`planarinv.involution.linear_part`, so :func:`sample_spectrum` and
+:func:`theorem_verdict` need a map that fixes the origin; a map that fixes
+another point is recentered first with :func:`planarinv.involution.fix_origin`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .involution import (
     GridSample,
     OrientationClass,
     Region,
-    base_fixed_point,
+    linear_part,
     orientation,
     sample_for,
 )
@@ -43,7 +48,7 @@ COND_B_TRACE = "B-trace"
 class SpectrumSample:
     point: tuple[float, float]
     spectrum: Spectrum
-    trace_product: float  # Trace(Dphi(base) @ Dphi(point))
+    trace_product: float  # Trace(Dphi(0) @ Dphi(point))
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,6 @@ class TheoremAChecks:
 @dataclass(frozen=True)
 class SpectralAssessment:
     orientation: OrientationClass
-    base_point: tuple[float, float]
     conditions: list[ConditionVerdict]
     verdict: str
     linearizable_on_window: bool
@@ -108,21 +112,18 @@ class SpectrumSamples(Sequence):
 def sample_spectrum(
     planar_map: PlanarMap,
     region: Region | None = None,
-    base: tuple[float, float] | None = None,
     sample: GridSample | None = None,
 ) -> SpectrumSamples:
     """One spectrum sample per grid node, in deterministic grid order.
 
-    The linear part entering the trace product is evaluated once, at the
-    origin if it is fixed, else at the FixMinus point found from it.  The
-    Jacobians are those of the grid sample (``sample``, or one taken here).
+    The linear part entering the trace product is Dphi(0), from
+    :func:`linear_part`, so the map must fix the origin.  The Jacobians are
+    those of the grid sample (``sample``, or one taken here).
     """
     sample = sample_for(planar_map, region, sample)
-    if base is None:
-        base = base_fixed_point(planar_map)
-    _, linear_part = planar_map.evaluate_with_jacobian(base)
+    lin = linear_part(planar_map)
     sample.raise_failure()
-    return SpectrumSamples(sample, linear_part)
+    return SpectrumSamples(sample, lin)
 
 
 def _distance_to_band(re: float, im: float, epsilon: float) -> float:
@@ -145,6 +146,9 @@ def check_condition_A(
 ) -> TheoremAChecks:
     """Evaluate the three orientation-preserving hypotheses on the samples.
 
+    ``epsilon`` must be a finite number > 0 (ValueError otherwise): with
+    eps <= 0 the band [1, 1+eps) is empty and (b) would hold vacuously.
+
     Margins are signed distances to the respective decision boundary:
 
     * (a): ``one_tol - max |lambda - 1|``; non-negative iff it holds.
@@ -163,6 +167,8 @@ def check_condition_A(
     - 1|`` is the ``abs`` of a complex); witnesses are node indices until
     the verdicts are built.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     max_dev_one = 0.0
     witness_a = None
     max_imag = 0.0
@@ -254,8 +260,7 @@ def theorem_verdict(
     sample = sample_for(planar_map, region, sample)
     region = sample.region
     orient = orientation(planar_map, region, sample)
-    base = base_fixed_point(planar_map)
-    samples = sample_spectrum(planar_map, region, base, sample)
+    samples = sample_spectrum(planar_map, region, sample)
     win = _window_str(region)
     if orient.kind == ORIENTATION_PRESERVING:
         checks = check_condition_A(samples, epsilon, im_tol, one_tol)
@@ -286,4 +291,4 @@ def theorem_verdict(
             verdict = (f"no hypothesis verified on {win}; "
                        f"Theorem B trace condition violated at ({w[0]:g}, {w[1]:g})")
             ok = False
-    return SpectralAssessment(orient, base, conditions, verdict, ok)
+    return SpectralAssessment(orient, conditions, verdict, ok)

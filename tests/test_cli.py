@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from planarinv.cli import main
 
 
@@ -27,6 +29,7 @@ def test_analyze_identity_expression(tmp_path):
     report = json.loads(out.read_text())
     assert "Theorem A(a)" in report["theorem_verdict"]
     assert report["foliation_kind"] is None
+    assert "recentered_at" not in report  # the map fixes the origin
 
 
 def test_analyze_rotation_blend_pairs_failed_hypothesis_with_collision(tmp_path):
@@ -52,6 +55,63 @@ def test_analyze_rejects_bad_flags(capsys):
     assert "analyze:" in capsys.readouterr().err
     assert run(["analyze", "gallery:nope"]) == 1
     assert run(["analyze", "--map", "(x, y)", "--window", "1,2,3"]) == 1
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+def test_analyze_and_foliate_reject_an_eps_that_is_not_positive_and_finite(
+        eps, tmp_path, capsys):
+    # with eps <= 0 the band [1, 1+eps) is empty and Theorem A(b) held vacuously
+    assert run(["analyze", "gallery:C", "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("analyze: [setup] bad --eps")
+    assert run(["foliate", "gallery:C", "--eps", eps, "--csv", str(tmp_path / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("foliate: [setup] bad --eps")
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("scan", ["1", "0", "-3"])
+def test_analyze_rejects_a_scan_under_two_at_setup(scan, capsys):
+    assert run(["analyze", "gallery:A1", "--scan", scan]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"analyze: [setup] bad --scan {int(scan)!r}: expected at least 2\n"
+
+
+def test_analyze_recenters_a_map_that_fixes_another_point(tmp_path):
+    out = tmp_path / "shifted.json"
+    assert run(["analyze", "(-x + 2, -y)", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["map_source"] == "(-x + 2, -y)"
+    assert report["recentered_at"] == [1.0, 0.0]
+    assert report["base_point"] == [0.0, 0.0]
+    assert report["theorem_verdict"].startswith("Theorem A(c)")
+    assert report["injectivity"]["status"] == "NoCollisionFound"
+    # in the recentered coordinates the one fixed point is the origin
+    assert [p["location"] for p in report["fixed_points"]["points"]] == [[0.0, 0.0]]
+
+
+def test_analyze_takes_any_fixed_point_as_the_base(tmp_path):
+    # (1, 0) is no FixMinus point: the map reverses orientation
+    out = tmp_path / "flip.json"
+    assert run(["analyze", "(2 - x, y)", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["recentered_at"] == [1.0, 0.0]
+    assert report["theorem_verdict"].startswith("Theorem B")
+    assert report["foliation_kind"] == "vertical"
+
+
+def test_foliate_recenters_a_map_that_fixes_another_point(tmp_path, capsys):
+    path = tmp_path / "shifted.csv"
+    assert run(["foliate", "(-x + 2, -y)", "--csv", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "foliation kind: radial" in out
+    assert "certificate: verified (Theorem A(c)" in out
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len({r[0] for r in rows[1:]}) == 24
 
 
 def test_analyze_accepts_negative_window_bounds(tmp_path):

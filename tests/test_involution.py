@@ -14,13 +14,15 @@ from planarinv.involution import (
     BasePointError,
     DegenerateJacobianError,
     Region,
-    base_fixed_point,
     classify_fixed_point,
     find_fixed_points,
+    fix_origin,
+    linear_part,
     orientation,
     polish_fixed_point,
     verify_involution,
 )
+from planarinv.linalg2 import Mat2
 
 
 def test_region_validation():
@@ -104,6 +106,13 @@ def test_fixed_points_isolated_minus():
     assert fp.classification == FIX_MINUS
 
 
+def test_curve_flag_needs_more_than_one_root():
+    # at grid 15, 5% of the grid is under one root: a single isolated
+    # fixed point is no curve, a fixed line still is
+    assert not find_fixed_points(get("A2").map, Region(-5, 5, -5, 5, 15)).curve
+    assert find_fixed_points(get("A1").map, Region(-5, 5, -5, 5, 15)).curve
+
+
 def test_fixed_points_curve_on_axis():
     scan = find_fixed_points(get("A1").map, Region(-5, 5, -5, 5))
     assert scan.curve
@@ -134,19 +143,36 @@ def test_classify_fixed_point():
     assert classify_fixed_point(get("A1").map, (1.0, 0.0)) == UNCLASSIFIED
 
 
-def test_base_fixed_point_prefers_origin():
-    assert base_fixed_point(get("A1").map) == (0.0, 0.0)
+def test_fix_origin_keeps_a_map_fixing_the_origin():
+    m = get("A1").map
+    assert fix_origin(m) == (m, None)
+    assert linear_part(m) == Mat2(1.0, -0.0, 0.0, -1.0)
 
 
-def test_base_fixed_point_finds_recentering_target():
+def test_fix_origin_recenters_at_the_fixed_point():
     # un-recentered A2 with n = 0: fixes (0.5, 0) only
-    p = base_fixed_point(parse("(-x + 1, -y)"))
-    assert p == pytest.approx((0.5, 0.0), abs=1e-9)
+    m = parse("(-x + 1, -y)")
+    with pytest.raises(BasePointError, match=r"\|phi\(0\)\| = 1\.000e\+00"):
+        linear_part(m)
+    shifted, offset = fix_origin(m)
+    assert offset == pytest.approx((0.5, 0.0), abs=1e-9)
+    assert shifted.evaluate((0.0, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert linear_part(shifted) == Mat2(-1.0, 0.0, 0.0, -1.0)
+    assert fix_origin(shifted) == (shifted, None)
 
 
-def test_base_fixed_point_error_for_fixed_point_free_map():
+def test_fix_origin_recenters_a_reflection_at_any_fixed_point():
+    # (1, 0) is neither FixPlus nor FixMinus: the map reverses orientation
+    shifted, offset = fix_origin(parse("(2 - x, y)"))
+    assert offset == (1.0, 0.0)
+    assert shifted.evaluate((0.3, -0.7)) == pytest.approx((-0.3, -0.7), abs=1e-15)
+
+
+def test_fix_origin_leaves_a_fixed_point_free_map():
+    m = parse("(x + 1, y)")
+    assert fix_origin(m) == (m, None)
     with pytest.raises(BasePointError):
-        base_fixed_point(parse("(x + 1, y)"))
+        linear_part(m)
 
 
 def test_fixed_point_dedup_matches_pairwise_merge():

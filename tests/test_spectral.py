@@ -68,6 +68,13 @@ def test_condition_A_rotation_blend_fails_with_unit_witness():
     assert abs(w.spectrum.lambda2 - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_condition_A_rejects_an_epsilon_that_is_not_positive_and_finite(epsilon):
+    samples = sample_spectrum(get("C").map, Region(-6, 6, -6, 6, 5))
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+        check_condition_A(samples, epsilon)
+
+
 def test_condition_B_margins():
     samples = sample_spectrum(get("A1").map, Region(-5, 5, -5, 5))
     verdict = check_condition_B(samples)
