@@ -90,10 +90,15 @@ def _parse_gallery_spec(text: str) -> tuple[str, int | None]:
 
 
 def _check_flags(args) -> None:
-    if not 0.0 < args.eps < math.inf:
-        raise ValueError(f"bad --eps {args.eps!r}: expected a finite number > 0")
+    for flag in ("eps", "tol", "step"):
+        value = getattr(args, flag, 1.0)  # --step is foliate's only
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"bad --{flag} {value!r}: expected a finite number > 0")
     if getattr(args, "scan", 2) < 2:
         raise ValueError(f"bad --scan {args.scan!r}: expected at least 2")
+    leaves = getattr(args, "leaves", None)
+    if leaves is not None and leaves < 1:
+        raise ValueError(f"bad --leaves {leaves!r}: expected at least 1")
 
 
 def _resolve_map(args) -> tuple[PlanarMap, str, GalleryEntry | None, tuple[float, float] | None]:
@@ -359,10 +364,15 @@ def cmd_foliate(args) -> int:
     phase = "setup"
     try:
         _check_flags(args)
-        planar_map, source, entry, _ = _resolve_map(args)
+        planar_map, source, entry, offset = _resolve_map(args)
         region = _resolve_window(args, entry)
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
+    # the window, the leaves and the CSV are in the recentered coordinates
+    title = f"foliation of {source}"
+    if offset is not None:
+        recentered_at = f"({offset[0]:g}, {offset[1]:g})"
+        title += f", recentered at {recentered_at}"
 
     sample = GridSample(planar_map, region)
     try:
@@ -416,13 +426,15 @@ def cmd_foliate(args) -> int:
             write_portrait(
                 args.svg, region, leaves,
                 scan.points if scan is not None else [],
-                title=f"foliation of {source}",
+                title=title,
             )
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
 
     truncated = sum(1 for leaf in leaves if leaf.truncated)
     max_residual = max((leaf.residual for leaf in leaves), default=0.0)
+    if offset is not None:
+        print(f"recentered at: {recentered_at}")
     print(f"foliation kind: {fol.kind}")
     print(f"leaves traced: {len(leaves)} ({truncated} truncated)")
     print(f"max leaf residual: {max_residual:.3e}")
@@ -488,7 +500,7 @@ def _add_map_args(sub: argparse.ArgumentParser) -> None:
                      help="XMIN,XMAX,YMIN,YMAX (default: gallery window or -5,5,-5,5)")
     sub.add_argument("--grid", type=int, default=41, help="grid nodes per axis (default 41)")
     sub.add_argument("--tol", type=float, default=1e-9,
-                     help="involution / fixed-point tolerance (default 1e-9)")
+                     help="involution / fixed-point tolerance > 0 (default 1e-9)")
     sub.add_argument("--eps", type=float, default=0.1,
                      help="epsilon > 0 for the [1, 1+eps) spectral gap test (default 0.1)")
 
@@ -511,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("foliate", help="trace the induced foliation to CSV/SVG")
     _add_map_args(pf)
     pf.add_argument("--leaves", type=int, default=None,
-                    help="number of leaves (default: 24 radial / 21 vertical)")
+                    help="number of leaves, at least 1 (default: 24 radial / 21 vertical)")
     pf.add_argument("--step", type=float, default=1e-2,
-                    help="continuation step in the target plane (default 0.01)")
+                    help="continuation step > 0 in the target plane (default 0.01)")
     pf.add_argument("--svg", default=None, help="SVG portrait output path")
     pf.add_argument("--csv", default=None, help="leaf polyline CSV output path")
     pf.add_argument("--force", action="store_true",

@@ -10,9 +10,13 @@ pulling every target point back through a Newton inversion of h, seeded
 with the previous preimage (predictor-corrector continuation).
 
 The Newton step reads h and Dh as plain floats from
-``StandardMap.jacobian_entries``.  :func:`trace_leaves` traces a family of
-leaves; for a vertical foliation it computes the window's eigen-coordinates
-once, and every leaf takes its starting node from that one grid.
+``StandardMap.jacobian_entries``.  Each inversion hands back those floats at
+its root, and the next inversion of the march, which starts there, reads
+them instead of evaluating h again; so does the leaf residual, when the
+base map's Jacobian kernel computes its values as its value kernel does.
+:func:`trace_leaves` traces a family of leaves; for a vertical foliation it
+computes the window's eigen-coordinates once, and every leaf takes its
+starting node from that one grid.
 
 Radial leaves start at radius 1e-3, not 0: the origin does not belong to
 the radial foliation and the ray equation is undefined there.
@@ -120,29 +124,41 @@ def _kernel_direction(m: Mat2) -> tuple[float, float]:
     return (vx, vy)
 
 
+Entries = tuple[float, float, float, float, float, float]
+
+
 def invert_standard_map(
     h: StandardMap,
     target: tuple[float, float],
     guess: tuple[float, float],
     tol: float = 1e-10,
     max_iter: int = 50,
-) -> tuple[float, float]:
+    guess_entries: Entries | None = None,
+) -> tuple[tuple[float, float], Entries]:
     """Newton-solve h(p) = target starting from ``guess``.
+
+    Returns the root and ``h.jacobian_entries`` there, the floats
+    ``(hx, hy, h11, h12, h21, h22)`` of its convergence check.  A caller
+    that holds those entries at ``guess`` passes them as ``guess_entries``,
+    and the first iteration reads them instead of evaluating h.
 
     Raises :class:`InversionError` on a singular Jacobian, when ``h``
     cannot be evaluated at an iterate (a non-finite sample included), or
     when the iteration fails to converge, carrying the last iterate.
     """
     p = (float(guess[0]), float(guess[1]))
-    entries = h.jacobian_entries
+    jacobian_entries = h.jacobian_entries
+    e = guess_entries
     for _ in range(max_iter + 1):
-        try:
-            hx, hy, a11, a12, a21, a22 = entries(p)
-        except EvaluationError as exc:
-            raise InversionError(str(exc), p) from exc
+        if e is None:
+            try:
+                e = jacobian_entries(p)
+            except EvaluationError as exc:
+                raise InversionError(str(exc), p) from exc
+        hx, hy, a11, a12, a21, a22 = e
         rx, ry = target[0] - hx, target[1] - hy
         if math.hypot(rx, ry) <= tol:
-            return p
+            return p, e
         det = a11 * a22 - a12 * a21
         scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
         if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
@@ -152,6 +168,7 @@ def invert_standard_map(
         if not (math.isfinite(nx) and math.isfinite(ny)):
             raise InversionError("inversion iterate became non-finite", p)
         p = (nx, ny)
+        e = None
     raise InversionError(f"no convergence after {max_iter} iterations", p)
 
 
@@ -211,6 +228,8 @@ def trace_leaf(
     point.
     """
     region = region or default_region()
+    # with exact values, h at a root is the (hx, hy) of its entries
+    exact = h.base.exact_values()
     if fol.kind == RADIAL:
         angle = float(parameter)
         ca, sa = math.cos(angle), math.sin(angle)
@@ -218,8 +237,8 @@ def trace_leaf(
         def target_at(t: float) -> tuple[float, float]:
             return (t * ca, t * sa)
 
-        def residual_at(p: tuple[float, float]) -> float:
-            hx, hy = h.evaluate(p)
+        def residual_at(p: tuple[float, float], e: Entries) -> float:
+            hx, hy = (e[0], e[1]) if exact else h.evaluate(p)
             return _angle_gap(math.atan2(hy, hx), angle)
 
         t0 = _RADIAL_START_RADIUS
@@ -229,30 +248,32 @@ def trace_leaf(
         c = float(parameter)
         s = fol.change_of_basis
         s_inv = s.inverse()
+        s11, s12 = s.a11, s.a12
 
         def target_at(t: float) -> tuple[float, float]:
             return s_inv.apply((c, t))
 
-        def residual_at(p: tuple[float, float]) -> float:
-            w = s.apply(h.evaluate(p))
-            return abs(w[0] - c)
+        def residual_at(p: tuple[float, float], e: Entries) -> float:
+            hx, hy = (e[0], e[1]) if exact else h.evaluate(p)
+            return abs(s11 * hx + s12 * hy - c)  # the first entry of S h(p), less c
 
         grid = _eigen_grid(h, s, region) if _grid is None else _grid
         t0, guess0 = _vertical_anchor(grid, c)
         directions = (1.0, -1.0)
 
     try:
-        p0 = invert_standard_map(h, target_at(t0), guess0, inversion_tol, max_iter)
+        p0, e0 = invert_standard_map(h, target_at(t0), guess0, inversion_tol, max_iter)
     except InversionError:
         return Leaf(parameter, [], [], truncated=True)
     p0_inside = region.contains(p0)
 
     truncated = False
-    branches: list[list[tuple[float, float]]] = []
+    branches: list[tuple[list[tuple[float, float]], list[float]]] = []
     for direction in directions:
         pts: list[tuple[float, float]] = []
+        residuals: list[float] = []
         t = t0
-        p_prev = p0
+        p_prev, e_prev = p0, e0
         step_cur = step
         halvings = 0
         entered = p0_inside
@@ -262,7 +283,8 @@ def trace_leaf(
         while len(pts) < max_points:
             t_next = t + direction * step_cur
             try:
-                p = invert_standard_map(h, target_at(t_next), p_prev, inversion_tol, max_iter)
+                p, e = invert_standard_map(h, target_at(t_next), p_prev, inversion_tol,
+                                           max_iter, e_prev)
             except InversionError:
                 halvings += 1
                 if halvings > 10:
@@ -277,6 +299,7 @@ def trace_leaf(
                 if inside:
                     entered = True
                     pts.append(p)
+                    residuals.append(residual_at(p, e))
                 else:
                     gap = _window_gap(region, p)
                     approach_stalls = approach_stalls + 1 if gap >= last_gap else 0
@@ -286,20 +309,23 @@ def trace_leaf(
                         break
             else:
                 pts.append(p)
+                residuals.append(residual_at(p, e))
                 if not inside:
                     break
             t = t_next
-            p_prev = p
+            p_prev, e_prev = p, e
         else:
             truncated = True
-        branches.append(pts)
+        branches.append((pts, residuals))
 
-    seedpts = [p0] if p0_inside else []
-    if fol.kind == RADIAL:
-        points = seedpts + branches[0]
-    else:
-        points = list(reversed(branches[1])) + seedpts + branches[0]
-    residuals = [residual_at(p) for p in points]
+    points, residuals = branches[0]
+    if p0_inside:
+        points = [p0] + points
+        residuals = [residual_at(p0, e0)] + residuals
+    if fol.kind == VERTICAL:
+        back_points, back_residuals = branches[1]
+        points = back_points[::-1] + points
+        residuals = back_residuals[::-1] + residuals
     return Leaf(parameter, points, residuals, truncated)
 
 

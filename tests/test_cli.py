@@ -72,6 +72,49 @@ def test_analyze_and_foliate_reject_an_eps_that_is_not_positive_and_finite(
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_analyze_and_foliate_reject_a_tol_that_is_not_positive_and_finite(
+        tol, tmp_path, capsys):
+    # a NaN tol was written to the report as NaN, which is not JSON
+    assert run(["analyze", "gallery:B", "--tol", tol, "--out", str(tmp_path / "b.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"analyze: [setup] bad --tol {float(tol)!r}: " \
+        "expected a finite number > 0\n"
+    assert not (tmp_path / "b.json").exists()
+    assert run(["foliate", "gallery:B", "--tol", tol, "--csv", str(tmp_path / "b.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("foliate: [setup] bad --tol")
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_foliate_rejects_a_step_that_is_not_positive_and_finite(step, tmp_path, capsys):
+    # a zero step wrote 840,022 rows of repeated points and still said verified
+    assert run(["foliate", "gallery:B", "--step", step, "--csv", str(tmp_path / "b.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"foliate: [setup] bad --step {float(step)!r}: " \
+        "expected a finite number > 0\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("leaves", ["0", "-3"])
+def test_foliate_rejects_fewer_than_one_leaf(leaves, tmp_path, capsys):
+    assert run(["foliate", "gallery:B", "--leaves", leaves,
+                "--csv", str(tmp_path / "b.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"foliate: [setup] bad --leaves {int(leaves)!r}: expected at least 1\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_foliate_accepts_one_leaf(tmp_path, capsys):
+    assert run(["foliate", "gallery:B", "--leaves", "1", "--csv", str(tmp_path / "b.csv")]) == 0
+    assert "leaves traced: 1 (0 truncated)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("scan", ["1", "0", "-3"])
 def test_analyze_rejects_a_scan_under_two_at_setup(scan, capsys):
     assert run(["analyze", "gallery:A1", "--scan", scan]) == 1
@@ -105,13 +148,30 @@ def test_analyze_takes_any_fixed_point_as_the_base(tmp_path):
 
 def test_foliate_recenters_a_map_that_fixes_another_point(tmp_path, capsys):
     path = tmp_path / "shifted.csv"
-    assert run(["foliate", "(-x + 2, -y)", "--csv", str(path)]) == 0
+    svg = tmp_path / "shifted.svg"
+    assert run(["foliate", "(-x + 2, -y)", "--csv", str(path), "--svg", str(svg)]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "recentered at: (1, 0)"
+    assert "foliation of (-x + 2, -y), recentered at (1, 0)" in svg.read_text()
     assert "foliation kind: radial" in out
     assert "certificate: verified (Theorem A(c)" in out
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert len({r[0] for r in rows[1:]}) == 24
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("gallery:A2:0", "recentered at: (0.5, 0)"),
+    ("gallery:A2:1", None),  # fixes the origin: the output is as before
+])
+def test_foliate_says_where_a_gallery_map_was_recentered(spec, line, tmp_path, capsys):
+    svg = tmp_path / "a2.svg"
+    assert run(["foliate", spec, "--csv", str(tmp_path / "a2.csv"), "--svg", str(svg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    recentered = [text for text in lines if text.startswith("recentered at")]
+    assert recentered == ([] if line is None else [line])
+    assert lines[-5].startswith("foliation kind:")
+    assert ("recentered at" in svg.read_text()) == (line is not None)
 
 
 def test_analyze_accepts_negative_window_bounds(tmp_path):

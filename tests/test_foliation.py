@@ -62,14 +62,16 @@ def test_diagonalize_sinh_linear_part():
 
 def test_invert_standard_map_closed_form():
     h = standard_map(get("A1").map)
-    p = invert_standard_map(h, (0.0, 2.0), (0.0, 2.0))
+    p, entries = invert_standard_map(h, (0.0, 2.0), (0.0, 2.0))
     assert p == pytest.approx((4.0, 2.0), abs=1e-10)
+    assert entries == h.jacobian_entries(p)
 
 
 def test_invert_standard_map_already_there():
     h = standard_map(get("A1").map)
     target = h.evaluate((1.3, -0.4))
-    assert invert_standard_map(h, target, (1.3, -0.4)) == (1.3, -0.4)
+    assert invert_standard_map(h, target, (1.3, -0.4)) == \
+        ((1.3, -0.4), h.jacobian_entries((1.3, -0.4)))
 
 
 def test_invert_standard_map_random_targets_on_sinh():
@@ -79,7 +81,8 @@ def test_invert_standard_map_random_targets_on_sinh():
     for _ in range(50):
         source = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         target = h.evaluate(source)
-        p = invert_standard_map(h, target, (0.0, 0.0))
+        p, entries = invert_standard_map(h, target, (0.0, 0.0))
+        assert entries == h.jacobian_entries(p)
         hx, hy = h.evaluate(p)
         assert math.hypot(hx - target[0], hy - target[1]) <= 1e-10
 

@@ -1,9 +1,10 @@
 """The float Newton path against the Mat2 code it replaced.
 
 ``StandardMap.jacobian_entries`` builds h and Dh from the base map's raw
-Jacobian entries, and ``invert_standard_map`` runs on those floats.  Both
-must give, bit for bit, what the ``Mat2`` chain gave: the references below
-are that code.  Results are compared by ``repr`` so that signed zeros count
+Jacobian entries, and ``invert_standard_map`` runs on those floats and
+returns them at its root.  Both must give, bit for bit, what the ``Mat2``
+chain gave: the references below are that code, with the inversion also
+returning the value and Jacobian of its last convergence check.  Results are compared by ``repr`` so that signed zeros count
 (a linear part with -0.0 entries can make ``Dphi(0) Dphi(p)`` hold a -0.0
 that ``I + ...`` turns into 0.0).  ``trace_leaves`` must equal tracing each
 leaf on its own.
@@ -57,7 +58,7 @@ def _ref_invert(h, target, guess, tol=1e-10, max_iter=50):
             raise InversionError(str(exc), p) from exc
         rx, ry = target[0] - value[0], target[1] - value[1]
         if math.hypot(rx, ry) <= tol:
-            return p
+            return p, _entries((value, dh))
         det = dh.det
         scale = dh.max_abs()
         if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
@@ -180,6 +181,19 @@ def test_inversion_matches_mat2_newton_on_gallery(name, target, guess):
     h = standard_map(get(name).map)
     assert _outcome(invert_standard_map, h, target, guess) == \
         _outcome(_ref_invert, h, target, guess)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, _TREES, _LINEAR, _POINT, _POINT, st.integers(0, 50))
+def test_inversion_from_held_entries_matches_a_fresh_start(
+        first, second, linear, target, guess, max_iter):
+    h = StandardMap(_expression_map(first, second), linear)
+    try:
+        held = h.jacobian_entries(guess)
+    except EvaluationError:
+        return  # no entries to hold at this guess
+    assert _outcome(invert_standard_map, h, target, guess, 1e-10, max_iter, held) == \
+        _outcome(invert_standard_map, h, target, guess, 1e-10, max_iter)
 
 
 def test_inversion_failures_match_mat2_newton():
