@@ -9,6 +9,7 @@ standard map empirically.
 """
 
 from planarinv import (
+    GridSample,
     Region,
     find_fixed_points,
     injectivity_scan,
@@ -26,19 +27,21 @@ def main() -> None:
     print(f"map: {SOURCE}")
     m = parse(SOURCE)
     window = Region(-4.0, 4.0, -4.0, 4.0)
+    # the value and Jacobian at every window node, read by every grid phase
+    sample = GridSample(m, window)
 
-    check = verify_involution(m, window)
+    check = verify_involution(sample)
     print(f"involution check: max residual {check.max_residual:.3e} "
           f"-> {'pass' if check.passed else 'FAIL'}")
 
-    o = orientation(m, window)
+    o = orientation(sample)
     print(f"orientation: {o.kind} (min |det D| = {o.min_abs_det:g})")
 
-    scan = find_fixed_points(m, window)
+    scan = find_fixed_points(sample)
     shape = "a curve" if scan.curve else "isolated points"
     print(f"fixed set: {len(scan.points)} distinct roots, looks like {shape}")
 
-    assessment = theorem_verdict(m, window)
+    assessment = theorem_verdict(sample)
     print(f"verdict: {assessment.verdict}")
 
     h = standard_map(m)

@@ -8,6 +8,7 @@ foliation of the punctured plane by topological rays.
 """
 
 from planarinv import (
+    GridSample,
     default_leaf_parameters,
     diagonalize_involution,
     find_fixed_points,
@@ -24,7 +25,7 @@ def portrait(name: str, path: str) -> None:
     fol = diagonalize_involution(h.linear_part)
     leaves = trace_leaves(h, fol, default_leaf_parameters(h, fol, entry.window),
                           entry.window)
-    scan = find_fixed_points(entry.map, entry.window)
+    scan = find_fixed_points(GridSample(entry.map, entry.window))
     write_portrait(path, entry.window, leaves, scan.points,
                    title=f"invariant foliation of {name}")
     worst = max(leaf.residual for leaf in leaves)

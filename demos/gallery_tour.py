@@ -6,7 +6,14 @@ the trace condition, orientation-preserving ones verify a real sampled
 spectrum (or are the identity), and the rotation blend verifies nothing.
 """
 
-from planarinv import get, injectivity_scan, list_entries, standard_map, theorem_verdict
+from planarinv import (
+    GridSample,
+    get,
+    injectivity_scan,
+    list_entries,
+    standard_map,
+    theorem_verdict,
+)
 
 
 def main() -> None:
@@ -14,7 +21,7 @@ def main() -> None:
     print("-" * 110)
     for name in list_entries():
         entry = get(name)
-        assessment = theorem_verdict(entry.map, entry.window)
+        assessment = theorem_verdict(GridSample(entry.map, entry.window))
         cert = injectivity_scan(standard_map(entry.map), entry.window, scan_n=101)
         print(f"{name:<16} {assessment.orientation.kind:<11} "
               f"{str(assessment.linearizable_on_window):<13} {cert.status:<18} "

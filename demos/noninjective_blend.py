@@ -11,6 +11,7 @@ visibly collapses there.
 """
 
 from planarinv import (
+    GridSample,
     Region,
     diagonalize_involution,
     example_c_map,
@@ -32,7 +33,7 @@ def main() -> None:
     for p in ((3.0, 3.0), (3.5, 3.0), (2.8, 2.4)):
         print(f"  psi{p} = {psi.evaluate(p)}")
 
-    checks = check_condition_A(sample_spectrum(psi, window), epsilon=0.1)
+    checks = check_condition_A(sample_spectrum(GridSample(psi, window)), epsilon=0.1)
     print("hypotheses on the window: "
           f"identity-spectrum {checks.a.holds_on_window}, "
           f"gap {checks.b.holds_on_window}, real {checks.c.holds_on_window}")

@@ -267,11 +267,11 @@ def cmd_analyze(args) -> int:
     if offset is not None:
         report["recentered_at"] = _ser_point(offset)
 
-    # one Jacobian per window node, read by every grid phase below
-    sample = timed("sample", lambda: GridSample(planar_map, region))
     try:
         phase = "verify"
-        check = timed(phase, lambda: verify_involution(planar_map, region, args.tol, sample))
+        # one Jacobian per window node, read by every grid phase below
+        sample = timed("sample", lambda: GridSample(planar_map, region))
+        check = timed(phase, lambda: verify_involution(sample, args.tol))
         report["involution"] = {
             "max_residual": check.max_residual,
             "passed": check.passed,
@@ -299,12 +299,10 @@ def cmd_analyze(args) -> int:
             return 0
 
         phase = "fixed-points"
-        scan = timed(phase, lambda: find_fixed_points(planar_map, region, args.tol,
-                                                      sample=sample))
+        scan = timed(phase, lambda: find_fixed_points(sample, args.tol))
 
         phase = "spectrum"
-        assessment = timed(phase, lambda: theorem_verdict(planar_map, region, args.eps,
-                                                          sample=sample))
+        assessment = timed(phase, lambda: theorem_verdict(sample, args.eps))
 
         phase = "injectivity"
         h = standard_map(planar_map)
@@ -315,8 +313,7 @@ def cmd_analyze(args) -> int:
         shift_deviation = None
         if (assessment.orientation.kind == ORIENTATION_PRESERVING
                 and (h.linear_part - MINUS_IDENTITY).max_abs() <= 1e-9):
-            shift_deviation = timed(phase, lambda: spectrum_shift_check(planar_map, region,
-                                                                        sample))
+            shift_deviation = timed(phase, lambda: spectrum_shift_check(sample))
         del sample
 
         phase = "injectivity"
@@ -374,10 +371,10 @@ def cmd_foliate(args) -> int:
         recentered_at = f"({offset[0]:g}, {offset[1]:g})"
         title += f", recentered at {recentered_at}"
 
-    sample = GridSample(planar_map, region)
     try:
         phase = "verify"
-        check = verify_involution(planar_map, region, args.tol, sample)
+        sample = GridSample(planar_map, region)
+        check = verify_involution(sample, args.tol)
         if not check.passed and not args.force:
             print(
                 f"foliate: [{phase}] not an involution on the window "
@@ -390,7 +387,7 @@ def cmd_foliate(args) -> int:
         certified = False
         verdict = "skipped (--force)"
         if check.passed:
-            assessment = theorem_verdict(planar_map, region, args.eps, sample=sample)
+            assessment = theorem_verdict(sample, args.eps)
             certified = assessment.linearizable_on_window
             verdict = assessment.verdict
         if not certified and not args.force:
@@ -417,7 +414,7 @@ def cmd_foliate(args) -> int:
         scan = None
         if args.svg is not None and check.passed:
             # only the portrait marks the fixed points
-            scan = find_fixed_points(planar_map, region, args.tol, sample=sample)
+            scan = find_fixed_points(sample, args.tol)
 
         phase = "write"
         if args.csv is not None:

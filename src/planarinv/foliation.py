@@ -405,17 +405,8 @@ def canonical_parameter_range(
     region = region or default_region()
     if fol.kind == RADIAL:
         return (0.0, 2.0 * math.pi)
-    us, vs, error = h.evaluate_grid(region.xs(), region.ys())
-    if error is not None:
-        raise error
-    s11, s12 = fol.change_of_basis.a11, fol.change_of_basis.a12
-    lo = math.inf
-    hi = -math.inf
-    for u, v in zip(us, vs):
-        w0 = s11 * u + s12 * v  # the first entry of S.apply((u, v))
-        lo = min(lo, w0)
-        hi = max(hi, w0)
-    return (lo, hi)
+    firsts = [w[0] for w, _ in _eigen_grid(h, fol.change_of_basis, region)]
+    return (min(firsts), max(firsts))
 
 
 def default_leaf_parameters(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, zip_longest
 
 from .expr import EvaluationError, PlanarMap, recentered
 from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
@@ -64,6 +63,8 @@ class Region:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("window bounds must satisfy x_min < x_max and y_min < y_max")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("window bounds must be finite")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
 
@@ -110,12 +111,11 @@ class GridSample:
     """``planar_map.jacobian_entries`` at every node of ``region``, in
     :meth:`Region.nodes` order, as flat lists of floats.
 
-    ``px``, ``py`` hold the coordinates of every node.  ``u``, ``v``,
-    ``ux``, ``uy``, ``vx``, ``vy`` hold the value and Jacobian entries of
-    every node before the first node where ``jacobian_entries`` raises;
-    ``error`` is that exception, or None.  A phase that reaches that node
-    makes its own per-node call there, as it would without a sample, so
-    every exception keeps its phase and its message.
+    ``px``, ``py`` hold the coordinates of every node and ``u``, ``v``,
+    ``ux``, ``uy``, ``vx``, ``vy`` its value and Jacobian entries.  Taking
+    the sample raises the exception of the first node where
+    ``jacobian_entries`` fails, so every sample is complete; every grid
+    phase reads the map and the window from it.
     """
 
     def __init__(self, planar_map: PlanarMap, region: Region):
@@ -124,52 +124,25 @@ class GridSample:
         xs, ys = region.xs(), region.ys()
         self.px = xs * len(ys)
         self.py = [y for y in ys for _ in xs]
-        self.error: Exception | None = None
-        rows = []
-        append, entries = rows.append, planar_map.jacobian_entries
-        try:
-            for p in zip(self.px, self.py):
-                append(entries(p))
-        except Exception as exc:  # noqa: BLE001 - a phase reaching this node repeats the call
-            self.error = exc
-        columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in range(6)]
-        self.u, self.v, self.ux, self.uy, self.vx, self.vy = columns
+        rows = list(map(planar_map.jacobian_entries, zip(self.px, self.py)))
+        self.u, self.v, self.ux, self.uy, self.vx, self.vy = map(list, zip(*rows))
 
     def values(self):
         """``(x, y, u, v)`` per node, ``(u, v)`` bit for bit :meth:`PlanarMap.evaluate`.
 
         The sample's values serve where the map's are exact (see
-        :meth:`PlanarMap.exact_values`); from the sample's failing node, or
-        from the first node otherwise, each node is one ``evaluate`` call.
+        :meth:`PlanarMap.exact_values`); otherwise each node is one
+        ``evaluate`` call.
         """
-        if not self.planar_map.exact_values():
-            return self._evaluated_from(0)
-        return chain(zip(self.px, self.py, self.u, self.v), self._evaluated_from(len(self.u)))
+        if self.planar_map.exact_values():
+            return zip(self.px, self.py, self.u, self.v)
+        return self._evaluated()
 
-    def _evaluated_from(self, k: int):
+    def _evaluated(self):
         evaluate = self.planar_map.evaluate
-        for x, y in zip(self.px[k:], self.py[k:]):
+        for x, y in zip(self.px, self.py):
             fx, fy = evaluate((x, y))
             yield x, y, fx, fy
-
-    def raise_failure(self) -> None:
-        """At the sample's failing node, if there is one, make the per-node
-        ``jacobian_entries`` call, which raises that node's exception."""
-        if self.error is None:
-            return
-        j = len(self.u)
-        self.planar_map.jacobian_entries((self.px[j], self.py[j]))
-        raise RuntimeError(f"the grid sample failed at node {j}, where jacobian_entries succeeds")
-
-
-def sample_for(planar_map: PlanarMap, region: Region | None, sample: GridSample | None) -> GridSample:
-    """``sample`` checked against the phase's map and window, or a new one."""
-    region = region or default_region()
-    if sample is None:
-        return GridSample(planar_map, region)
-    if sample.planar_map is not planar_map or sample.region != region:
-        raise ValueError("the grid sample was taken of another map or window")
-    return sample
 
 
 @dataclass(frozen=True)
@@ -208,20 +181,14 @@ class FixedPointScan:
     seeds_skipped: int
 
 
-def verify_involution(
-    planar_map: PlanarMap,
-    region: Region | None = None,
-    tol: float = 1e-9,
-    sample: GridSample | None = None,
-) -> InvolutionCheck:
+def verify_involution(sample: GridSample, tol: float = 1e-9) -> InvolutionCheck:
     """Grid-certify phi(phi(p)) == p with the normalized residual
     ||phi(phi(p)) - p|| / (1 + ||p||).
 
-    phi(p) comes from the grid sample (``sample``, or one taken here), and
-    phi(phi(p)) from one ``evaluate`` call per node.
+    phi(p) comes from the grid sample, and phi(phi(p)) from one
+    ``evaluate`` call per node.
     """
-    sample = sample_for(planar_map, region, sample)
-    evaluate = planar_map.evaluate
+    evaluate = sample.planar_map.evaluate
     worst = 0.0
     worst_point = (sample.region.x_min, sample.region.y_min)
     for x, y, fx, fy in sample.values():
@@ -233,9 +200,7 @@ def verify_involution(
     return InvolutionCheck(worst, worst <= tol, worst_point)
 
 
-def orientation(
-    planar_map: PlanarMap, region: Region | None = None, sample: GridSample | None = None
-) -> OrientationClass:
+def orientation(sample: GridSample) -> OrientationClass:
     """Classify det(Dphi) sign over the grid; mixed or vanishing signs raise.
 
     A determinant ``a11*a22 - a12*a21`` vanishes when it is within
@@ -243,7 +208,6 @@ def orientation(
     error of its two products, so the test depends neither on the units of
     the map nor on one large entry whose product does not cancel.
     """
-    sample = sample_for(planar_map, region, sample)
     sign = 0
     min_abs = math.inf
     for x, y, a11, a12, a21, a22 in zip(sample.px, sample.py, sample.ux, sample.uy,
@@ -257,7 +221,6 @@ def orientation(
         elif s != sign:
             raise DegenerateJacobianError("Jacobian determinant changes sign", (x, y))
         min_abs = min(min_abs, abs(d))
-    sample.raise_failure()
     kind = ORIENTATION_PRESERVING if sign > 0 else ORIENTATION_REVERSING
     return OrientationClass(kind, min_abs)
 
@@ -322,17 +285,14 @@ def polish_fixed_point(
 
 
 def find_fixed_points(
-    planar_map: PlanarMap,
-    region: Region | None = None,
+    sample: GridSample,
     newton_tol: float = 1e-9,
     max_iter: int = 60,
     class_tol: float = 1e-6,
-    sample: GridSample | None = None,
 ) -> FixedPointScan:
     """Locate fixed points from every grid seed and deduplicate the roots.
 
-    Each seed's first Newton iteration reads the grid sample; seeds from
-    the sample's failing node on take all their iterations from the map.
+    Each seed's first Newton iteration reads the grid sample.
 
     Roots closer than 1e-6 times the window diameter are merged; known
     roots are bucketed into square cells whose side is that merge radius,
@@ -342,15 +302,14 @@ def find_fixed_points(
     of involutions come at most one per window, while one-dimensional
     fixed sets shed at least a root per grid line.
     """
-    sample = sample_for(planar_map, region, sample)
-    region = sample.region
+    planar_map, region = sample.planar_map, sample.region
     merge_radius = 1e-6 * region.diameter
     roots: list[tuple[float, float]] = []
     buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
     converged = 0
     skipped = 0
     firsts = zip(sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
-    for seed, first in zip_longest(zip(sample.px, sample.py), firsts):
+    for seed, first in zip(zip(sample.px, sample.py), firsts):
         root = polish_fixed_point(planar_map, seed, newton_tol, max_iter, _first=first)
         if root is None:
             skipped += 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .expr import PlanarMap
-from .involution import GridSample, Region, default_region, linear_part, sample_for
+from .involution import GridSample, Region, default_region, linear_part
 from .linalg2 import MINUS_IDENTITY, Mat2, eigen_entries, set_distance_entries
 
 NO_COLLISION_FOUND = "NoCollisionFound"
@@ -265,25 +265,21 @@ def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Ex
     return [u for u, _ in images], [v for _, v in images], error
 
 
-def spectrum_shift_check(
-    planar_map: PlanarMap, region: Region | None = None, sample: GridSample | None = None
-) -> float:
+def spectrum_shift_check(sample: GridSample) -> float:
     """Max deviation over the grid between Spc(Dg(p)) and Spc(Dphi(p)) - 1.
 
     Applies to orientation-preserving involutions fixing the origin with
-    Dphi(0) = -I (from :func:`linear_part`); both eigenvalue sets are compared as unordered pairs.  The Jacobians are
-    those of the grid sample (``sample``, or one taken here); each node
-    takes the float operations of ``set_distance(eigenvalues(linear_part +
-    jac), eigenvalues(jac).shifted(-1.0))``.
+    Dphi(0) = -I (from :func:`linear_part`); both eigenvalue sets are
+    compared as unordered pairs.  The Jacobians are those of the grid
+    sample; each node takes the float operations of
+    ``set_distance(eigenvalues(linear_part + jac), eigenvalues(jac).shifted(-1.0))``.
     """
-    lin = linear_part(planar_map)
+    lin = linear_part(sample.planar_map)
     if (lin - MINUS_IDENTITY).max_abs() > 1e-9:
         raise NotApplicableError(
             "the spectrum shift identity needs Dphi(0) = -I; "
             f"got linear part {lin.rows()}"
         )
-    sample = sample_for(planar_map, region, sample)
-    sample.raise_failure()
     l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     worst = 0.0
     for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
@@ -301,18 +297,24 @@ class JacobianBounds:
     min_det: float
 
 
-def theorem_B_jacobian_check(h: StandardMap, region: Region | None = None) -> JacobianBounds:
+def theorem_B_jacobian_check(sample: GridSample) -> JacobianBounds:
     """Minimum trace and determinant of Dh over the grid.
 
     Under the verified trace condition of an orientation-reversing base
     involution both minima are positive (the trace stays above 1/2), which
-    is what forces Spc(h) away from (-inf, 0].
+    is what forces Spc(h) away from (-inf, 0].  Dh at each node takes the
+    operations of :meth:`StandardMap.jacobian_entries` on the sample's
+    Jacobian, with Dphi(0) from :func:`linear_part`.
     """
-    region = region or default_region()
+    lin = linear_part(sample.planar_map)
+    l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     min_trace = math.inf
     min_det = math.inf
-    for p in region.nodes():
-        _, dh = h.evaluate_with_jacobian(p)
-        min_trace = min(min_trace, dh.trace)
-        min_det = min(min_det, dh.det)
+    for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
+        h11 = 0.5 * (1.0 + (l11 * a11 + l12 * a21))
+        h12 = 0.5 * (0.0 + (l11 * a12 + l12 * a22))
+        h21 = 0.5 * (0.0 + (l21 * a11 + l22 * a21))
+        h22 = 0.5 * (1.0 + (l21 * a12 + l22 * a22))
+        min_trace = min(min_trace, h11 + h22)
+        min_det = min(min_det, h11 * h22 - h12 * h21)
     return JacobianBounds(min_trace, min_det)

@@ -26,7 +26,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .expr import PlanarMap
 from .involution import (
     ORIENTATION_PRESERVING,
     GridSample,
@@ -34,7 +33,6 @@ from .involution import (
     Region,
     linear_part,
     orientation,
-    sample_for,
 )
 from .linalg2 import Mat2, Spectrum, eigen_entries, eigenvalues
 
@@ -109,21 +107,14 @@ class SpectrumSamples(Sequence):
         return zip(s.ux, s.uy, s.vx, s.vy)
 
 
-def sample_spectrum(
-    planar_map: PlanarMap,
-    region: Region | None = None,
-    sample: GridSample | None = None,
-) -> SpectrumSamples:
+def sample_spectrum(sample: GridSample) -> SpectrumSamples:
     """One spectrum sample per grid node, in deterministic grid order.
 
     The linear part entering the trace product is Dphi(0), from
     :func:`linear_part`, so the map must fix the origin.  The Jacobians are
-    those of the grid sample (``sample``, or one taken here).
+    those of the grid sample.
     """
-    sample = sample_for(planar_map, region, sample)
-    lin = linear_part(planar_map)
-    sample.raise_failure()
-    return SpectrumSamples(sample, lin)
+    return SpectrumSamples(sample, linear_part(sample.planar_map))
 
 
 def _distance_to_band(re: float, im: float, epsilon: float) -> float:
@@ -242,26 +233,21 @@ def _window_str(region: Region) -> str:
 
 
 def theorem_verdict(
-    planar_map: PlanarMap,
-    region: Region | None = None,
+    sample: GridSample,
     epsilon: float = 0.1,
     im_tol: float = 1e-9,
     one_tol: float = 1e-9,
-    sample: GridSample | None = None,
 ) -> SpectralAssessment:
     """Decide which linearization hypothesis (if any) holds on the window.
 
     Orientation-preserving maps are linearizable on the window iff (a),
     (b), or (c) holds; orientation-reversing maps iff the trace condition
     holds.  The verdict string names the condition used and the window it
-    was sampled on.  Orientation and spectrum read one grid sample
-    (``sample``, or one taken here).
+    was sampled on.  Orientation and spectrum read the one grid sample.
     """
-    sample = sample_for(planar_map, region, sample)
-    region = sample.region
-    orient = orientation(planar_map, region, sample)
-    samples = sample_spectrum(planar_map, region, sample)
-    win = _window_str(region)
+    orient = orientation(sample)
+    samples = sample_spectrum(sample)
+    win = _window_str(sample.region)
     if orient.kind == ORIENTATION_PRESERVING:
         checks = check_condition_A(samples, epsilon, im_tol, one_tol)
         conditions = checks.as_list()

@@ -19,7 +19,7 @@ from planarinv.foliation import (
     trace_leaf,
 )
 from planarinv.gallery import get
-from planarinv.involution import Region, verify_involution
+from planarinv.involution import GridSample, Region, verify_involution
 from planarinv.linalg2 import Mat2, eigenvalues
 from planarinv.linearize import (
     COLLISION,
@@ -51,7 +51,7 @@ def test_criterion_01_involution_identity():
         ns = (0, 1, 2) if name in ("A1", "A2", "A3", "A4") else (None,)
         for n in ns:
             entry = get(name, n)
-            check = verify_involution(entry.map, entry.window.with_grid(41), 1e-9)
+            check = verify_involution(GridSample(entry.map, entry.window.with_grid(41)), 1e-9)
             worst = max(worst, check.max_residual)
             ok = ok and check.passed
     _report(1, f"involution identity on default windows (max residual {worst:.2e})", ok)
@@ -91,7 +91,7 @@ def test_criterion_04_spectrum_shift():
     worst_grid = 0.0
     for name in ("A2", "A4"):
         entry = get(name)
-        worst_grid = max(worst_grid, spectrum_shift_check(entry.map, entry.window))
+        worst_grid = max(worst_grid, spectrum_shift_check(GridSample(entry.map, entry.window)))
     ok = worst_grid <= 1e-9
 
     # independent oracle: characteristic-polynomial roots of both matrices
@@ -118,29 +118,29 @@ def test_criterion_05_verdict_matrix():
 
     for name, min_margin in (("A1", 2.9), ("A3", 2.9)):
         entry = get(name)
-        assessment = theorem_verdict(entry.map, entry.window)
+        assessment = theorem_verdict(GridSample(entry.map, entry.window))
         cond = assessment.conditions[0]
         ok = ok and cond.holds_on_window and cond.margin >= min_margin \
             and "Theorem B" in assessment.verdict
 
     entry = get("B")
-    assessment = theorem_verdict(entry.map, entry.window)
+    assessment = theorem_verdict(GridSample(entry.map, entry.window))
     cond = assessment.conditions[0]
     ok = ok and cond.holds_on_window and cond.margin > 1.0 \
         and "Theorem B" in assessment.verdict
 
     for name in ("A2", "A4"):
         entry = get(name)
-        samples = sample_spectrum(entry.map, entry.window)
+        samples = sample_spectrum(GridSample(entry.map, entry.window))
         checks = check_condition_A(samples, epsilon=0.5)
         ok = ok and checks.c.holds_on_window and checks.b.holds_on_window
 
     entry = get("identity")
-    assessment = theorem_verdict(entry.map, entry.window)
+    assessment = theorem_verdict(GridSample(entry.map, entry.window))
     ok = ok and "Theorem A(a)" in assessment.verdict
 
     entry = get("C")
-    samples = sample_spectrum(entry.map, Region(-6, 6, -6, 6, 41))
+    samples = sample_spectrum(GridSample(entry.map, Region(-6, 6, -6, 6, 41)))
     checks = check_condition_A(samples, epsilon=0.1)
     ok = ok and not checks.a.holds_on_window and not checks.b.holds_on_window \
         and not checks.c.holds_on_window

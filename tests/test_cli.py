@@ -287,3 +287,25 @@ def test_foliate_finds_fixed_points_only_for_the_svg(tmp_path, monkeypatch):
     assert run(["foliate", "gallery:A1:1", "--csv", str(only_csv)]) == 0
     assert len(calls) == 1
     assert only_csv.read_bytes() == both_csv.read_bytes()
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_analyze_and_foliate_reject_an_infinite_window_bound(bound, value, tmp_path, capsys):
+    # an infinite bound made every node coordinate NaN, blamed on the map in [verify]
+    bounds = ["-5", "5", "-5", "5"]
+    bounds[bound] = value
+    window = ",".join(bounds)
+    ordered = (value == "-inf") == (bound % 2 == 0)
+    message = ("window bounds must be finite" if ordered else
+               "window bounds must satisfy x_min < x_max and y_min < y_max")
+    assert run(["analyze", "gallery:B", "--window", window, "--scan", "21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"analyze: [setup] {message}\n"
+    csv_path = tmp_path / "b.csv"
+    assert run(["foliate", "gallery:B", "--window", window, "--csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"foliate: [setup] {message}\n"
+    assert not csv_path.exists()

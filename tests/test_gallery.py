@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planarinv.gallery import example_c_map, get, list_entries
-from planarinv.involution import verify_involution
+from planarinv.involution import GridSample, verify_involution
 from planarinv.linalg2 import IDENTITY
 from planarinv.linearize import standard_map
 from planarinv.spectral import theorem_verdict
@@ -44,7 +44,7 @@ def test_every_entry_is_an_involution_on_its_window():
         ns = (0, 1, 2) if name in ("A1", "A2", "A3", "A4") else (None,)
         for n in ns:
             entry = get(name, n)
-            check = verify_involution(entry.map, entry.window, 1e-9)
+            check = verify_involution(GridSample(entry.map, entry.window), 1e-9)
             assert check.passed, (name, n, check.max_residual)
 
 
@@ -118,7 +118,7 @@ def test_rotation_blend_unit_jacobian_inside_plateau():
 def test_expected_verdicts_hold():
     for name in list_entries():
         entry = get(name)
-        assessment = theorem_verdict(entry.map, entry.window)
+        assessment = theorem_verdict(GridSample(entry.map, entry.window))
         assert assessment.orientation.kind == entry.orientation
         if entry.expected_verdict == "none":
             assert not assessment.linearizable_on_window

@@ -28,6 +28,7 @@ from test_scan import (
 from planarinv import gallery, linearize
 from planarinv.expr import _KERNEL_NAMES, EvaluationError, ExprNode, PlanarMap, compile_pair, parse
 from planarinv.involution import (
+    GridSample,
     Region,
     classify_fixed_point,
     find_fixed_points,
@@ -300,13 +301,13 @@ def test_find_fixed_points_takes_one_jacobian_per_root(monkeypatch):
     identity = gallery.get("identity").map
     region = Region(-1.0, 1.0, -1.0, 1.0, 9)
     monkeypatch.setattr(PlanarMap, "evaluate_with_jacobian", counting)
-    scan = find_fixed_points(identity, region)
+    scan = find_fixed_points(GridSample(identity, region))
     assert len(scan.points) == 81 and scan.curve
     assert calls == [point.location for point in scan.points]
     monkeypatch.undo()
     for name in gallery.list_entries():
         entry = gallery.get(name)
-        for point in find_fixed_points(entry.map, entry.window.with_grid(11)).points:
+        for point in find_fixed_points(GridSample(entry.map, entry.window.with_grid(11))).points:
             cls = classify_fixed_point(entry.map, point.location)
             assert point.classification in (cls, "curve"), name
             assert point.jacobian == original(entry.map, point.location)[1], name

@@ -13,6 +13,7 @@ from planarinv.involution import (
     UNCLASSIFIED,
     BasePointError,
     DegenerateJacobianError,
+    GridSample,
     Region,
     classify_fixed_point,
     find_fixed_points,
@@ -35,28 +36,32 @@ def test_region_validation():
     nodes = list(r.nodes())
     assert len(nodes) == 41 * 41
     assert nodes[0] == (-5.0, -5.0) and nodes[-1] == (5.0, 5.0)
+    for bounds in ((-math.inf, 5, -5, 5), (-5, math.inf, -5, 5),
+                   (-5, 5, -math.inf, 5), (-5, 5, -5, math.inf)):
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            Region(*bounds)
 
 
 def test_verify_involution_exact_shear():
-    check = verify_involution(parse("(x - y^3, -y)"), Region(-5, 5, -5, 5), 1e-9)
+    check = verify_involution(GridSample(parse("(x - y^3, -y)"), Region(-5, 5, -5, 5)), 1e-9)
     assert check.passed and check.max_residual == 0.0
 
 
 def test_verify_involution_rejects_translation():
-    check = verify_involution(parse("(x + 1, y)"), Region(-5, 5, -5, 5), 1e-9)
+    check = verify_involution(GridSample(parse("(x + 1, y)"), Region(-5, 5, -5, 5)), 1e-9)
     assert not check.passed
     assert check.max_residual == pytest.approx(2.0)  # at the origin, 2/(1+0)
 
 
 def test_verify_involution_sinh_conjugated():
     entry = get("B")
-    check = verify_involution(entry.map, Region(-3, 3, -3, 3), 1e-9)
+    check = verify_involution(GridSample(entry.map, Region(-3, 3, -3, 3)), 1e-9)
     assert check.passed
 
 
 def test_verify_involution_polynomially_conjugated_flip():
     # flip (x, y) -> (x, -y) seen through the coordinate change (x + y^3, y)
-    check = verify_involution(parse("(x + 2*y^3, -y)"), Region(-3, 3, -3, 3), 1e-9)
+    check = verify_involution(GridSample(parse("(x + 2*y^3, -y)"), Region(-3, 3, -3, 3)), 1e-9)
     assert check.passed and check.max_residual <= 1e-9
 
 
@@ -69,7 +74,7 @@ def test_verify_involution_polynomially_conjugated_flip():
 ])
 def test_orientation_classes(name, kind):
     entry = get(name)
-    o = orientation(entry.map, entry.window)
+    o = orientation(GridSample(entry.map, entry.window))
     assert o.kind == kind
     assert o.min_abs_det > 0.0
 
@@ -77,28 +82,28 @@ def test_orientation_classes(name, kind):
 def test_orientation_rejects_degenerate_jacobian():
     # det changes sign across x = 0, and vanishes there
     with pytest.raises(DegenerateJacobianError):
-        orientation(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11))
+        orientation(GridSample(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11)))
 
 
 def test_orientation_determinant_test_is_relative_to_scale():
     # det = 1e-14 everywhere: small in absolute terms, but the map is a scaling
-    o = orientation(parse("(1e-7*x, 1e-7*y)"), Region(-1, 1, -1, 1, 11))
+    o = orientation(GridSample(parse("(1e-7*x, 1e-7*y)"), Region(-1, 1, -1, 1, 11)))
     assert o.kind == ORIENTATION_PRESERVING
     assert o.min_abs_det == pytest.approx(1e-14)
     # det = -1 exactly, beside a Jacobian entry of 1e7
-    o = orientation(parse("(-x, y + 1e7*x)"), Region(-1, 1, -1, 1, 11))
+    o = orientation(GridSample(parse("(-x, y + 1e7*x)"), Region(-1, 1, -1, 1, 11)))
     assert o.kind == ORIENTATION_REVERSING
     assert o.min_abs_det == 1.0
-    o = orientation(parse("(-x, y + x^5)"), Region(-25, 25, -25, 25, 11))
+    o = orientation(GridSample(parse("(-x, y + x^5)"), Region(-25, 25, -25, 25, 11)))
     assert o.kind == ORIENTATION_REVERSING
     with pytest.raises(DegenerateJacobianError, match="vanishes"):
-        orientation(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11))
+        orientation(GridSample(parse("(x^2, y)"), Region(-1, 1, -1, 1, 11)))
     with pytest.raises(DegenerateJacobianError, match="vanishes"):
-        orientation(parse("(2, 3)"), Region(-1, 1, -1, 1, 11))
+        orientation(GridSample(parse("(2, 3)"), Region(-1, 1, -1, 1, 11)))
 
 
 def test_fixed_points_isolated_minus():
-    scan = find_fixed_points(get("A2").map, Region(-4, 4, -4, 4))
+    scan = find_fixed_points(GridSample(get("A2").map, Region(-4, 4, -4, 4)))
     assert not scan.curve
     assert len(scan.points) == 1
     fp = scan.points[0]
@@ -109,12 +114,12 @@ def test_fixed_points_isolated_minus():
 def test_curve_flag_needs_more_than_one_root():
     # at grid 15, 5% of the grid is under one root: a single isolated
     # fixed point is no curve, a fixed line still is
-    assert not find_fixed_points(get("A2").map, Region(-5, 5, -5, 5, 15)).curve
-    assert find_fixed_points(get("A1").map, Region(-5, 5, -5, 5, 15)).curve
+    assert not find_fixed_points(GridSample(get("A2").map, Region(-5, 5, -5, 5, 15))).curve
+    assert find_fixed_points(GridSample(get("A1").map, Region(-5, 5, -5, 5, 15))).curve
 
 
 def test_fixed_points_curve_on_axis():
-    scan = find_fixed_points(get("A1").map, Region(-5, 5, -5, 5))
+    scan = find_fixed_points(GridSample(get("A1").map, Region(-5, 5, -5, 5)))
     assert scan.curve
     assert len(scan.points) > 2
     assert all(abs(fp.location[1]) <= 1e-8 for fp in scan.points)
@@ -122,7 +127,7 @@ def test_fixed_points_curve_on_axis():
 
 
 def test_fixed_points_minus_identity():
-    scan = find_fixed_points(parse("(-x, -y)"))
+    scan = find_fixed_points(GridSample(parse("(-x, -y)"), Region(-5, 5, -5, 5)))
     assert [fp.classification for fp in scan.points] == [FIX_MINUS]
     assert scan.points[0].location == pytest.approx((0.0, 0.0), abs=1e-12)
 
@@ -130,7 +135,7 @@ def test_fixed_points_minus_identity():
 def test_fixed_points_polished_to_tolerance():
     for name in ("A1", "A2", "A3", "B"):
         entry = get(name)
-        scan = find_fixed_points(entry.map, entry.window)
+        scan = find_fixed_points(GridSample(entry.map, entry.window))
         for fp in scan.points:
             fx, fy = entry.map.evaluate(fp.location)
             assert math.hypot(fx - fp.location[0], fy - fp.location[1]) <= 1e-9
@@ -195,5 +200,5 @@ def test_fixed_point_dedup_matches_pairwise_merge():
             if root is not None and all(
                     math.hypot(root[0] - k[0], root[1] - k[1]) > radius for k in expected):
                 expected.append(root)
-        scan = find_fixed_points(m, region)
+        scan = find_fixed_points(GridSample(m, region))
         assert [fp.location for fp in scan.points] == expected

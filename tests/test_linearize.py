@@ -5,7 +5,7 @@ import pytest
 
 from planarinv.expr import parse
 from planarinv.gallery import get, list_entries
-from planarinv.involution import BasePointError, Region
+from planarinv.involution import BasePointError, GridSample, Region
 from planarinv.linalg2 import Mat2, eigenvalues, set_distance
 from planarinv.linearize import (
     COLLISION,
@@ -141,12 +141,12 @@ def test_injectivity_scan_constant_map_collides_immediately():
 def test_spectrum_shift_zero_for_even_shears():
     for name in ("A2", "A4"):
         entry = get(name)
-        assert spectrum_shift_check(entry.map, entry.window) <= 1e-12
+        assert spectrum_shift_check(GridSample(entry.map, entry.window)) <= 1e-12
 
 
 def test_spectrum_shift_requires_minus_identity_linear_part():
     with pytest.raises(NotApplicableError):
-        spectrum_shift_check(get("A1").map, get("A1").window)
+        spectrum_shift_check(GridSample(get("A1").map, get("A1").window))
 
 
 def test_spectrum_shift_brute_force_on_random_matrices():
@@ -160,15 +160,15 @@ def test_spectrum_shift_brute_force_on_random_matrices():
 
 def test_theorem_B_jacobian_bounds():
     entry = get("A1")
-    bounds = theorem_B_jacobian_check(standard_map(entry.map), entry.window)
+    bounds = theorem_B_jacobian_check(GridSample(entry.map, entry.window))
     assert bounds.min_trace == pytest.approx(2.0)
     assert bounds.min_det == pytest.approx(1.0)
 
     entry = get("B")
-    bounds = theorem_B_jacobian_check(standard_map(entry.map), entry.window)
+    bounds = theorem_B_jacobian_check(GridSample(entry.map, entry.window))
     assert bounds.min_trace > 0.5
     assert bounds.min_det > 0.0
 
     flip = get("flip-y")
-    bounds = theorem_B_jacobian_check(standard_map(flip.map), flip.window)
+    bounds = theorem_B_jacobian_check(GridSample(flip.map, flip.window))
     assert bounds.min_trace == 2.0 and bounds.min_det == 1.0

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarinv.expr import parse
-from planarinv.involution import ORIENTATION_PRESERVING, Region, orientation, verify_involution
+from planarinv.involution import (
+    ORIENTATION_PRESERVING,
+    GridSample,
+    Region,
+    orientation,
+    verify_involution,
+)
 from planarinv.linearize import (
     NO_COLLISION_FOUND,
     conjugacy_residual,
@@ -51,11 +57,11 @@ def _conjugate(name, coefficients):
        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=8))
 def test_triangular_conjugates_of_linear_involutions(name, coefficients, points):
     phi = _conjugate(name, coefficients)
-    assert verify_involution(phi, _WINDOW).passed
+    assert verify_involution(GridSample(phi, _WINDOW)).passed
 
-    preserving = orientation(phi, _WINDOW).kind == ORIENTATION_PRESERVING
+    preserving = orientation(GridSample(phi, _WINDOW)).kind == ORIENTATION_PRESERVING
     assert preserving == (name != "flip-y")  # det L
-    assessment = theorem_verdict(phi, _WINDOW)
+    assessment = theorem_verdict(GridSample(phi, _WINDOW))
     assert assessment.verdict.startswith("Theorem A" if preserving else "Theorem B")
     assert assessment.verdict.startswith(_VERDICT[name])
     assert assessment.linearizable_on_window

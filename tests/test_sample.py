@@ -2,10 +2,12 @@
 
 The references below are the per-node loops that ``verify_involution``,
 ``orientation``, ``sample_spectrum``, ``check_condition_A``,
-``check_condition_B``, ``spectrum_shift_check`` and ``find_fixed_points``
-ran before they read one shared grid sample, and the per-node window grid
-of ``foliation``.  Results are compared by ``repr`` (witnesses, margins and
-signed zeros included) and exceptions by type and message.
+``check_condition_B``, ``spectrum_shift_check``, ``find_fixed_points`` and
+``theorem_B_jacobian_check`` ran before they read one shared grid sample,
+and the per-node window grid of ``foliation``.  Results are compared by
+``repr`` (witnesses, margins and signed zeros included) and exceptions by
+type and message.  Where taking the sample raises, the exception is that of
+``jacobian_entries`` at the first failing node.
 """
 
 import contextlib
@@ -43,7 +45,14 @@ from planarinv.involution import (
     verify_involution,
 )
 from planarinv.linalg2 import MINUS_IDENTITY, eigenvalues, set_distance
-from planarinv.linearize import NotApplicableError, StandardMap, spectrum_shift_check
+from planarinv.linearize import (
+    JacobianBounds,
+    NotApplicableError,
+    StandardMap,
+    spectrum_shift_check,
+    standard_map,
+    theorem_B_jacobian_check,
+)
 from planarinv.spectral import (
     COND_A_GAP,
     COND_A_IDENTITY,
@@ -213,6 +222,28 @@ def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60, cla
     return FixedPointScan(points, curve, converged, skipped)
 
 
+def _ref_theorem_B(planar_map, region):
+    h = standard_map(planar_map)
+    min_trace = math.inf
+    min_det = math.inf
+    for p in region.nodes():
+        _, dh = h.evaluate_with_jacobian(p)
+        min_trace = min(min_trace, dh.trace)
+        min_det = min(min_det, dh.det)
+    return JacobianBounds(min_trace, min_det)
+
+
+def _first_failure(planar_map, region):
+    """``jacobian_entries``' exception at the first node where it raises,
+    as an outcome, or None."""
+    for p in region.nodes():
+        try:
+            planar_map.jacobian_entries(p)
+        except Exception as exc:  # noqa: BLE001 - any exception must match
+            return "raised", type(exc), str(exc)
+    return None
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         result = fn(*args, **kwargs)
@@ -224,23 +255,29 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _assert_phases_match(planar_map, region, epsilon=0.1):
-    """Each sample-reading phase, on one shared sample and on its own,
-    against its reference."""
-    shared = GridSample(planar_map, region)
+    """Each sample-reading phase, on one sample, against its reference; or,
+    where taking the sample raises, that exception against the first
+    failing node's."""
+    failure = _first_failure(planar_map, region)
+    try:
+        sample = GridSample(planar_map, region)
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        assert ("raised", type(exc), str(exc)) == failure
+        return
+    assert failure is None
     pairs = [
-        (verify_involution, _ref_verify, ()),
-        (orientation, _ref_orientation, ()),
-        (sample_spectrum, _ref_sample_spectrum, ()),
-        (spectrum_shift_check, _ref_shift, ()),
-        (find_fixed_points, _ref_find_fixed_points, ()),
+        (verify_involution, _ref_verify),
+        (orientation, _ref_orientation),
+        (sample_spectrum, _ref_sample_spectrum),
+        (spectrum_shift_check, _ref_shift),
+        (find_fixed_points, _ref_find_fixed_points),
+        (theorem_B_jacobian_check, _ref_theorem_B),
     ]
-    for phase, reference, extra in pairs:
-        expected = _outcome(reference, planar_map, region, *extra)
-        assert _outcome(phase, planar_map, region, *extra) == expected, phase.__name__
-        assert _outcome(phase, planar_map, region, *extra, sample=shared) == expected, \
+    for phase, reference in pairs:
+        assert _outcome(phase, sample) == _outcome(reference, planar_map, region), \
             phase.__name__
     try:
-        new = sample_spectrum(planar_map, region, sample=shared)
+        new = sample_spectrum(sample)
         old = _ref_sample_spectrum(planar_map, region)
     except Exception:  # noqa: BLE001 - the raise itself matched above
         return
@@ -298,12 +335,21 @@ def test_phases_match_on_native_maps():
         _assert_phases_match(PlanarMap.from_function(fn, name), region)
 
 
-def test_theorem_verdict_reads_one_sample():
+def test_theorem_verdict_reads_one_sample(monkeypatch):
+    # orientation and the spectrum are taken through the module-global names,
+    # each once, from the very sample that theorem_verdict was given
+    calls = []
+    for name in ("orientation", "sample_spectrum"):
+        phase = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda s, phase=phase: calls.append(s) or phase(s))
     for name in gallery.list_entries():
         entry = gallery.get(name)
         sample = GridSample(entry.map, entry.window)
-        assert repr(theorem_verdict(entry.map, entry.window, sample=sample)) == \
-            repr(theorem_verdict(entry.map, entry.window))
+        calls.clear()
+        assessment = theorem_verdict(sample)
+        assert len(calls) == 2 and all(s is sample for s in calls)
+        assert repr(assessment.orientation) == repr(_ref_orientation(entry.map, entry.window))
 
 
 # ----------------------------------------------------------------------
@@ -315,23 +361,25 @@ def test_theorem_verdict_reads_one_sample():
 @example(parse("(x/3, y/(x + 7))"), Region(-5, 5, -5, 5), 6)
 def test_sample_values_are_evaluate_values_where_exact(planar_map, region, grid_n):
     region = region.with_grid(grid_n)
-    sample = GridSample(planar_map, region)
+    failure = _first_failure(planar_map, region)
+    try:
+        sample = GridSample(planar_map, region)
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        assert ("raised", type(exc), str(exc)) == failure
+        return
+    assert failure is None
     nodes = list(region.nodes())
     assert list(zip(sample.px, sample.py)) == nodes
     columns = (sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
-    assert len({len(column) for column in columns}) == 1
-    k = len(sample.u)
-    assert (sample.error is None) == (k == len(nodes))
-    for j, p in enumerate(nodes[:k]):
+    assert {len(column) for column in columns} == {len(nodes)}
+    for j, p in enumerate(nodes):
         assert tuple(column[j] for column in columns) == planar_map.jacobian_entries(p)
         if planar_map.exact_values():
             got = (sample.u[j], sample.v[j])
             assert repr(got) == repr(planar_map.evaluate(p))
             assert all(type(value) is float for value in got)
-    if k < len(nodes):
-        with pytest.raises(type(sample.error)) as raised:
-            planar_map.jacobian_entries(nodes[k])
-        assert str(raised.value) == str(sample.error)
+    assert _outcome(lambda: list(sample.values())) == \
+        _outcome(lambda: [(x, y, *planar_map.evaluate((x, y))) for x, y in nodes])
 
 
 def test_division_by_a_subexpression_of_x_or_y_is_not_exact():
@@ -361,18 +409,9 @@ def test_dividing_by_a_power_of_two_keeps_values_exact(k, sign, x):
     assert repr(entries[:2]) == repr(m.evaluate((x, 1.0)))
 
 
-def test_a_sample_of_another_map_or_window_is_refused():
-    m = parse("(x, -y)")
-    sample = GridSample(m, Region(-1, 1, -1, 1, 5))
-    with pytest.raises(ValueError, match="another map or window"):
-        orientation(m, Region(-1, 1, -1, 1, 6), sample)
-    with pytest.raises(ValueError, match="another map or window"):
-        verify_involution(parse("(x, -y)"), Region(-1, 1, -1, 1, 5), sample=sample)
-
-
 def test_spectrum_samples_are_a_sequence():
     entry = gallery.get("A1")
-    new = sample_spectrum(entry.map, entry.window.with_grid(5))
+    new = sample_spectrum(GridSample(entry.map, entry.window.with_grid(5)))
     old = _ref_sample_spectrum(entry.map, entry.window.with_grid(5))
     assert len(new) == 25
     assert repr(new[-1]) == repr(old[-1]) and repr(new[3]) == repr(old[3])
@@ -425,11 +464,31 @@ def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
 
 def test_analyze_reports_the_failing_node_of_a_finite_valued_map(capsys):
     # 0*sqrt(x*x) has a finite value everywhere but no derivative at x = 0:
-    # verify passes on values, and the spectrum phase names the first such node
+    # taking the grid sample, under verify, names the first such node
     assert cli.main(["analyze", "(x, -y + 0*sqrt(x*x))", "--grid", "5", "--scan", "11"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("analyze: [spectrum] derivative of sqrt at zero "
+    assert captured.err == ("analyze: [verify] derivative of sqrt at zero "
+                            "while evaluating at (0.0, -5.0)\n")
+
+
+def test_foliate_reports_the_failing_node_of_a_finite_valued_map(tmp_path, capsys):
+    csv_path = tmp_path / "leaves.csv"
+    assert cli.main(["foliate", "(x, -y + 0*sqrt(x*x))", "--grid", "5",
+                     "--csv", str(csv_path), "--force"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv_path.exists()
+    assert captured.err == ("foliate: [verify] derivative of sqrt at zero "
+                            "while evaluating at (0.0, -5.0)\n")
+
+
+def test_a_non_c1_non_involution_exits_1_in_verify(capsys):
+    # not an involution, and not C^1 at x = 0: the sample is refused before
+    # the involution check could report "not an involution" with exit 0
+    assert cli.main(["analyze", "(x + 1e-3*x*x + 0*sqrt(x*x), -y)", "--scan", "21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("analyze: [verify] derivative of sqrt at zero "
                             "while evaluating at (0.0, -5.0)\n")
 
 
