@@ -105,16 +105,11 @@ def _resolve_map(args) -> tuple[PlanarMap, str, GalleryEntry | None, tuple[float
     """The map, its source, its gallery entry (or None) and the fixed point
     that was moved to the origin (or None).  A map that does not fix the
     origin is recentered, so every window and point is in its coordinates."""
-    spec = getattr(args, "map_spec", None)
-    if spec is None and args.map is None and args.gallery is None:
-        raise ValueError("no map given: pass MAP_SPEC, --map EXPR, or --gallery NAME[:n]")
-    if spec is not None and spec.startswith("gallery:"):
+    spec = args.map_spec
+    if spec.startswith("gallery:"):
         return _gallery_map(spec[len("gallery:"):])
-    if spec is None and args.gallery is not None:
-        return _gallery_map(args.gallery)
-    source = spec if spec is not None else args.map
-    planar_map, offset = fix_origin(parse(source))
-    return planar_map, source, None, offset
+    planar_map, offset = fix_origin(parse(spec))
+    return planar_map, spec, None, offset
 
 
 def _gallery_map(text: str) -> tuple[PlanarMap, str, GalleryEntry, tuple[float, float] | None]:
@@ -489,10 +484,8 @@ def cmd_gallery(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_map_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("map_spec", nargs="?", default=None,
+    sub.add_argument("map_spec",
                      help="expression pair like '(x - y^3, -y)' or gallery:NAME[:n]")
-    sub.add_argument("--map", default=None, help="map as an expression pair")
-    sub.add_argument("--gallery", default=None, help="gallery entry NAME[:n]")
     sub.add_argument("--window", default=None,
                      help="XMIN,XMAX,YMIN,YMAX (default: gallery window or -5,5,-5,5)")
     sub.add_argument("--grid", type=int, default=41, help="grid nodes per axis (default 41)")

@@ -8,6 +8,9 @@ Jacobian row per component without any finite differencing.
 The module-level helpers (:func:`sinh`, :func:`sqrt`, ...) accept either a
 plain float or a :class:`Dual`, which lets the same map body serve both the
 cheap value-only evaluation path and the derivative-propagating path.
+Every operation computes its value with the float operation (a quotient
+included, rounded once), so a map body run on seeded duals returns, as the
+values, bit for bit what it returns on floats.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class Dual:
         if isinstance(other, Dual):
             if other.value == 0.0:
                 raise ZeroDivisionError("division by zero")
+            # the quotient rounds once, as on floats; the partials scale by 1/b
             inv = 1.0 / other.value
-            val = self.value * inv
+            val = self.value / other.value
             return Dual(
                 val,
                 (self.dx - val * other.dx) * inv,
@@ -73,7 +77,7 @@ class Dual:
         if other == 0.0:
             raise ZeroDivisionError("division by zero")
         inv = 1.0 / other
-        return Dual(self.value * inv, self.dx * inv, self.dy * inv)
+        return Dual(self.value / other, self.dx * inv, self.dy * inv)
 
     def __rtruediv__(self, other):
         if self.value == 0.0:

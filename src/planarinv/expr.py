@@ -326,16 +326,9 @@ class _KernelWriter:
     Subexpressions are numbered by operation and operand names, so each
     distinct subtree is emitted once.  Literals are keyed by type and repr
     rather than by ``==``, which would merge 0.0 with -0.0 and 1 with 1.0.
-
-    ``exact_values`` stays True while the Jacobian kernel computes every
-    value as the value kernel does.  A division whose dividend is a Dual
-    clears it, because Dual multiplies by the reciprocal, unless the divisor
-    is a literal power of two: its reciprocal is exact, so both round the
-    same real quotient.
     """
 
     def __init__(self):
-        self.exact_values = True
         self.literals: list = []
         self.literal_names: dict[tuple, str] = {}
         self.emitted: dict[tuple, tuple] = {}
@@ -364,19 +357,6 @@ class _KernelWriter:
             name = self.literal_names[key] = f"c{len(self.literals)}"
             self.literals.append(value)  # by reference: repr(1e999) is "inf"
         return name
-
-    def _power_of_two(self, name: str) -> bool:
-        """True for a literal +-2**k whose reciprocal is a normal float."""
-        if not name.startswith("c"):
-            return False
-        value = self.literals[int(name[1:])]
-        if type(value) not in (float, int):
-            return False
-        try:
-            mantissa, exponent = math.frexp(value)
-        except OverflowError:
-            return False
-        return abs(mantissa) == 0.5 and -1021 <= exponent <= 1023
 
     def _both(self, line: str) -> None:
         self.value_lines.append(line)
@@ -423,17 +403,15 @@ class _KernelWriter:
             else:
                 jac.append(f"{tx} = {db[0]} * {a}; {ty} = {db[1]} * {a}")
         elif kind == "div":
-            if da is not None and not (db is None and self._power_of_two(b)):
-                self.exact_values = False
             jac.append(f"if {b} == 0.0: raise ZeroDivisionError('division by zero')")
             if db is None:  # Dual / number
-                jac.append(f"{t}_i = 1.0 / {b}; {t} = {a} * {t}_i")
+                jac.append(f"{t}_i = 1.0 / {b}; {line}")
                 jac.append(f"{tx} = {da[0]} * {t}_i; {ty} = {da[1]} * {t}_i")
             elif da is None:  # number / Dual
                 jac.append(f"{t} = {a} / {b}; {t}_s = -{t} / {b}")
                 jac.append(f"{tx} = {t}_s * {db[0]}; {ty} = {t}_s * {db[1]}")
             else:
-                jac.append(f"{t}_i = 1.0 / {b}; {t} = {a} * {t}_i")
+                jac.append(f"{t}_i = 1.0 / {b}; {line}")
                 jac.append(f"{tx} = ({da[0]} - {t} * {db[0]}) * {t}_i; "
                            f"{ty} = ({da[1]} - {t} * {db[1]}) * {t}_i")
         elif kind == "neg":
@@ -518,18 +496,14 @@ class _KernelWriter:
         )
 
 
-def _compile_kernels(
-    first: ExprNode, second: ExprNode
-) -> tuple[tuple[Callable, Callable, Callable], bool]:
-    """The value, Jacobian and grid kernels of an expression pair, from one
-    ``exec``, and the writer's ``exact_values``."""
+def _compile_kernels(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable, Callable]:
+    """The value, Jacobian and grid kernels of an expression pair, from one ``exec``."""
     writer = _KernelWriter()
     u = writer.emit(first)
     v = writer.emit(second)
     namespace: dict = {}
     exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
-    kernels = namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
-    return kernels, writer.exact_values
+    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
 
 
 def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]:
@@ -541,7 +515,7 @@ def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]
     with a number component read as a Dual of zero partials.  Both raise
     the exceptions, with the messages, that the tree walk raises.
     """
-    return _compile_kernels(first, second)[0][:2]
+    return _compile_kernels(first, second)[:2]
 
 
 def _native_grid(fn: Callable) -> Callable:
@@ -591,7 +565,6 @@ class PlanarMap:
     # (value, jacobian, grid) kernels, built on the first evaluation
     _kernels: tuple[Callable, Callable, Callable] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _exact_values: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def from_expressions(cls, first: ExprNode, second: ExprNode, source: str) -> "PlanarMap":
@@ -615,23 +588,9 @@ class PlanarMap:
         if self.asts is None:
             kernels = (self._fn, _dual_jacobian(self._fn), _native_grid(self._fn))
         else:
-            kernels, exact = _compile_kernels(*self.asts)
-            object.__setattr__(self, "_exact_values", exact)
+            kernels = _compile_kernels(*self.asts)
         object.__setattr__(self, "_kernels", kernels)
         return kernels
-
-    def exact_values(self) -> bool:
-        """True when the ``(u, v)`` of :meth:`jacobian_entries` are bit for
-        bit those of :meth:`evaluate` wherever both succeed.
-
-        That holds for an expression map unless it divides a subexpression
-        of ``x`` or ``y`` by anything but a literal power of two (Dual
-        division multiplies by the reciprocal).  A native map's Dual path is
-        not known, so it never counts as exact.
-        """
-        if self._kernels is None:
-            self._build_kernels()
-        return self._exact_values
 
     def grid_kernel(self) -> Callable:
         """The kernel ``grid(xs, ys, a11, a12, a21, a22, us, vs)``, which
@@ -664,7 +623,12 @@ class PlanarMap:
         """Value and Jacobian at ``p`` as ``(u, v, du/dx, du/dy, dv/dx, dv/dy)``.
 
         Plain floats for callers in a hot loop; raises EvaluationError on a
-        failed or non-finite evaluation, like :meth:`evaluate`.
+        failed or non-finite evaluation, like :meth:`evaluate`.  Wherever
+        both succeed, ``(u, v)`` is bit for bit :meth:`evaluate`'s value:
+        every Dual operation, and so every line of the Jacobian kernel,
+        computes its value with the float operation, a quotient included.
+        (A native map keeps this when it is written on those operations
+        and the :mod:`planarinv.dual` helpers.)
         """
         kernel = (self._kernels or self._build_kernels())[1]
         try:

@@ -12,8 +12,7 @@ with the previous preimage (predictor-corrector continuation).
 The Newton step reads h and Dh as plain floats from
 ``StandardMap.jacobian_entries``.  Each inversion hands back those floats at
 its root, and the next inversion of the march, which starts there, reads
-them instead of evaluating h again; so does the leaf residual, when the
-base map's Jacobian kernel computes its values as its value kernel does.
+them instead of evaluating h again; so does the leaf residual.
 :func:`trace_leaves` traces a family of leaves; for a vertical foliation it
 computes the window's eigen-coordinates once, and every leaf takes its
 starting node from that one grid.
@@ -228,8 +227,6 @@ def trace_leaf(
     point.
     """
     region = region or default_region()
-    # with exact values, h at a root is the (hx, hy) of its entries
-    exact = h.base.exact_values()
     if fol.kind == RADIAL:
         angle = float(parameter)
         ca, sa = math.cos(angle), math.sin(angle)
@@ -237,9 +234,8 @@ def trace_leaf(
         def target_at(t: float) -> tuple[float, float]:
             return (t * ca, t * sa)
 
-        def residual_at(p: tuple[float, float], e: Entries) -> float:
-            hx, hy = (e[0], e[1]) if exact else h.evaluate(p)
-            return _angle_gap(math.atan2(hy, hx), angle)
+        def residual_at(e: Entries) -> float:
+            return _angle_gap(math.atan2(e[1], e[0]), angle)
 
         t0 = _RADIAL_START_RADIUS
         guess0 = target_at(t0)
@@ -253,9 +249,8 @@ def trace_leaf(
         def target_at(t: float) -> tuple[float, float]:
             return s_inv.apply((c, t))
 
-        def residual_at(p: tuple[float, float], e: Entries) -> float:
-            hx, hy = (e[0], e[1]) if exact else h.evaluate(p)
-            return abs(s11 * hx + s12 * hy - c)  # the first entry of S h(p), less c
+        def residual_at(e: Entries) -> float:
+            return abs(s11 * e[0] + s12 * e[1] - c)  # the first entry of S h(p), less c
 
         grid = _eigen_grid(h, s, region) if _grid is None else _grid
         t0, guess0 = _vertical_anchor(grid, c)
@@ -299,7 +294,7 @@ def trace_leaf(
                 if inside:
                     entered = True
                     pts.append(p)
-                    residuals.append(residual_at(p, e))
+                    residuals.append(residual_at(e))
                 else:
                     gap = _window_gap(region, p)
                     approach_stalls = approach_stalls + 1 if gap >= last_gap else 0
@@ -309,7 +304,7 @@ def trace_leaf(
                         break
             else:
                 pts.append(p)
-                residuals.append(residual_at(p, e))
+                residuals.append(residual_at(e))
                 if not inside:
                     break
             t = t_next
@@ -321,7 +316,7 @@ def trace_leaf(
     points, residuals = branches[0]
     if p0_inside:
         points = [p0] + points
-        residuals = [residual_at(p0, e0)] + residuals
+        residuals = [residual_at(e0)] + residuals
     if fol.kind == VERTICAL:
         back_points, back_residuals = branches[1]
         points = back_points[::-1] + points

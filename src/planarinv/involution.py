@@ -112,7 +112,8 @@ class GridSample:
     :meth:`Region.nodes` order, as flat lists of floats.
 
     ``px``, ``py`` hold the coordinates of every node and ``u``, ``v``,
-    ``ux``, ``uy``, ``vx``, ``vy`` its value and Jacobian entries.  Taking
+    ``ux``, ``uy``, ``vx``, ``vy`` its value and Jacobian entries; ``u``,
+    ``v`` are bit for bit :meth:`PlanarMap.evaluate` at the node.  Taking
     the sample raises the exception of the first node where
     ``jacobian_entries`` fails, so every sample is complete; every grid
     phase reads the map and the window from it.
@@ -126,23 +127,6 @@ class GridSample:
         self.py = [y for y in ys for _ in xs]
         rows = list(map(planar_map.jacobian_entries, zip(self.px, self.py)))
         self.u, self.v, self.ux, self.uy, self.vx, self.vy = map(list, zip(*rows))
-
-    def values(self):
-        """``(x, y, u, v)`` per node, ``(u, v)`` bit for bit :meth:`PlanarMap.evaluate`.
-
-        The sample's values serve where the map's are exact (see
-        :meth:`PlanarMap.exact_values`); otherwise each node is one
-        ``evaluate`` call.
-        """
-        if self.planar_map.exact_values():
-            return zip(self.px, self.py, self.u, self.v)
-        return self._evaluated()
-
-    def _evaluated(self):
-        evaluate = self.planar_map.evaluate
-        for x, y in zip(self.px, self.py):
-            fx, fy = evaluate((x, y))
-            yield x, y, fx, fy
 
 
 @dataclass(frozen=True)
@@ -191,7 +175,7 @@ def verify_involution(sample: GridSample, tol: float = 1e-9) -> InvolutionCheck:
     evaluate = sample.planar_map.evaluate
     worst = 0.0
     worst_point = (sample.region.x_min, sample.region.y_min)
-    for x, y, fx, fy in sample.values():
+    for x, y, fx, fy in zip(sample.px, sample.py, sample.u, sample.v):
         r = evaluate((fx, fy))
         res = math.hypot(r[0] - x, r[1] - y) / (1.0 + math.hypot(x, y))
         if res > worst:

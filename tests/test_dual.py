@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planarinv.dual import Dual, clamp, cos, cosh, asinh, ipow, seed, sin, sinh, sqrt, value_of
 
@@ -75,6 +77,22 @@ def test_division_by_zero_raises():
         1.0 / Dual(0.0)
     with pytest.raises(ZeroDivisionError):
         Dual(1.0) / 0.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+_DIVISOR = _FINITE.filter(bool) | st.sampled_from([3.0, -0.1, 7.0, 2.0 ** -1022])
+
+
+@given(_FINITE, _FINITE, _FINITE, _DIVISOR, _FINITE, _FINITE)
+def test_quotients_round_once_and_keep_reciprocal_partials(a, adx, ady, b, bdx, bdy):
+    # the value is float division, rounded once; the partials scale by 1/b
+    inv = 1.0 / b
+    q = Dual(a, adx, ady) / b
+    assert repr((q.value, q.dx, q.dy)) == repr((a / b, adx * inv, ady * inv))
+    q = Dual(a, adx, ady) / Dual(b, bdx, bdy)
+    val = a / b
+    assert repr((q.value, q.dx, q.dy)) == repr(
+        (val, (adx - val * bdx) * inv, (ady - val * bdy) * inv))
 
 
 def test_mixing_with_plain_floats():

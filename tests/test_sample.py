@@ -359,7 +359,7 @@ def test_theorem_verdict_reads_one_sample(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(_GRID_MAPS, _WINDOWS, st.integers(2, 6))
 @example(parse("(x/3, y/(x + 7))"), Region(-5, 5, -5, 5), 6)
-def test_sample_values_are_evaluate_values_where_exact(planar_map, region, grid_n):
+def test_sample_values_are_evaluate_values(planar_map, region, grid_n):
     region = region.with_grid(grid_n)
     failure = _first_failure(planar_map, region)
     try:
@@ -374,38 +374,46 @@ def test_sample_values_are_evaluate_values_where_exact(planar_map, region, grid_
     assert {len(column) for column in columns} == {len(nodes)}
     for j, p in enumerate(nodes):
         assert tuple(column[j] for column in columns) == planar_map.jacobian_entries(p)
-        if planar_map.exact_values():
-            got = (sample.u[j], sample.v[j])
-            assert repr(got) == repr(planar_map.evaluate(p))
-            assert all(type(value) is float for value in got)
-    assert _outcome(lambda: list(sample.values())) == \
-        _outcome(lambda: [(x, y, *planar_map.evaluate((x, y))) for x, y in nodes])
+        got = (sample.u[j], sample.v[j])
+        assert repr(got) == repr(planar_map.evaluate(p))
+        assert all(type(value) is float for value in got)
 
 
-def test_division_by_a_subexpression_of_x_or_y_is_not_exact():
-    assert parse("(x - y^3, 1/(1 + x*x))").exact_values()  # a number divided by a Dual
-    assert parse("(x/2, (x + y)/0.25)").exact_values()  # exact reciprocals
-    assert not parse("(x/3, y)").exact_values()  # a Dual times the reciprocal of 3
-    assert not parse("(x, y/(x + 7))").exact_values()
-    assert not parse("(x/(1 + 1), y)").exact_values()  # not a literal
-    assert not parse("(x/1e-320, y)").exact_values()  # its reciprocal overflows
-    assert not gallery.get("C").map.exact_values()  # native
-    m = parse("(x/3, y)")
-    assert any(m.evaluate((x, 0.0))[0] != m.jacobian_entries((x, 0.0))[0]
-               for x in (0.1 * i for i in range(1, 10)))
+def _values_match_evaluate(planar_map, points) -> None:
+    for p in points:
+        assert repr(planar_map.jacobian_entries(p)[:2]) == repr(planar_map.evaluate(p)), p
+
+
+def test_division_by_a_subexpression_of_x_or_y_keeps_values_exact():
+    # x * (1/3) and x / 3 differ at some x = 0.1*i, so a reciprocal shows there
+    region = Region(-5, 5, -5, 5, 21)
+    points = list(region.nodes()) + [(0.1 * i, 0.0) for i in range(1, 10)]
+    for source in ("(x/3, y)", "(x, y/(x + 7))", "(x/(1 + 1), y)", "(x/2, (x + y)/0.25)",
+                   "(x - y^3, 1/(1 + x*x))"):
+        _values_match_evaluate(parse(source), points)
+    entry = gallery.get("C")
+    _values_match_evaluate(entry.map, entry.window.nodes())
+
+
+def test_dividing_native_map_keeps_values_exact():
+    # a native map written on Dual arithmetic, dividing Duals by numbers and Duals
+    planar_map = PlanarMap.from_function(
+        lambda x, y: (x / 3.0 - y / (x * x + 7.0), 10.0 / (y + 9.0) + x / 0.1), "quotients")
+    region = Region(-5, 5, -5, 5, 21)
+    _values_match_evaluate(planar_map, list(region.nodes()) + [(0.1 * i, 0.3) for i in range(10)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-1021, 1022), st.sampled_from([1.0, -1.0]),
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+       | st.sampled_from([3.0, 0.1, -7.0, 5e-324, 1e-320, 2.0 ** -1022]),
        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, -0.0]))
-def test_dividing_by_a_power_of_two_keeps_values_exact(k, sign, x):
-    divisor = ExprNode("num", value=sign * 2.0 ** k)
-    m = PlanarMap.from_expressions(ExprNode("div", (ExprNode("x"), divisor)), ExprNode("y"), "p2")
-    assert m.exact_values()
+def test_dividing_by_a_literal_keeps_values_exact(divisor, x):
+    literal = ExprNode("num", value=divisor)
+    m = PlanarMap.from_expressions(ExprNode("div", (ExprNode("x"), literal)), ExprNode("y"), "lit")
     try:
         entries = m.jacobian_entries((x, 1.0))
     except ArithmeticError:
-        return  # the quotient overflows
+        return  # the quotient or its partial overflows
     assert repr(entries[:2]) == repr(m.evaluate((x, 1.0)))
 
 
