@@ -54,7 +54,6 @@ from .linalg2 import (
     Spectrum,
     eigenvalues,
     is_linear_involution,
-    set_distance,
 )
 from .linearize import (
     COLLISION,

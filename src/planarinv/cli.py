@@ -90,7 +90,7 @@ def _parse_gallery_spec(text: str) -> tuple[str, int | None]:
 
 
 def _check_flags(args) -> None:
-    for flag in ("eps", "tol", "step"):
+    for flag in ("tol", "step"):
         value = getattr(args, flag, 1.0)  # --step is foliate's only
         if not 0.0 < value < math.inf:
             raise ValueError(f"bad --{flag} {value!r}: expected a finite number > 0")
@@ -254,7 +254,6 @@ def cmd_analyze(args) -> int:
         "window": _ser_region(region),
         "flags": {
             "grid": region.grid_n,
-            "eps": args.eps,
             "tol": args.tol,
             "scan": args.scan,
         },
@@ -297,7 +296,7 @@ def cmd_analyze(args) -> int:
         scan = timed(phase, lambda: find_fixed_points(sample, args.tol))
 
         phase = "spectrum"
-        assessment = timed(phase, lambda: theorem_verdict(sample, args.eps))
+        assessment = timed(phase, lambda: theorem_verdict(sample))
 
         phase = "injectivity"
         h = standard_map(planar_map)
@@ -382,7 +381,7 @@ def cmd_foliate(args) -> int:
         certified = False
         verdict = "skipped (--force)"
         if check.passed:
-            assessment = theorem_verdict(sample, args.eps)
+            assessment = theorem_verdict(sample)
             certified = assessment.linearizable_on_window
             verdict = assessment.verdict
         if not certified and not args.force:
@@ -491,8 +490,6 @@ def _add_map_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid", type=int, default=41, help="grid nodes per axis (default 41)")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="involution / fixed-point tolerance > 0 (default 1e-9)")
-    sub.add_argument("--eps", type=float, default=0.1,
-                     help="epsilon > 0 for the [1, 1+eps) spectral gap test (default 0.1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

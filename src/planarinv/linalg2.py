@@ -1,10 +1,11 @@
-"""Exact 2x2 real matrix arithmetic and closed-form eigenvalues.
+"""2x2 real matrix arithmetic and closed-form eigenvalues.
 
 Eigenvalues come from the quadratic formula applied to the characteristic
-polynomial, with the real/complex split decided by the discriminant sign
-*before* any square root is taken.  Matrices with a non-negative
-discriminant therefore get eigenvalues whose imaginary part is exactly
-zero, so realness tests never have to fight rounding noise.
+polynomial, with the real/complex split taken from the sign of the rounded
+discriminant.  A real double root can therefore come out as a conjugate
+pair ``lambda +- 1e-8 i``, so no realness test reads them: the spectral
+conditions are decided from trace and determinant, and eigenvalues are
+reported as witnesses.
 """
 
 from __future__ import annotations
@@ -95,62 +96,25 @@ class Spectrum:
     def as_pair(self) -> tuple[complex, complex]:
         return (self.lambda1, self.lambda2)
 
-    def shifted(self, offset: float) -> "Spectrum":
-        return Spectrum(self.lambda1 + offset, self.lambda2 + offset)
-
 
 def eigenvalues(m: Mat2) -> Spectrum:
     """Both roots of the characteristic polynomial of ``m``.
 
-    Real-discriminant matrices yield eigenvalues with imaginary part
-    exactly 0.0; a negative discriminant yields a conjugate pair.
+    A non-negative rounded discriminant yields eigenvalues with imaginary
+    part exactly 0.0; a negative one yields a conjugate pair.
     """
-    re1, im1, re2, im2 = eigen_entries(m.a11, m.a12, m.a21, m.a22)
-    return Spectrum(complex(re1, im1), complex(re2, im2))
-
-
-def eigen_entries(
-    a11: float, a12: float, a21: float, a22: float
-) -> tuple[float, float, float, float]:
-    """:func:`eigenvalues` of ``[[a11, a12], [a21, a22]]`` as the floats
-    ``(Re lambda1, Im lambda1, Re lambda2, Im lambda2)``, for callers that
-    keep the matrix as plain floats."""
-    t = a11 + a22
-    d = a11 * a22 - a12 * a21
-    disc = t * t - 4.0 * d
+    t = m.trace
+    disc = t * t - 4.0 * m.det
     if disc >= 0.0:
         s = math.sqrt(disc)
-        return (t - s) / 2.0, 0.0, (t + s) / 2.0, 0.0
+        return Spectrum(complex((t - s) / 2.0, 0.0), complex((t + s) / 2.0, 0.0))
     s = math.sqrt(-disc)
-    return t / 2.0, -s / 2.0, t / 2.0, s / 2.0
+    return Spectrum(complex(t / 2.0, -s / 2.0), complex(t / 2.0, s / 2.0))
 
 
 def is_linear_involution(m: Mat2, tol: float = 1e-9) -> bool:
     """True iff every entry of m@m - I has magnitude at most tol."""
     return ((m @ m) - IDENTITY).max_abs() <= tol
-
-
-def set_distance(a: Spectrum, b: Spectrum) -> float:
-    """Distance between two eigenvalue pairs viewed as unordered sets.
-
-    Minimum over the two pairings of the larger eigenvalue distance.
-    """
-    a1, a2, b1, b2 = a.lambda1, a.lambda2, b.lambda1, b.lambda2
-    return set_distance_entries(a1.real, a1.imag, a2.real, a2.imag,
-                                b1.real, b1.imag, b2.real, b2.imag)
-
-
-def set_distance_entries(
-    a1r: float, a1i: float, a2r: float, a2i: float,
-    b1r: float, b1i: float, b2r: float, b2i: float,
-) -> float:
-    """:func:`set_distance` on the eigenvalue pairs' real and imaginary
-    parts; each distance is the ``abs`` of a complex difference, as there."""
-    d11 = abs(complex(a1r - b1r, a1i - b1i))
-    d22 = abs(complex(a2r - b2r, a2i - b2i))
-    d12 = abs(complex(a1r - b2r, a1i - b2i))
-    d21 = abs(complex(a2r - b1r, a2i - b1i))
-    return min(max(d11, d22), max(d12, d21))
 
 
 def solve_min_norm(m: Mat2, r: tuple[float, float]) -> tuple[float, float]:

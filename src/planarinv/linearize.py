@@ -13,7 +13,8 @@ falsification instrument: a reported collision is decisive, while
 The auxiliary map g = Dphi(0) + phi satisfies h = Dphi(0) g / 2 and, for
 orientation-preserving involutions with linear part -I, the shifted
 spectrum identity Spc(Dg(p)) = Spc(Dphi(p)) - 1, which
-:func:`spectrum_shift_check` verifies numerically.
+:func:`spectrum_shift_check` verifies numerically on the characteristic
+polynomials.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import compress, repeat
 
 from .expr import PlanarMap
 from .involution import GridSample, Region, default_region, linear_part
-from .linalg2 import MINUS_IDENTITY, Mat2, eigen_entries, set_distance_entries
+from .linalg2 import MINUS_IDENTITY, Mat2
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
@@ -266,13 +267,17 @@ def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Ex
 
 
 def spectrum_shift_check(sample: GridSample) -> float:
-    """Max deviation over the grid between Spc(Dg(p)) and Spc(Dphi(p)) - 1.
+    """Max residual over the grid of Spc(Dg(p)) = Spc(Dphi(p)) - 1.
 
     Applies to orientation-preserving involutions fixing the origin with
-    Dphi(0) = -I (from :func:`linear_part`); both eigenvalue sets are
-    compared as unordered pairs.  The Jacobians are those of the grid
-    sample; each node takes the float operations of
-    ``set_distance(eigenvalues(linear_part + jac), eigenvalues(jac).shifted(-1.0))``.
+    Dphi(0) = -I (from :func:`linear_part`).  Two 2x2 spectra agree iff
+    their characteristic polynomials do, so with ``t`` and ``d`` the trace
+    and determinant of Dphi(p), the identity is ``trace(Dg) = t - 2`` and
+    ``det(Dg) = 1 - t + d``.  A node's residual is the larger of the two
+    differences over ``1 + |t| + |a11*a22| + |a12*a21|``, the size of the
+    terms of ``1 - t + d``.  The Jacobians are those of the grid sample, and
+    each node takes the operations of ``Mat2.trace`` and ``Mat2.det`` on
+    ``linear_part + jac`` and on ``jac``.
     """
     lin = linear_part(sample.planar_map)
     if (lin - MINUS_IDENTITY).max_abs() > 1e-9:
@@ -283,11 +288,12 @@ def spectrum_shift_check(sample: GridSample) -> float:
     l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     worst = 0.0
     for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
-        g1r, g1i, g2r, g2i = eigen_entries(l11 + a11, l12 + a12, l21 + a21, l22 + a22)
-        s1r, s1i, s2r, s2i = eigen_entries(a11, a12, a21, a22)
-        distance = set_distance_entries(g1r, g1i, g2r, g2i,
-                                        s1r - 1.0, s1i + 0.0, s2r - 1.0, s2i + 0.0)
-        worst = max(worst, distance)
+        g11, g22 = l11 + a11, l22 + a22
+        t = a11 + a22
+        p, q = a11 * a22, a12 * a21
+        residual = max(abs((g11 + g22) - (t - 2.0)),
+                       abs((g11 * g22 - (l12 + a12) * (l21 + a21)) - (1.0 - t + (p - q))))
+        worst = max(worst, residual / (1.0 + abs(t) + abs(p) + abs(q)))
     return worst
 
 

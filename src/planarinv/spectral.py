@@ -8,11 +8,15 @@ For an orientation-preserving involution fixing the origin the standard
 map is a global linearization under any of:
 
   (a) every eigenvalue equals 1 (the map is the identity),
-  (b) no real eigenvalue lies in [1, 1 + eps) for the chosen eps, or
+  (b) 1 is never an eigenvalue on the window, which on a compact connected
+      window is the paper's Spc ∩ [1, 1 + eps) = ∅ for some eps > 0, or
   (c) every sampled eigenvalue is real.
 
 For an orientation-reversing involution the criterion is the trace
 condition: Trace(Dphi(0) Dphi(p)) > -1 at every sample.
+
+Each condition is decided from the trace and determinant of the sampled
+Jacobians, never from rounded eigenvalues, which serve as witnesses only.
 
 The trace condition's Dphi(0) comes from
 :func:`planarinv.involution.linear_part`, so :func:`sample_spectrum` and
@@ -34,7 +38,7 @@ from .involution import (
     linear_part,
     orientation,
 )
-from .linalg2 import Mat2, Spectrum, eigen_entries, eigenvalues
+from .linalg2 import Mat2, Spectrum, eigenvalues
 
 COND_A_IDENTITY = "A-a"
 COND_A_GAP = "A-b"
@@ -117,91 +121,98 @@ def sample_spectrum(sample: GridSample) -> SpectrumSamples:
     return SpectrumSamples(sample, linear_part(sample.planar_map))
 
 
-def _distance_to_band(re: float, im: float, epsilon: float) -> float:
-    """Euclidean distance from the eigenvalue ``re + im i`` to the real
-    segment [1, 1+eps]."""
-    if re < 1.0:
-        dx = 1.0 - re
-    elif re > 1.0 + epsilon:
-        dx = re - (1.0 + epsilon)
-    else:
-        dx = 0.0
-    return math.hypot(dx, im)
+# The rounding size of an expression is _ROUNDING times the sum of its terms'
+# magnitudes, as :func:`planarinv.involution.orientation` sizes ``det``.  The
+# worst rounding measured on 2x2 Jacobians is 2 ulps; a much larger multiple
+# would let a complex pair with a small imaginary part pass as real.  A
+# product that underflows is rounded to a multiple of 2^-1074 instead, so
+# the discriminant, whose terms can all be subnormal, also allows _UNDERFLOW.
+_ROUNDING = 16 * 2.0**-52
+_UNDERFLOW = 16 * 2.0**-1074
 
 
-def check_condition_A(
-    samples: SpectrumSamples,
-    epsilon: float = 0.1,
-    im_tol: float = 1e-9,
-    one_tol: float = 1e-9,
-) -> TheoremAChecks:
+def _distance_to_one(t: float, one: float, disc: float, disc_tol: float) -> float:
+    """dist(1, {lambda1, lambda2}) for a 2x2 matrix with trace ``t``,
+    ``p(1) = one != 0`` and discriminant ``disc``: the smaller modulus of the
+    roots of ``s^2 - (t - 2) s + p(1)``, the spectrum shifted by -1."""
+    s = t - 2.0
+    if disc < -disc_tol:
+        return math.sqrt(abs(one))  # a conjugate pair: |mu|^2 = p(1)
+    if disc <= disc_tol:
+        return abs(s) / 2.0  # the double root s/2
+    return 2.0 * abs(one) / (abs(s) + math.sqrt(disc))
+
+
+def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
     """Evaluate the three orientation-preserving hypotheses on the samples.
 
-    ``epsilon`` must be a finite number > 0 (ValueError otherwise): with
-    eps <= 0 the band [1, 1+eps) is empty and (b) would hold vacuously.
+    Each is a sign test on the trace ``t``, the determinant ``d`` and
+    ``p(1) = 1 - t + d = det(I - Dphi)`` of every sampled Jacobian:
+
+    * (a) holds where ``t = 2`` and ``p(1) = 0``: both eigenvalues are 1.
+    * (b) holds when ``p(1)`` keeps one strict sign over the window: 1 is
+      never an eigenvalue.  The window is compact and connected, so this is
+      the paper's ``Spc ∩ [1, 1+eps) = ∅`` for ``eps = dist(1, Spc)``.
+    * (c) holds where ``t^2 - 4d >= 0``: the spectrum is real.
+
+    "= 0" and ">= 0" allow each expression's rounding size: ``_ROUNDING``
+    times the sum of its terms' magnitudes (``2``, ``|a11|``, ``|a22|`` for
+    ``t - 2``; ``1``, ``|t|``, ``|a11*a22|``, ``|a12*a21|`` for ``p(1)``;
+    ``t^2``, ``4|a11*a22|``, ``4|a12*a21|`` for the discriminant, plus
+    ``_UNDERFLOW``).
 
     Margins are signed distances to the respective decision boundary:
 
-    * (a): ``one_tol - max |lambda - 1|``; non-negative iff it holds.
-    * (b): when it holds, the smallest distance from any eigenvalue to the
-      real segment [1, 1+eps]; when it fails, ``(Re lambda* - 1) - eps``
-      where lambda* is the binding violator, i.e. how much eps would have
-      to shrink for the violation to clear.
-    * (c): ``im_tol - max |Im lambda|``; non-negative iff it holds.
+    * (a): the least over the nodes of ``tol - |t - 2|`` and
+      ``tol - |p(1)|``; non-negative iff it holds.
+    * (b): when it holds, ``dist(1, Spc)`` over the samples, the largest eps
+      that works, which is > 0; when it fails, 0.
+    * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.
 
-    The witness reported for (b) is the violating sample whose eigenvalue
-    sits lowest in the band: that eigenvalue falsifies the hypothesis for
-    every smaller eps as well, so it is the binding counterexample.
-
-    Each eigenvalue is reduced as the floats of :func:`eigen_entries`, with
-    the operations of complex arithmetic on :func:`eigenvalues` (``|lambda
-    - 1|`` is the ``abs`` of a complex); witnesses are node indices until
-    the verdicts are built.
+    The witnesses of (a) and (c) are their first failing nodes.  That of (b)
+    is the first node where ``p(1)`` vanishes, or else the first node where
+    its sign differs from the first node's.  A NaN fails every test.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
-    max_dev_one = 0.0
-    witness_a = None
-    max_imag = 0.0
-    witness_c = None
-    min_band_dist = math.inf
-    binding_re = math.inf
-    witness_b = None
-    for j, entries in enumerate(samples.jacobians()):
-        re1, im1, re2, im2 = eigen_entries(*entries)
-        for re, im in ((re1, im1), (re2, im2)):
-            dev = abs(complex(re - 1.0, im))
-            if dev > max_dev_one:
-                max_dev_one = dev
-            if witness_a is None and dev > one_tol:
-                witness_a = j
-            im = abs(im)
-            if im > max_imag:
-                max_imag = im
-            if witness_c is None and im > im_tol:
-                witness_c = j
-            violates_b = im <= im_tol and 1.0 <= re < 1.0 + epsilon
-            if violates_b:
-                if re < binding_re:
-                    binding_re = re
-                    witness_b = j
-            else:
-                min_band_dist = min(min_band_dist, _distance_to_band(re, im, epsilon))
-    a_holds = max_dev_one <= one_tol
-    c_holds = max_imag <= im_tol
-    b_holds = witness_b is None
-    verdict_a = ConditionVerdict(
-        COND_A_IDENTITY, a_holds, None if a_holds else samples[witness_a], one_tol - max_dev_one
-    )
-    if b_holds:
-        margin_b = min_band_dist if min_band_dist < math.inf else math.inf
-        verdict_b = ConditionVerdict(COND_A_GAP, True, None, margin_b)
+    margin_a = margin_c = dist_one = math.inf
+    witness_a = witness_c = vanishes = flips = None
+    sign = 0.0
+    for j, (a11, a12, a21, a22) in enumerate(samples.jacobians()):
+        t = a11 + a22
+        p = a11 * a22
+        q = a12 * a21
+        d = p - q
+        one = 1.0 - t + d
+        one_tol = _ROUNDING * (1.0 + abs(t) + abs(p) + abs(q))
+        disc = t * t - 4.0 * d
+        disc_tol = _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW
+        m = min(_ROUNDING * (2.0 + abs(a11) + abs(a22)) - abs(t - 2.0), one_tol - abs(one))
+        if not m >= margin_a:
+            margin_a = m if m == m else -math.inf
+        if witness_a is None and not m >= 0.0:
+            witness_a = j
+        m = disc + disc_tol
+        if not m >= margin_c:
+            margin_c = m if m == m else -math.inf
+        if witness_c is None and not m >= 0.0:
+            witness_c = j
+        if not abs(one) > one_tol:
+            if vanishes is None:
+                vanishes = j
+        elif vanishes is None:
+            if sign == 0.0:
+                sign = one
+            elif flips is None and (one > 0.0) != (sign > 0.0):
+                flips = j
+            dist_one = min(dist_one, _distance_to_one(t, one, disc, disc_tol))
+    witness_b = flips if vanishes is None else vanishes
+    verdict_a = ConditionVerdict(COND_A_IDENTITY, witness_a is None,
+                                 None if witness_a is None else samples[witness_a], margin_a)
+    if witness_b is None:
+        verdict_b = ConditionVerdict(COND_A_GAP, True, None, dist_one)
     else:
-        verdict_b = ConditionVerdict(COND_A_GAP, False, samples[witness_b],
-                                     (binding_re - 1.0) - epsilon)
-    verdict_c = ConditionVerdict(
-        COND_A_REAL, c_holds, None if c_holds else samples[witness_c], im_tol - max_imag
-    )
+        verdict_b = ConditionVerdict(COND_A_GAP, False, samples[witness_b], 0.0)
+    verdict_c = ConditionVerdict(COND_A_REAL, witness_c is None,
+                                 None if witness_c is None else samples[witness_c], margin_c)
     return TheoremAChecks(verdict_a, verdict_b, verdict_c)
 
 
@@ -232,12 +243,7 @@ def _window_str(region: Region) -> str:
             f"[{region.y_min:g}, {region.y_max:g}]")
 
 
-def theorem_verdict(
-    sample: GridSample,
-    epsilon: float = 0.1,
-    im_tol: float = 1e-9,
-    one_tol: float = 1e-9,
-) -> SpectralAssessment:
+def theorem_verdict(sample: GridSample) -> SpectralAssessment:
     """Decide which linearization hypothesis (if any) holds on the window.
 
     Orientation-preserving maps are linearizable on the window iff (a),
@@ -249,7 +255,7 @@ def theorem_verdict(
     samples = sample_spectrum(sample)
     win = _window_str(sample.region)
     if orient.kind == ORIENTATION_PRESERVING:
-        checks = check_condition_A(samples, epsilon, im_tol, one_tol)
+        checks = check_condition_A(samples)
         conditions = checks.as_list()
         if checks.a.holds_on_window:
             verdict = f"Theorem A(a) applies on {win} (every sampled eigenvalue is 1: the map is the identity there)"
@@ -258,7 +264,8 @@ def theorem_verdict(
             verdict = f"Theorem A(c) applies on {win} (all sampled eigenvalues are real)"
             ok = True
         elif checks.b.holds_on_window:
-            verdict = f"Theorem A(b) applies on {win} (no eigenvalue in [1, 1+{epsilon:g}))"
+            verdict = (f"Theorem A(b) applies on {win} (1 is never an eigenvalue; "
+                       f"distance to the spectrum {checks.b.margin:g})")
             ok = True
         else:
             w = checks.b.witness.point

@@ -132,7 +132,7 @@ def test_criterion_05_verdict_matrix():
     for name in ("A2", "A4"):
         entry = get(name)
         samples = sample_spectrum(GridSample(entry.map, entry.window))
-        checks = check_condition_A(samples, epsilon=0.5)
+        checks = check_condition_A(samples)
         ok = ok and checks.c.holds_on_window and checks.b.holds_on_window
 
     entry = get("identity")
@@ -141,7 +141,7 @@ def test_criterion_05_verdict_matrix():
 
     entry = get("C")
     samples = sample_spectrum(GridSample(entry.map, Region(-6, 6, -6, 6, 41)))
-    checks = check_condition_A(samples, epsilon=0.1)
+    checks = check_condition_A(samples)
     ok = ok and not checks.a.holds_on_window and not checks.b.holds_on_window \
         and not checks.c.holds_on_window
     witness = checks.b.witness

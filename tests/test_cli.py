@@ -65,19 +65,30 @@ def test_a_missing_map_is_a_usage_error(command, capsys):
     assert "map_spec" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
-def test_analyze_and_foliate_reject_an_eps_that_is_not_positive_and_finite(
-        eps, tmp_path, capsys):
-    # with eps <= 0 the band [1, 1+eps) is empty and Theorem A(b) held vacuously
-    assert run(["analyze", "gallery:C", "--eps", eps]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("analyze: [setup] bad --eps")
-    assert run(["foliate", "gallery:C", "--eps", eps, "--csv", str(tmp_path / "c.csv")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("foliate: [setup] bad --eps")
-    assert not (tmp_path / "c.csv").exists()
+def test_eps_is_not_an_option(capsys):
+    # Theorem A(b) on a window needs no eps: it asks that 1 is never an
+    # eigenvalue, and the report gives the largest eps that works
+    with pytest.raises(SystemExit) as excinfo:
+        run(["analyze", "gallery:B", "--eps", "0.1"])
+    assert excinfo.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_analyze_flags_are_grid_tol_and_scan(tmp_path):
+    out = tmp_path / "b.json"
+    assert run(["analyze", "gallery:B", "--grid", "5", "--scan", "11", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["flags"] == {"grid": 5, "tol": 1e-9, "scan": 11}
+
+
+def test_analyze_jordan_block_family_gets_real_spectrum(tmp_path):
+    # Dphi is a Jordan block at -1 everywhere: its rounded eigenvalues are
+    # -1 +- 1e-8 i, so the spectrum is real only as read from trace and det
+    out = tmp_path / "jordan.json"
+    expr = "(-x + 0.3*((x+y)/2)^2, -y - 0.3*((x+y)/2)^2)"
+    assert run(["analyze", expr, "--grid", "15", "--scan", "21", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["theorem_verdict"].startswith("Theorem A(c)")
+    assert report["spectrum_shift_deviation"] <= 1e-12
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -6,10 +6,8 @@ from planarinv.linalg2 import (
     MINUS_IDENTITY,
     Mat2,
     SingularMatrixError,
-    Spectrum,
     eigenvalues,
     is_linear_involution,
-    set_distance,
     solve_min_norm,
 )
 
@@ -110,14 +108,6 @@ def test_is_linear_involution():
     assert is_linear_involution(MINUS_IDENTITY)
     assert is_linear_involution(Mat2(0.5, 0.5, 1.5, -0.5))  # squares to I
     assert not is_linear_involution(Mat2(2, 0, 0, 2))
-
-
-def test_set_distance_is_pairing_insensitive():
-    s1 = Spectrum(1.0 + 0j, 2.0 + 0j)
-    s2 = Spectrum(2.0 + 0j, 1.0 + 0j)
-    assert set_distance(s1, s2) == 0.0
-    s3 = Spectrum(1.5 + 0j, 2.0 + 0j)
-    assert set_distance(s1, s3) == 0.5
 
 
 def test_solve_min_norm_regular_matches_cramer():

@@ -2,9 +2,13 @@ import math
 
 import pytest
 
-from planarinv.expr import parse
-from planarinv.gallery import get
-from planarinv.involution import GridSample, Region
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from planarinv.expr import PlanarMap, parse
+from planarinv.gallery import get, list_entries
+from planarinv.involution import ORIENTATION_PRESERVING, GridSample, Region, orientation
+from planarinv.linalg2 import Mat2
 from planarinv.spectral import (
     COND_B_TRACE,
     check_condition_A,
@@ -36,11 +40,11 @@ def test_samples_identity():
 
 def test_condition_A_even_shear():
     samples = sample_spectrum(GridSample(get("A2").map, Region(-5, 5, -5, 5)))
-    checks = check_condition_A(samples, epsilon=0.5)
+    checks = check_condition_A(samples)
     assert not checks.a.holds_on_window
     assert checks.a.witness is not None
     assert checks.b.holds_on_window
-    assert checks.b.margin == pytest.approx(2.0)  # dist(-1, [1, 1.5])
+    assert checks.b.margin == 2.0  # dist(1, {-1}), the double root
     assert checks.c.holds_on_window
 
 
@@ -51,28 +55,122 @@ def test_condition_A_identity():
 
 
 def test_condition_A_real_negative_spectrum_passes_b_for_any_epsilon():
+    # the spectrum is {-1}, so [1, 1+eps) misses it for every eps > 0
     samples = sample_spectrum(GridSample(get("A4").map, Region(-5, 5, -5, 5)))
-    for eps in (0.1, 1.0, 100.0):
-        assert check_condition_A(samples, epsilon=eps).b.holds_on_window
+    checks = check_condition_A(samples)
+    assert checks.b.holds_on_window
+    assert checks.b.margin == 2.0
 
 
 def test_condition_A_rotation_blend_fails_with_unit_witness():
+    # p(1) vanishes on the disks where the map is a translation and changes
+    # sign around them; the witness is a node where it vanishes
     entry = get("C")
     samples = sample_spectrum(GridSample(entry.map, Region(-6, 6, -6, 6)))
-    checks = check_condition_A(samples, epsilon=0.1)
+    checks = check_condition_A(samples)
     assert not checks.a.holds_on_window
     assert not checks.b.holds_on_window
     assert not checks.c.holds_on_window
+    assert checks.b.margin == 0.0
     w = checks.b.witness
     assert abs(w.spectrum.lambda1 - 1.0) <= 1e-12
     assert abs(w.spectrum.lambda2 - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan, math.inf])
-def test_condition_A_rejects_an_epsilon_that_is_not_positive_and_finite(epsilon):
-    samples = sample_spectrum(GridSample(get("C").map, Region(-6, 6, -6, 6, 5)))
-    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
-        check_condition_A(samples, epsilon)
+def test_condition_A_b_needs_no_epsilon():
+    # eigenvalues 1.05 and 1/1.05 come near 1 without reaching it: p(1) keeps
+    # one sign, and the margin is the largest eps that works
+    samples = sample_spectrum(GridSample(parse("(1.05*x, y/1.05)"), Region(-5, 5, -5, 5, 5)))
+    checks = check_condition_A(samples)
+    assert checks.b.holds_on_window
+    assert checks.b.witness is None
+    assert checks.b.margin == pytest.approx(1.0 - 1.0 / 1.05, rel=1e-12)
+    assert checks.c.holds_on_window
+
+
+def test_condition_A_b_fails_where_p1_changes_sign():
+    # Dphi = diag(1 + x, -1): p(1) = -2x takes both signs and never vanishes
+    # on the even grid's nodes; the witness is the first node of the other sign
+    samples = sample_spectrum(GridSample(parse("(x + x^2/2, -y)"), Region(-1, 1, -1, 1, 4)))
+    checks = check_condition_A(samples)
+    assert not checks.b.holds_on_window
+    assert checks.b.margin == 0.0
+    assert checks.b.witness.point == pytest.approx((1.0 / 3.0, -1.0))
+    # Dphi = diag(1 + g'(x), -1) with g' = (x + 3/4)(x - 1/2): on the nodes
+    # -1, -1/2, 0, 1/2, 1 p(1) = -2 g'(x) changes sign at -1/2 and vanishes
+    # at 1/2, the node that is reported
+    g = "x^3/3 + 0.125*x^2 - 0.375*x"
+    samples = sample_spectrum(GridSample(parse(f"(x + {g}, -y)"), Region(-1, 1, -1, 1, 5)))
+    checks = check_condition_A(samples)
+    assert not checks.b.holds_on_window
+    assert checks.b.witness.point == (0.5, -1.0)
+
+
+def _linear_samples(m: Mat2):
+    a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
+    planar_map = PlanarMap.from_function(
+        lambda x, y: (a11 * x + a12 * y, a21 * x + a22 * y), "linear")
+    return sample_spectrum(GridSample(planar_map, Region(-1, 1, -1, 1, 2)))
+
+
+def _jordan_block(lam, s, v1, v2):
+    # lam I + s v w^T with w = (-v2, v1), so w^T v = 0: lam is a double root
+    return Mat2(lam - s * v1 * v2, s * v1 * v1, -s * v2 * v2, lam + s * v1 * v2)
+
+
+def test_condition_A_c_tolerance_cannot_make_a_small_rotation_real():
+    # eigenvalues 1 +- e i with e = 1.5 * 2^-23; every float here is exact and
+    # t^2 - 4d = -4 e^2 is 72 ulps of its terms: a tolerance of 72 ulps or
+    # more would count the pair as real
+    e = 1.5 * 2.0**-23
+    checks = check_condition_A(_linear_samples(Mat2(1.0, -e, e, 1.0)))
+    assert not checks.c.holds_on_window
+    assert checks.c.witness.spectrum.as_pair() == (complex(1.0, -e), complex(1.0, e))
+
+
+_ENTRY = st.floats(-3.0, 3.0)
+# factors whose products in _jordan_block stay normal: a subnormal entry is
+# rounded by up to 2^-1075 absolutely, so the float matrix would be no
+# Jordan block even up to one rounding per entry
+_FACTOR = _ENTRY.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FACTOR | st.just(1.0), _FACTOR, _FACTOR, _FACTOR)
+@example(-1.0, 2.9, 0.7, -1.3)
+@example(1.0, -2.3, 1.1, 0.9)
+@example(1.5 * 2.0**-538, 0.0, 0.0, 0.0)  # t^2 - 4d rounds to -2^-1073
+def test_condition_A_jordan_block_is_real_and_at_one_fails_b(lam, s, v1, v2):
+    checks = check_condition_A(_linear_samples(_jordan_block(lam, s, v1, v2)))
+    assert checks.c.holds_on_window
+    if lam == 1.0:
+        assert not checks.b.holds_on_window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
+@example(1.0, 0.0, 0.0, 1.0)
+@example(-1.0, 0.0, 0.0, 1.0)
+@example(0.0, -1.0, 1.0, 0.0)
+def test_condition_A_margins_have_the_sign_of_the_verdict(a11, a12, a21, a22):
+    checks = check_condition_A(_linear_samples(Mat2(a11, a12, a21, a22)))
+    assert (checks.a.margin >= 0.0) is checks.a.holds_on_window
+    assert (checks.b.margin > 0.0) is checks.b.holds_on_window
+    assert (checks.c.margin >= 0.0) is checks.c.holds_on_window
+    for verdict in checks.as_list():
+        assert (verdict.witness is None) is verdict.holds_on_window
+
+
+def test_condition_A_margins_have_the_sign_of_the_verdict_on_the_gallery():
+    for name in list_entries():
+        entry = get(name)
+        sample = GridSample(entry.map, entry.window.with_grid(21))
+        if orientation(sample).kind != ORIENTATION_PRESERVING:
+            continue
+        checks = check_condition_A(sample_spectrum(sample))
+        assert (checks.a.margin >= 0.0) is checks.a.holds_on_window
+        assert (checks.b.margin > 0.0) is checks.b.holds_on_window
+        assert (checks.c.margin >= 0.0) is checks.c.holds_on_window
 
 
 def test_condition_B_margins():
@@ -114,6 +212,24 @@ def test_verdict_rotation_blend_negative():
     assessment = theorem_verdict(GridSample(entry.map, Region(-6, 6, -6, 6)))
     assert not assessment.linearizable_on_window
     assert "no hypothesis verified" in assessment.verdict
+    assert "Theorem A(b) violated" in assessment.verdict
+
+
+def test_verdict_gap_on_a_conjugate_of_minus_identity():
+    # -I conjugated by g(x, y) = (X, y + X^2), X = x + y^2: an involution with
+    # complex spectrum, which avoids 1 on the small window and meets it on
+    # the large one
+    m = parse("(-(x + y^2) - (y + 2*(x + y^2)^2)^2, -y - 2*(x + y^2)^2)")
+    assessment = theorem_verdict(GridSample(m, Region(-0.5, 0.5, -0.5, 0.5, 21)))
+    gap = assessment.conditions[1]
+    assert assessment.linearizable_on_window
+    assert not assessment.conditions[2].holds_on_window
+    assert assessment.verdict == (
+        "Theorem A(b) applies on [-0.5, 0.5] x [-0.5, 0.5] "
+        f"(1 is never an eigenvalue; distance to the spectrum {gap.margin:g})")
+    assert 0.9 < gap.margin < 1.0
+    assessment = theorem_verdict(GridSample(m, Region(-1, 1, -1, 1, 21)))
+    assert not assessment.linearizable_on_window
     assert "Theorem A(b) violated" in assessment.verdict
 
 
