@@ -38,8 +38,7 @@ def main() -> None:
     print(f"orientation: {o.kind} (min |det D| = {o.min_abs_det:g})")
 
     scan = find_fixed_points(sample)
-    shape = "a curve" if scan.curve else "isolated points"
-    print(f"fixed set: {len(scan.points)} distinct roots, looks like {shape}")
+    print(f"fixed set: a {scan.kind}, {len(scan.points)} distinct roots in the window")
 
     assessment = theorem_verdict(sample)
     print(f"verdict: {assessment.verdict}")

@@ -192,7 +192,7 @@ def _ser_region(region: Region) -> dict:
 def _ser_fixed_points(scan: FixedPointScan) -> dict:
     return {
         "count": len(scan.points),
-        "curve": scan.curve,
+        "kind": scan.kind,
         "seeds_converged": scan.seeds_converged,
         "seeds_skipped": scan.seeds_skipped,
         "points": [
@@ -405,20 +405,16 @@ def cmd_foliate(args) -> int:
         )
 
         phase = "fixed-points"
-        scan = None
+        points = []
         if args.svg is not None and check.passed:
             # only the portrait marks the fixed points
-            scan = find_fixed_points(sample, args.tol)
+            points = find_fixed_points(sample, args.tol).points
 
         phase = "write"
         if args.csv is not None:
             _write_leaf_csv(args.csv, leaves)
         if args.svg is not None:
-            write_portrait(
-                args.svg, region, leaves,
-                scan.points if scan is not None else [],
-                title=title,
-            )
+            write_portrait(args.svg, region, leaves, points, title=title)
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
 

@@ -6,10 +6,10 @@ For a true smooth involution the Jacobian determinant never vanishes, so a
 sign change or a (near-)zero determinant on the grid indicates a bad input
 map and raises :class:`DegenerateJacobianError` rather than guessing.
 
-Fixed points are located by Newton iteration on phi(p) - p seeded from
-every grid node.  The Newton step uses a minimum-norm least-squares solve,
-which keeps the iteration convergent when the fixed set is a curve and the
-Jacobian of the residual is structurally singular.
+Fixed points are located by Newton iteration on phi(p) - p seeded in the
+grid cells the fixed set can cross.  The Newton step uses a minimum-norm
+least-squares solve, which keeps the iteration convergent when the fixed
+set is a curve and the Jacobian of the residual is structurally singular.
 
 Every grid phase reads one :class:`GridSample`: the value and Jacobian of
 the map at each window node, taken once and kept as plain floats.
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 
 from .expr import EvaluationError, PlanarMap, recentered
 from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
@@ -95,9 +97,9 @@ class Region:
             for x in xs:
                 yield (x, y)
 
-    def contains(self, p: tuple[float, float], pad: float = 0.0) -> bool:
-        return (self.x_min - pad <= p[0] <= self.x_max + pad
-                and self.y_min - pad <= p[1] <= self.y_max + pad)
+    def contains(self, p: tuple[float, float]) -> bool:
+        return (self.x_min <= p[0] <= self.x_max
+                and self.y_min <= p[1] <= self.y_max)
 
     def with_grid(self, grid_n: int) -> "Region":
         return Region(self.x_min, self.x_max, self.y_min, self.y_max, grid_n)
@@ -151,16 +153,15 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class FixedPointScan:
-    """Deduplicated fixed points plus scan diagnostics.
+    """The fixed points found in the window, plus scan diagnostics.
 
-    ``curve`` is set when the number of distinct roots is large enough to
-    indicate a one-dimensional fixed set rather than isolated points; in
-    that case roots that the pointwise test left unclassified are relabeled
-    :data:`CURVE`.
+    ``kind`` is the fixed set of an involution with linear part Dphi(0): a
+    ``"curve"``, whose roots are labelled :data:`CURVE`, when Dphi(0)
+    reverses orientation, ``"all"`` when it is I and else a ``"point"``.
     """
 
     points: list[FixedPoint]
-    curve: bool
+    kind: str
     seeds_converged: int
     seeds_skipped: int
 
@@ -274,50 +275,51 @@ def find_fixed_points(
     max_iter: int = 60,
     class_tol: float = 1e-6,
 ) -> FixedPointScan:
-    """Locate fixed points from every grid seed and deduplicate the roots.
+    """Locate the fixed points in the window, seeding Newton where they can be.
 
-    Each seed's first Newton iteration reads the grid sample.
-
-    Roots closer than 1e-6 times the window diameter are merged; known
-    roots are bucketed into square cells whose side is that merge radius,
-    so only the 3x3 cell neighbourhood of a new root is searched.  When the
-    number of distinct roots exceeds both one and 5% of the per-axis grid
-    resolution the fixed set is flagged as a curve: isolated fixed points
-    of involutions come at most one per window, while one-dimensional
-    fixed sets shed at least a root per grid line.
+    A fixed point zeroes ``z(p) = (I - A)(phi(p) - p)``, ``A = Dphi(0)``.
+    Newton is seeded once at every corner of each grid cell over whose
+    corners both components of ``z`` take both signs, zero included (every
+    node where ``A = I``), in node order; its first iteration reads the
+    grid sample.  Roots outside the window are dropped, and roots closer
+    than 1e-6 times the window diameter are merged: known roots are
+    bucketed into square cells whose side is that merge radius, so only the
+    3x3 cell neighbourhood of a new root is searched.
     """
-    planar_map, region = sample.planar_map, sample.region
+    planar_map, region, n = sample.planar_map, sample.region, sample.region.grid_n
+    a = linear_part(planar_map)
+    kind = CURVE if a.det < 0.0 else "all" if (a - IDENTITY).max_abs() <= 1e-9 else "point"
+    # bits 1, 2: z1 > 0, z1 < 0; 4, 8: z2 > 0, z2 < 0; flag cells whose corners share none
+    zs = map((IDENTITY - a).apply,
+             zip(map(sub, sample.u, sample.px), map(sub, sample.v, sample.py)))
+    codes = [(z1 > 0.0) | (z1 < 0.0) << 1 | (z2 > 0.0) << 2 | (z2 < 0.0) << 3 for z1, z2 in zs]
+    seeded = [False] * len(codes)
+    for j in range(len(codes) - n - 1):
+        if j % n != n - 1 and not codes[j] & codes[j + 1] & codes[j + n] & codes[j + n + 1]:
+            seeded[j] = seeded[j + 1] = seeded[j + n] = seeded[j + n + 1] = True
     merge_radius = 1e-6 * region.diameter
-    roots: list[tuple[float, float]] = []
     buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    points = []
     converged = 0
-    skipped = 0
     firsts = zip(sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
-    for seed, first in zip(zip(sample.px, sample.py), firsts):
+    for seed, first in compress(zip(zip(sample.px, sample.py), firsts), seeded):
         root = polish_fixed_point(planar_map, seed, newton_tol, max_iter, _first=first)
         if root is None:
-            skipped += 1
             continue
         converged += 1
         ci = math.floor(root[0] / merge_radius)
         cj = math.floor(root[1] / merge_radius)
-        if not any(
+        if region.contains(root) and not any(
             math.hypot(root[0] - kx, root[1] - ky) <= merge_radius
             for di in (-1, 0, 1)
             for dj in (-1, 0, 1)
             for kx, ky in buckets.get((ci + di, cj + dj), ())
         ):
-            roots.append(root)
             buckets.setdefault((ci, cj), []).append(root)
-    curve = len(roots) > max(1, 0.05 * region.grid_n)
-    points = []
-    for root in roots:
-        _, jac = planar_map.evaluate_with_jacobian(root)
-        cls = _classify_jacobian(jac, class_tol)
-        if curve and cls == UNCLASSIFIED:
-            cls = CURVE
-        points.append(FixedPoint(root, cls, jac))
-    return FixedPointScan(points, curve, converged, skipped)
+            _, jac = planar_map.evaluate_with_jacobian(root)
+            cls = CURVE if kind == CURVE else _classify_jacobian(jac, class_tol)
+            points.append(FixedPoint(root, cls, jac))
+    return FixedPointScan(points, kind, converged, sum(seeded) - converged)
 
 
 def linear_part(planar_map: PlanarMap) -> Mat2:

@@ -131,11 +131,14 @@ _ROUNDING = 16 * 2.0**-52
 _UNDERFLOW = 16 * 2.0**-1074
 
 
-def _distance_to_one(t: float, one: float, disc: float, disc_tol: float) -> float:
-    """dist(1, {lambda1, lambda2}) for a 2x2 matrix with trace ``t``,
+def _distance_to_one(s: float, one: float, disc: float, disc_tol: float) -> float:
+    """dist(1, {lambda1, lambda2}) for a 2x2 matrix with trace ``s + 2``,
     ``p(1) = one != 0`` and discriminant ``disc``: the smaller modulus of the
-    roots of ``s^2 - (t - 2) s + p(1)``, the spectrum shifted by -1."""
-    s = t - 2.0
+    roots of ``mu^2 - s mu + p(1)``, the spectrum shifted by -1."""
+    if disc_tol == math.inf:  # a term of disc overflowed: scale the roots by 1/k
+        k = max(abs(s), math.sqrt(abs(one)))
+        s, one = s / k, one / k / k
+        return k * _distance_to_one(s, one, s * s - 4.0 * one, _ROUNDING * (s * s + 4.0 * abs(one)))
     if disc < -disc_tol:
         return math.sqrt(abs(one))  # a conjugate pair: |mu|^2 = p(1)
     if disc <= disc_tol:
@@ -203,7 +206,7 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
                 sign = one
             elif flips is None and (one > 0.0) != (sign > 0.0):
                 flips = j
-            dist_one = min(dist_one, _distance_to_one(t, one, disc, disc_tol))
+            dist_one = min(dist_one, _distance_to_one(t - 2.0, one, disc, disc_tol))
     witness_b = flips if vanishes is None else vanishes
     verdict_a = ConditionVerdict(COND_A_IDENTITY, witness_a is None,
                                  None if witness_a is None else samples[witness_a], margin_a)

@@ -57,8 +57,6 @@ def render_portrait(
         )
     for fp in fixed_points or []:
         x, y = fp.location
-        if not region.contains((x, y)):
-            continue
         parts.append(
             f'  <circle cx="{_fmt(x)}" cy="{_fmt(flip - y)}" r="{_fmt(2.5 * stroke)}" '
             f'fill="#000000"/>'

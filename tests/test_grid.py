@@ -302,7 +302,7 @@ def test_find_fixed_points_takes_one_jacobian_per_root(monkeypatch):
     region = Region(-1.0, 1.0, -1.0, 1.0, 9)
     monkeypatch.setattr(PlanarMap, "evaluate_with_jacobian", counting)
     scan = find_fixed_points(GridSample(identity, region))
-    assert len(scan.points) == 81 and scan.curve
+    assert len(scan.points) == 81 and scan.kind == "all"
     assert calls == [point.location for point in scan.points]
     monkeypatch.undo()
     for name in gallery.list_entries():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from planarinv import involution
 from planarinv.expr import parse
 from planarinv.gallery import get
 from planarinv.involution import (
@@ -104,23 +105,27 @@ def test_orientation_determinant_test_is_relative_to_scale():
 
 def test_fixed_points_isolated_minus():
     scan = find_fixed_points(GridSample(get("A2").map, Region(-4, 4, -4, 4)))
-    assert not scan.curve
+    assert scan.kind == "point"
     assert len(scan.points) == 1
     fp = scan.points[0]
     assert fp.location == pytest.approx((0.0, 0.0), abs=1e-9)
     assert fp.classification == FIX_MINUS
 
 
-def test_curve_flag_needs_more_than_one_root():
-    # at grid 15, 5% of the grid is under one root: a single isolated
-    # fixed point is no curve, a fixed line still is
-    assert not find_fixed_points(GridSample(get("A2").map, Region(-5, 5, -5, 5, 15))).curve
-    assert find_fixed_points(GridSample(get("A1").map, Region(-5, 5, -5, 5, 15))).curve
+def test_fixed_set_kind_comes_from_the_linear_part():
+    # Dphi(0) decides the kind, however many roots the window holds
+    window = Region(-5, 5, -5, 5, 15)
+    assert find_fixed_points(GridSample(get("A2").map, window)).kind == "point"
+    assert find_fixed_points(GridSample(get("A1").map, window)).kind == CURVE
+    assert find_fixed_points(GridSample(parse("(x, y)"), window)).kind == "all"
+    # a window off the fixed set: no root, the same kind
+    scan = find_fixed_points(GridSample(get("A1").map, Region(1, 4, 1, 4, 15)))
+    assert (scan.kind, scan.points) == (CURVE, [])
 
 
 def test_fixed_points_curve_on_axis():
     scan = find_fixed_points(GridSample(get("A1").map, Region(-5, 5, -5, 5)))
-    assert scan.curve
+    assert scan.kind == CURVE
     assert len(scan.points) > 2
     assert all(abs(fp.location[1]) <= 1e-8 for fp in scan.points)
     assert all(fp.classification == CURVE for fp in scan.points)
@@ -180,25 +185,44 @@ def test_fix_origin_leaves_a_fixed_point_free_map():
         linear_part(m)
 
 
-def test_fixed_point_dedup_matches_pairwise_merge():
-    # a point reflection whose fixed point sits on a corner of the dedup
-    # cells: Newton's rounding scatters its roots over the four cells
+def test_fixed_point_dedup_matches_pairwise_merge(monkeypatch):
+    # the dedup against a pairwise merge of the roots Newton returned, in order
     corner = 1000 * 1e-6 * Region(-5, 5, -5, 5).diameter
+    shifted, offset = fix_origin(parse(f"({2 * corner!r} - x, {2 * corner!r} - y)"))
+    assert offset == pytest.approx((corner, corner))
     cases = (
-        ("(x, -y)", Region(-2, 2, -2, 2, 21)),  # fixed x-axis: each root found 21 times
+        ("(x, -y)", Region(-2, 2, -2, 2, 21)),  # fixed x-axis: each root found 3 times
         ("(x, y)", Region(-1, 1, -1, 1, 11)),  # every seed is its own root
         ("(-x + y^2, -y)", Region(-3, 3, -3, 3, 15)),  # one root, reached with rounding
         (get("B").map, get("B").window.with_grid(15)),
-        (f"({2 * corner!r} - x, {2 * corner!r} - y)", Region(-5, 5, -5, 5, 21)),
+        # the point reflection about (c, c), recentered at its fixed point
+        (shifted, Region(-5, 5, -5, 5, 21)),
+        # the fixed point is a corner of the dedup cells, and Newton stops
+        # within its tolerance on each side of it, in all four cells
+        ("(-x + 3e-9*(x*x - y*y), -y + 3e-9*x*y)", Region(-5, 5, -5, 5, 21)),
     )
+    roots = []  # what each polish_fixed_point call in find_fixed_points returns
+    monkeypatch.setattr(involution, "polish_fixed_point", lambda *args, **kwargs:
+                        roots.append(polish_fixed_point(*args, **kwargs)) or roots[-1])
     for source, region in cases:
         m = parse(source) if isinstance(source, str) else source
         radius = 1e-6 * region.diameter
+        roots.clear()
+        scan = find_fixed_points(GridSample(m, region))
         expected = []
-        for seed in region.nodes():
-            root = polish_fixed_point(m, seed)
-            if root is not None and all(
+        for root in roots:
+            if root is not None and region.contains(root) and all(
                     math.hypot(root[0] - k[0], root[1] - k[1]) > radius for k in expected):
                 expected.append(root)
-        scan = find_fixed_points(GridSample(m, region))
-        assert [fp.location for fp in scan.points] == expected
+        assert roots and [fp.location for fp in scan.points] == expected
+
+
+def test_fixed_points_lie_in_the_window():
+    # B's Newton also converges to points of its fixed curve far outside the
+    # window, such as (-104.8, -104.8)
+    entry = get("B")
+    scan = find_fixed_points(GridSample(entry.map, entry.window))
+    assert scan.points and all(entry.window.contains(fp.location) for fp in scan.points)
+    # A2 fixes only the origin, outside this window
+    scan = find_fixed_points(GridSample(get("A2").map, Region(1, 4, 1, 4)))
+    assert (scan.kind, scan.points) == ("point", [])

@@ -2,12 +2,15 @@
 
 The references below are the per-node loops that ``verify_involution``,
 ``orientation``, ``sample_spectrum``, ``check_condition_A``,
-``check_condition_B``, ``spectrum_shift_check``, ``find_fixed_points`` and
+``check_condition_B``, ``spectrum_shift_check`` and
 ``theorem_B_jacobian_check`` ran before they read one shared grid sample,
 and the per-node window grid of ``foliation``.  Results are compared by
 ``repr`` (witnesses, margins and signed zeros included) and exceptions by
 type and message.  Where taking the sample raises, the exception is that of
 ``jacobian_entries`` at the first failing node.
+
+``find_fixed_points`` seeds Newton only where the fixed set can cross a grid
+cell; the old search from every node is kept as its coverage reference.
 """
 
 import contextlib
@@ -118,14 +121,20 @@ def _ref_rounding(*terms):
 
 def _ref_distance_to_one(jac):
     t, one = jac.trace, 1.0 - jac.trace + jac.det
+    s, k = t - 2.0, 1.0
     disc = t * t - 4.0 * jac.det
     disc_tol = _ref_rounding(t * t, 4.0 * jac.a11 * jac.a22, 4.0 * jac.a12 * jac.a21) \
         + 16 * 2.0**-1074
+    if math.isinf(disc_tol):
+        # t^2 or 4d overflowed: the roots of (mu/k)^2 - (s/k)(mu/k) + p(1)/k^2, times k
+        k = max(abs(s), math.sqrt(abs(one)))
+        s, one = s / k, one / k / k
+        disc, disc_tol = s * s - 4.0 * one, _ref_rounding(s * s, 4.0 * one)
     if disc < -disc_tol:
-        return math.sqrt(abs(one))
+        return k * math.sqrt(abs(one))
     if disc <= disc_tol:
-        return abs(t - 2.0) / 2.0
-    return 2.0 * abs(one) / (abs(t - 2.0) + math.sqrt(disc))
+        return k * (abs(s) / 2.0)
+    return k * (2.0 * abs(one) / (abs(s) + math.sqrt(disc)))
 
 
 def _ref_check_A(planar_map, region):
@@ -220,7 +229,7 @@ def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60, cla
         if curve and cls == UNCLASSIFIED:
             cls = CURVE
         points.append(FixedPoint(root, cls, jac))
-    return FixedPointScan(points, curve, converged, skipped)
+    return FixedPointScan(points, CURVE if curve else "point", converged, skipped)
 
 
 def _ref_theorem_B(planar_map, region):
@@ -272,7 +281,6 @@ def _assert_phases_match(planar_map, region):
         (sample_spectrum, _ref_sample_spectrum),
         (lambda sample: check_condition_A(sample_spectrum(sample)), _ref_check_A),
         (spectrum_shift_check, _ref_shift),
-        (find_fixed_points, _ref_find_fixed_points),
         (theorem_B_jacobian_check, _ref_theorem_B),
     ]
     for phase, reference in pairs:
@@ -331,6 +339,74 @@ def test_phases_match_on_native_maps():
     }
     for name, fn in natives.items():
         _assert_phases_match(PlanarMap.from_function(fn, name), region)
+
+
+# ----------------------------------------------------------------------
+# fixed points: the seeded search against the search from every node
+# ----------------------------------------------------------------------
+
+# perfbench's generated families: each is an involution fixing the origin
+# when q has the stated parity in the stated variable
+_TEMPLATES = {
+    "(x + ({q}), -y)": ((1, 3, 5, 7, 9), "y"),
+    "(-x + ({q}), -y)": ((2, 4, 6, 8, 10), "y"),
+    "(-y - ({q}), -x + ({q}))": ((1, 3, 5, 7, 9), "((x+y)/2)"),
+    "(-x + ({q}), -y - ({q}))": ((2, 4, 6, 8, 10), "((x+y)/2)"),
+}
+
+
+@st.composite
+def _generated_maps(draw):
+    template = draw(st.sampled_from(sorted(_TEMPLATES)))
+    degrees, var = _TEMPLATES[template]
+    chosen = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4, unique=True))
+    q = " + ".join(f"({draw(st.floats(-1.5, 1.5)) / 5.0 ** k!r})*{var}^{k}"
+                   for k in sorted(chosen))
+    return parse(template.format(q=q))
+
+
+def _assert_fixed_points_cover_the_reference(planar_map, region, tol=1e-9):
+    """Where the fixed set is a point (or everything), the seeded search finds
+    the reference's roots in the window, one for one up to the merge radius
+    (Newton from other seeds may stop elsewhere within ``tol``); on a curve
+    every reference root in the window is within one grid-cell diagonal of a
+    root found; and every root found is a fixed point to ``tol``."""
+    scan = find_fixed_points(GridSample(planar_map, region))
+    found = [fp.location for fp in scan.points]
+    expected = [fp.location for fp in _ref_find_fixed_points(planar_map, region, tol).points
+                if region.contains(fp.location)]
+    for q in found:
+        fx, fy = planar_map.evaluate(q)
+        assert math.hypot(fx - q[0], fy - q[1]) <= tol
+    if scan.kind == CURVE:
+        near = region.diameter / (region.grid_n - 1)
+    else:
+        near = 1e-6 * region.diameter
+        assert len(found) == len(expected)
+    for p in expected:
+        assert any(math.hypot(p[0] - q[0], p[1] - q[1]) <= near for q in found), p
+    return scan
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generated_maps())
+@example(parse("(-x + (0.04*y^2), -y)"))
+@example(parse("(-y - (0.2*((x+y)/2)^1), -x + (0.2*((x+y)/2)^1))"))
+@example(parse("(-x + 1e-09*((x+y)/2)^2, -y - 1e-09*((x+y)/2)^2)"))  # a root off (0, 0)
+def test_fixed_points_cover_the_search_from_every_node(planar_map):
+    scan = _assert_fixed_points_cover_the_reference(planar_map, Region(-5, 5, -5, 5, 15))
+    assert scan.kind == (CURVE if linear_part(planar_map).det < 0 else "point")
+
+
+def test_fixed_points_cover_the_search_from_every_node_on_the_gallery():
+    kinds = {"A1": CURVE, "A2": "point", "A3": CURVE, "A4": "point", "B": CURVE,
+             "C": "point", "identity": "all", "minus-identity": "point", "flip-y": CURVE}
+    assert sorted(kinds) == sorted(gallery.list_entries())
+    for name, kind in kinds.items():
+        for n in (0, 1, 2) if gallery.get(name).n is not None else (None,):
+            entry = gallery.get(name, n)
+            scan = _assert_fixed_points_cover_the_reference(entry.map, entry.window)
+            assert scan.kind == kind, (name, n)
 
 
 def test_theorem_verdict_reads_one_sample(monkeypatch):
@@ -433,8 +509,8 @@ def test_spectrum_samples_are_a_sequence():
 def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
     # an even grid keeps the origin (where h's and the trace product's linear
     # part are taken) off the nodes; Newton iterations after the first run
-    # inside polish_fixed_point and are not counted, and a root that is a
-    # node is classified from one more Jacobian there
+    # inside polish_fixed_point and are not counted, one polish runs per seed,
+    # and a root that is a node is classified from one more Jacobian there
     region = Region(-5.0, 5.0, -5.0, 5.0, 10)
     nodes = set(region.nodes())
     counts = {"nodes": 0, "polish": 0}
@@ -465,7 +541,9 @@ def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
         assert report["window"]["grid_n"] == 10 and report["fixed_points"]["count"] <= 64
         roots_on_nodes = sum(tuple(point["location"]) in nodes
                              for point in report["fixed_points"]["points"])
-        assert counts == {"nodes": 100 + roots_on_nodes, "polish": 100}, spec
+        seeds = report["fixed_points"]["seeds_converged"] + report["fixed_points"]["seeds_skipped"]
+        assert 0 < seeds < 100, spec
+        assert counts == {"nodes": 100 + roots_on_nodes, "polish": seeds}, spec
 
 
 def test_analyze_reports_the_failing_node_of_a_finite_valued_map(capsys):

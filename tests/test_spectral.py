@@ -88,6 +88,16 @@ def test_condition_A_b_needs_no_epsilon():
     assert checks.c.holds_on_window
 
 
+@pytest.mark.parametrize("source, distance", [
+    ("(1e154*x - y, 1e154*y + x)", 1e154),  # eigenvalues 1e154 +- i: t^2 - 4d is inf - inf
+    ("(1e200*x, 1e-100*y)", 1.0),  # eigenvalues 1e200 and 1e-100: t^2 is inf
+])
+def test_condition_A_b_margin_survives_an_overflowing_discriminant(source, distance):
+    checks = check_condition_A(sample_spectrum(GridSample(parse(source), Region(-1, 1, -1, 1, 3))))
+    assert checks.b.holds_on_window
+    assert checks.b.margin == pytest.approx(distance, rel=0.01)
+
+
 def test_condition_A_b_fails_where_p1_changes_sign():
     # Dphi = diag(1 + x, -1): p(1) = -2x takes both signs and never vanishes
     # on the even grid's nodes; the witness is the first node of the other sign
