@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 from .expr import PlanarMap
 from .involution import GridSample, Region, default_region, linear_part
@@ -31,6 +30,14 @@ from .linalg2 import MINUS_IDENTITY, Mat2
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
+
+# The slope of the projection that :func:`injectivity_scan` sorts: the
+# golden-ratio conjugate, the irrational worst approximated by rationals, so
+# the images of a grid under a near-linear h seldom project close together;
+# and the scan's rounding slacks, relative and in subnormal units.
+ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
+_SLACK = 2.0**-40
+_UNDERFLOW = 16 * 2.0**-1074
 
 
 class NotApplicableError(ValueError):
@@ -158,14 +165,16 @@ def injectivity_scan(
     """Search a scan_n x scan_n grid for two well-separated points with
     (almost) the same image.
 
-    Images are bucketed into square cells of side ``collision_tol`` and
-    only points in touching cells are compared, so no pair within the
-    tolerance can be missed.  A pair counts as a collision when the images
-    are within ``collision_tol`` but the sources are at least
-    ``separation_min`` apart (default: 1e-3 of the window diameter), which
-    screens out adjacent grid points with nearby images.  The first
-    qualifying pair in scan order is reported, with the number of distinct
-    cells before its later point; otherwise the whole grid's count.
+    Images are bucketed into square cells of side ``collision_tol`` (the
+    cell of ``(u, v)`` is ``(floor(u/cell), floor(v/cell))``) and only
+    points in touching cells are compared, so no pair within the tolerance
+    can be missed.  A pair counts as a collision when the images are within
+    ``collision_tol`` but the sources are at least ``separation_min`` apart
+    (default: 1e-3 of the window diameter), which screens out adjacent grid
+    points with nearby images.  The first qualifying pair in scan order is
+    reported, with the number of distinct cells before its later point;
+    otherwise the whole grid's count.  ``collision_tol`` must be a finite
+    number > 0 and ``separation_min`` None or a finite number >= 0.
 
     ``h`` may be any object with an ``evaluate((x, y))`` method.  If it
     also has ``evaluate_grid(xs, ys)`` (as :class:`StandardMap` does), that
@@ -178,19 +187,31 @@ def injectivity_scan(
     precedes the node.  Node ``j`` is ``(xs[j % scan_n], ys[j // scan_n])``;
     the points are built only where they are compared or reported.
 
-    Which cells touch is decided for the whole grid at once: each cell
-    ``(ci, cj)`` is packed into the int ``ci*w + cj - min_cj`` with
-    ``w = max_cj - min_cj + 3``, so the eight neighbours of a cell are at
-    the fixed offsets ``±1, ±(w-1), ±w, ±(w+1)`` and ``cj ± 1`` never
-    reaches another row.  Set intersections find the points that share or
-    touch a cell with another point ("crowded" points); the others cannot
-    collide, and only the crowded ones are compared pairwise.
+    Only "crowded" nodes, whose cell is shared with or touches another
+    node's cell, can collide.  A node is a candidate when its projection
+    ``u + ALPHA*v`` is within ``delta`` of a neighbour's in sorted order.
+    Images in touching cells differ by less than ``2*cell`` per coordinate,
+    so their projections, and any sorted between them, by less than
+    ``2*cell*(1 + ALPHA)``.  ``delta`` adds ``_SLACK*(1 + ALPHA)*(M + cell)
+    + _UNDERFLOW`` with ``M = max(|u|, |v|)``, far above the rounding of
+    ``u/cell`` and of the projections (``4 * 2^-52 * (1 + ALPHA) * M``), so
+    every crowded node is a candidate.  Only candidates get cells and are
+    compared pairwise, in node order, which keeps the witness.  A
+    non-candidate's cell is its own and candidates share cells only with
+    candidates, so the first ``j`` nodes hold ``j - c + k`` distinct cells
+    when ``c`` of them are candidates in ``k`` cells.  When a projection or
+    ``M/cell`` is not finite, cells are computed node by node up to the
+    first that fails, and every node before it is a candidate.
     """
     region = region or default_region()
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
+    if not 0.0 < collision_tol < math.inf:
+        raise ValueError(f"collision_tol must be a finite number > 0, got {collision_tol!r}")
     if separation_min is None:
         separation_min = 1e-3 * region.diameter
+    elif not 0.0 <= separation_min < math.inf:
+        raise ValueError(f"separation_min must be a finite number >= 0, got {separation_min!r}")
     cell = collision_tol
     scan = region.with_grid(scan_n)
     xs, ys = scan.xs(), scan.ys()
@@ -199,57 +220,54 @@ def injectivity_scan(
         us, vs, error = evaluate_grid(xs, ys)
     else:
         us, vs, error = _evaluate_nodes(h, xs, ys)
-    try:
-        cis = list(map(math.floor, map(operator.truediv, us, repeat(cell))))
-        cjs = list(map(math.floor, map(operator.truediv, vs, repeat(cell))))
-    except Exception:
+    if not us:
+        raise error
+    n = len(us)
+    proj = list(map(operator.add, us, map(operator.mul, vs, repeat(ALPHA))))
+    bound = max(max(us), -min(us), max(vs), -min(vs))  # M, once no image is NaN
+    if math.isfinite(sum(proj)) and bound / cell < math.inf:
+        s = sorted(proj)
+        delta = (1.0 + ALPHA) * ((2.0 + _SLACK) * cell + _SLACK * bound) + _UNDERFLOW
+        close = list(map(operator.le, map(operator.sub, islice(s, 1, None), s), repeat(delta)))
+        near = set(compress(s, close))
+        near.update(compress(islice(s, 1, None), close))
+        candidates = list(compress(range(n), map(near.__contains__, proj))) if near else []
+    else:
         # node by node: the first node whose cell cannot be computed ends the scan
-        cis, cjs = [], []
-        for u, v in zip(us, vs):
+        candidates = []
+        for j, (u, v) in enumerate(zip(us, vs)):
             try:
-                ci = math.floor(u / cell)
-                cj = math.floor(v / cell)
+                math.floor(u / cell)
+                math.floor(v / cell)
             except Exception as exc:
                 error = exc
                 break
-            cis.append(ci)
-            cjs.append(cj)
-    if not cis:
-        raise error
-    min_cj = min(cjs)
-    w = max(cjs) - min_cj + 3
-    keys = list(map(operator.add, map(operator.mul, cis, repeat(w)),
-                    map(operator.sub, cjs, repeat(min_cj))))
-    cells = set(keys)
-    crowded: set[int] = set()
-    if len(cells) < len(keys):
-        crowded.update(k for k, c in Counter(keys).items() if c > 1)
-    for d in (1, w - 1, w, w + 1):
-        upper = cells.intersection(map(operator.add, cells, repeat(d)))
-        crowded |= upper
-        crowded.update(map(operator.sub, upper, repeat(d)))
-    offsets = (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1)
-    buckets: dict[int, list[int]] = {}
-    for j in compress(range(len(keys)), map(crowded.__contains__, keys)):
+            candidates.append(j)
+        if not candidates:
+            raise error
+        n = len(candidates)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for c, j in enumerate(candidates):
         px, py = xs[j % scan_n], ys[j // scan_n]
         u, v = us[j], vs[j]
-        key = keys[j]
+        ci, cj = math.floor(u / cell), math.floor(v / cell)
         best = None
-        for d in offsets:
-            for idx in buckets.get(key + d, ()):
-                if math.hypot(u - us[idx], v - vs[idx]) > collision_tol:
-                    continue
-                if math.hypot(px - xs[idx % scan_n], py - ys[idx // scan_n]) < separation_min:
-                    continue
-                if best is None or idx < best:
-                    best = idx
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                for idx in buckets.get((ci + di, cj + dj), ()):
+                    if math.hypot(u - us[idx], v - vs[idx]) > collision_tol:
+                        continue
+                    if math.hypot(px - xs[idx % scan_n], py - ys[idx // scan_n]) < separation_min:
+                        continue
+                    if best is None or idx < best:
+                        best = idx
         if best is not None:
             witness = ((xs[best % scan_n], ys[best // scan_n]), (px, py))
-            return InjectivityCertificate(COLLISION, witness, len(set(keys[:j])))
-        buckets.setdefault(key, []).append(j)
+            return InjectivityCertificate(COLLISION, witness, j - c + len(buckets))
+        buckets.setdefault((ci, cj), []).append(j)
     if error is not None:
         raise error
-    return InjectivityCertificate(NO_COLLISION_FOUND, None, len(cells))
+    return InjectivityCertificate(NO_COLLISION_FOUND, None, n - len(candidates) + len(buckets))
 
 
 def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Exception | None]:

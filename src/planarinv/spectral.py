@@ -146,6 +146,19 @@ def _distance_to_one(s: float, one: float, disc: float, disc_tol: float) -> floa
     return 2.0 * abs(one) / (abs(s) + math.sqrt(disc))
 
 
+def _scaled_real_margin(a11: float, a12: float, a21: float, a22: float) -> float:
+    """``t^2 - 4d`` plus its rounding size from the entries scaled by the
+    power of two ``k`` that brings the largest into [1/2, 1), so no term
+    overflows, divided by ``k^2`` again (to +-inf if it overflows)."""
+    k = 2.0 ** -math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))[1]
+    a11, a12, a21, a22 = a11 * k, a12 * k, a21 * k, a22 * k
+    t = a11 + a22
+    p = a11 * a22
+    q = a12 * a21
+    disc = t * t - 4.0 * (p - q)
+    return (disc + _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW) / k / k
+
+
 def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
     """Evaluate the three orientation-preserving hypotheses on the samples.
 
@@ -170,7 +183,9 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
       ``tol - |p(1)|``; non-negative iff it holds.
     * (b): when it holds, ``dist(1, Spc)`` over the samples, the largest eps
       that works, which is > 0; when it fails, 0.
-    * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.
+    * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.  Where
+      a term of ``t^2 - 4d`` overflows, it is decided on the entries scaled
+      by a power of two (:func:`_scaled_real_margin`).
 
     The witnesses of (a) and (c) are their first failing nodes.  That of (b)
     is the first node where ``p(1)`` vanishes, or else the first node where
@@ -194,6 +209,8 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
         if witness_a is None and not m >= 0.0:
             witness_a = j
         m = disc + disc_tol
+        if disc_tol == math.inf:  # a term overflowed: decide on scaled entries
+            m = _scaled_real_margin(a11, a12, a21, a22)
         if not m >= margin_c:
             margin_c = m if m == m else -math.inf
         if witness_c is None and not m >= 0.0:

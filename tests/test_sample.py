@@ -137,6 +137,17 @@ def _ref_distance_to_one(jac):
     return k * (2.0 * abs(one) / (abs(s) + math.sqrt(disc)))
 
 
+def _ref_real_margin(jac):
+    """``t^2 - 4d`` plus its rounding size; where a term overflows, that of
+    ``jac`` scaled by a power of two, over the scale squared."""
+    t, p, q = jac.trace, jac.a11 * jac.a22, jac.a12 * jac.a21
+    tol = _ref_rounding(t * t, 4.0 * p, 4.0 * q) + 16 * 2.0**-1074
+    if tol < math.inf:
+        return t * t - 4.0 * jac.det + tol
+    k = 2.0 ** -math.frexp(jac.max_abs())[1]
+    return _ref_real_margin(jac.scale(k)) / k / k
+
+
 def _ref_check_A(planar_map, region):
     samples = _ref_sample_spectrum(planar_map, region)
     margin_a = margin_c = dist_one = math.inf
@@ -152,7 +163,7 @@ def _ref_check_A(planar_map, region):
         margin_a = min(margin_a, m if m == m else -math.inf)
         if witness_a is None and not m >= 0.0:
             witness_a = sample
-        m = t * t - 4.0 * d + (_ref_rounding(t * t, 4.0 * p, 4.0 * q) + 16 * 2.0**-1074)
+        m = _ref_real_margin(jac)
         margin_c = min(margin_c, m if m == m else -math.inf)
         if witness_c is None and not m >= 0.0:
             witness_c = sample

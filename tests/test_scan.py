@@ -9,6 +9,7 @@ whatever the map, window, tolerance and separation.
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from planarinv import gallery
 from planarinv.expr import EvaluationError, ExprNode, PlanarMap, parse
 from planarinv.involution import Region
 from planarinv.linearize import (
+    ALPHA,
     COLLISION,
     NO_COLLISION_FOUND,
     InjectivityCertificate,
@@ -214,3 +216,56 @@ def test_scan_matches_reference_on_every_gallery_entry():
         got = _assert_parity(standard_map(entry.map), entry.window, 201, 1e-6, None)
         assert got[0] == "ok"
         assert got[1].status == (COLLISION if name == "C" else NO_COLLISION_FOUND)
+
+
+@pytest.mark.parametrize("collision_tol, separation_min", [
+    (0.0, None), (-0.0, None), (-1e-6, None), (math.inf, None), (math.nan, None),
+    (1e-6, -0.5), (1e-6, -math.inf), (1e-6, math.inf), (1e-6, math.nan),
+])
+def test_scan_rejects_a_tolerance_that_is_not_finite_and_positive(collision_tol, separation_min):
+    h = _Counting(parse("(x, y)"))
+    with pytest.raises(ValueError):
+        injectivity_scan(h, Region(-1, 1, -1, 1), 5, collision_tol, separation_min)
+    assert h.calls == 0
+
+
+def test_images_on_one_projection_line():
+    # u + ALPHA*v is 0 at every node, so every node is a candidate
+    for t in ("x + y", "x + 1.4142135623730951*y", "x*x - y"):
+        line = parse(f"({ALPHA!r}*({t}), -({t}))")
+        for region, scan_n in ((Region(-1, 1, -1, 1), 25), (Region(0, 3, -2, 0), 40)):
+            images = map(line.evaluate, region.with_grid(scan_n).nodes())
+            assert {u + v * ALPHA for u, v in images} == {0.0}
+            for collision_tol in (1e-6, 1e-2, 0.3):
+                for separation_min in (None, 0, 0.5):
+                    _assert_parity(line, region, scan_n, collision_tol, separation_min)
+
+
+def test_cells_whose_quotient_overflows():
+    window, upper = Region(-1, 1, -1, 1), Region(-1, 1, 0, 1)
+    cases = [
+        ("(1e303*x, y)", window, 1e-6, "raised"),  # 1e303/1e-6 overflows at node 0
+        ("(1e303*y, x)", upper, 1e-6, "raised"),  # at the first node of row 1
+        ("(1e303*y, abs(x))", upper, 1e-6, COLLISION),  # a collision in row 0 comes first
+        ("(1e303*x, y)", window, 2.0, COLLISION),  # cells up to 5e302: no overflow
+        ("(1e303*x, 1e303*y)", window, 2.0, NO_COLLISION_FOUND),
+        ("(1.7e308*x, 1.7e308*y)", window, 2.0, NO_COLLISION_FOUND),  # u + ALPHA*v overflows
+        ("(1.7e308*x, -1.7e308*x)", window, 2.0, COLLISION),
+    ]
+    for source, region, collision_tol, expected in cases:
+        got = _assert_parity(parse(source), region, 9, collision_tol, None)
+        assert (got[0] if got[0] == "raised" else got[1].status) == expected, source
+
+
+def test_images_two_tolerances_apart_across_a_cell_boundary():
+    # scan_n = 2 on the unit square: row 0 maps to the images b and b + d,
+    # row 1 far away; the pair collides iff |d| <= tol
+    tol = 0.25
+    below = math.nextafter(2 * tol, 0.0)
+    for b in (0.0, 0.125, 0.2, -0.25, 0.3, 1e-17):
+        for du, dv in ((2 * tol, 2 * tol), (2 * tol, -2 * tol), (2 * tol, 0.0),
+                       (below, below), (below, -below), (tol, 0.0), (0.0, -tol)):
+            source = f"({b!r} + {du!r}*x + 10*y, {b!r} + {dv!r}*x + 10*y)"
+            got = _assert_parity(parse(source), Region(0, 1, 0, 1), 2, tol, 0.5)
+            collides = math.hypot(du, dv) <= tol
+            assert (got[1].status == COLLISION) is collides, source

@@ -98,6 +98,19 @@ def test_condition_A_b_margin_survives_an_overflowing_discriminant(source, dista
     assert checks.b.margin == pytest.approx(distance, rel=0.01)
 
 
+@pytest.mark.parametrize("source, real", [
+    ("(1e154*x, 1e154*y)", True),  # the double eigenvalue 1e154: t^2 - 4d is inf - inf
+    ("(1e154*x + 1e153*y, 1e154*y)", True),  # a Jordan block at 1e154
+    ("(7e153*x - 7e153*y, 7e153*y + 7e153*x)", False),  # 7e153 (1 +- i): 4d overflows
+])
+def test_condition_A_c_is_decided_where_the_discriminant_overflows(source, real):
+    assessment = theorem_verdict(GridSample(parse(source), Region(-1, 1, -1, 1, 3)))
+    c = assessment.conditions[2]
+    assert c.holds_on_window is real
+    assert (c.margin >= 0.0) is real
+    assert ("Theorem A(c)" in assessment.verdict) is real
+
+
 def test_condition_A_b_fails_where_p1_changes_sign():
     # Dphi = diag(1 + x, -1): p(1) = -2x takes both signs and never vanishes
     # on the even grid's nodes; the witness is the first node of the other sign
@@ -155,6 +168,20 @@ def test_condition_A_jordan_block_is_real_and_at_one_fails_b(lam, s, v1, v2):
     assert checks.c.holds_on_window
     if lam == 1.0:
         assert not checks.b.holds_on_window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FACTOR, _FACTOR, _FACTOR, _FACTOR)
+@example(1.0, 0.0, 0.0, 1.0)
+@example(1.0, -1.0, 1.0, 1.0)
+def test_condition_A_c_is_unchanged_by_a_scale_that_overflows(a11, a12, a21, a22):
+    # 2^510 times entries near 1 to 3 makes t^2 or 4|a11*a22| overflow, and a
+    # power of two scales t^2 - 4d and its tolerance without rounding
+    big = 2.0**510
+    small = check_condition_A(_linear_samples(Mat2(a11, a12, a21, a22))).c
+    large = check_condition_A(_linear_samples(Mat2(a11 * big, a12 * big, a21 * big, a22 * big))).c
+    assert large.holds_on_window is small.holds_on_window
+    assert (large.margin >= 0.0) is large.holds_on_window
 
 
 @settings(max_examples=300, deadline=None)
