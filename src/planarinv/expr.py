@@ -244,23 +244,6 @@ def evaluate_node(node: ExprNode, x, y):
     return abs(arg)  # "abs"
 
 
-def unparse_node(node: ExprNode) -> str:
-    """Fully parenthesized source text that reparses to the same tree."""
-    kind = node.kind
-    if kind == "num":
-        return repr(node.value)
-    if kind in ("x", "y"):
-        return kind
-    if kind == "pow":
-        return f"{unparse_node(node.children[0])}^{node.exponent}"
-    if kind in _BINARY:
-        return (f"({unparse_node(node.children[0])} {_INFIX[kind]} "
-                f"{unparse_node(node.children[1])})")
-    if kind == "neg":
-        return f"(-{unparse_node(node.children[0])})"
-    return f"{kind}({unparse_node(node.children[0])})"
-
-
 _SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
 
 
@@ -647,12 +630,6 @@ class PlanarMap:
     ) -> tuple[tuple[float, float], Mat2]:
         u, v, ux, uy, vx, vy = self.jacobian_entries(p)
         return (u, v), Mat2(ux, uy, vx, vy)
-
-    def unparse(self) -> str:
-        """Round-trippable source text (expression-backed maps only)."""
-        if self.asts is None:
-            return self.source
-        return f"({unparse_node(self.asts[0])}, {unparse_node(self.asts[1])})"
 
 
 def parse(source: str) -> PlanarMap:

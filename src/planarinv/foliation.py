@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import EvaluationError, PlanarMap
-from .involution import Region, default_region
+from .involution import Region
 from .linalg2 import IDENTITY, Mat2, is_linear_involution
 from .linearize import StandardMap
 
@@ -77,18 +77,18 @@ class Leaf:
         return max(self.point_residuals, default=0.0)
 
 
-def diagonalize_involution(linear: Mat2, tol: float = 1e-9) -> CanonicalFoliation:
+def diagonalize_involution(linear: Mat2) -> CanonicalFoliation:
     """Canonical foliation kind and change of basis for a linear involution.
 
     Raises ValueError for the identity (no canonical foliation of this
     kind; the identity case is handled by the spectral verdict upstream)
-    and for matrices that are not involutions within ``tol``.
+    and for matrices that are not involutions within 1e-9.
     """
-    if not is_linear_involution(linear, tol):
+    if not is_linear_involution(linear):
         raise ValueError("matrix is not a linear involution within tolerance")
-    if (linear - IDENTITY).max_abs() <= tol:
+    if (linear - IDENTITY).max_abs() <= 1e-9:
         raise ValueError("the identity involution has no canonical foliation of this kind")
-    if (linear + IDENTITY).max_abs() <= tol:
+    if (linear + IDENTITY).max_abs() <= 1e-9:
         return CanonicalFoliation(RADIAL, IDENTITY)
     if linear.det >= 0.0:
         raise ValueError("linear involution is neither +-I nor orientation-reversing")
@@ -97,8 +97,8 @@ def diagonalize_involution(linear: Mat2, tol: float = 1e-9) -> CanonicalFoliatio
     s_inv = Mat2(v_plus[0], v_minus[0], v_plus[1], v_minus[1])
     s = s_inv.inverse()
     diag = s @ linear @ s_inv
-    if abs(diag.a11 - 1.0) > tol or abs(diag.a22 + 1.0) > tol or \
-            abs(diag.a12) > tol or abs(diag.a21) > tol:
+    if abs(diag.a11 - 1.0) > 1e-9 or abs(diag.a22 + 1.0) > 1e-9 or \
+            abs(diag.a12) > 1e-9 or abs(diag.a21) > 1e-9:
         raise ValueError("diagonalization failed to reach diag(1, -1) within tolerance")
     return CanonicalFoliation(VERTICAL, s)
 
@@ -206,11 +206,8 @@ def trace_leaf(
     h: StandardMap,
     fol: CanonicalFoliation,
     parameter: float,
-    region: Region | None = None,
+    region: Region,
     step: float = 1e-2,
-    inversion_tol: float = 1e-10,
-    max_iter: int = 50,
-    max_points: int = 20000,
     *,
     _grid: EigenGrid | None = None,
 ) -> Leaf:
@@ -224,9 +221,9 @@ def trace_leaf(
     between leaves; without it they are computed here.  The step lives in the
     target plane and is halved (up to 10 times) when an inversion fails;
     the trace stops once the preimage leaves the window, keeping the exit
-    point.
+    point, or is truncated at 20000 points.  Inversions take the defaults
+    of :func:`invert_standard_map`.
     """
-    region = region or default_region()
     if fol.kind == RADIAL:
         angle = float(parameter)
         ca, sa = math.cos(angle), math.sin(angle)
@@ -257,7 +254,7 @@ def trace_leaf(
         directions = (1.0, -1.0)
 
     try:
-        p0, e0 = invert_standard_map(h, target_at(t0), guess0, inversion_tol, max_iter)
+        p0, e0 = invert_standard_map(h, target_at(t0), guess0)
     except InversionError:
         return Leaf(parameter, [], [], truncated=True)
     p0_inside = region.contains(p0)
@@ -275,11 +272,10 @@ def trace_leaf(
         pre_steps = 0
         approach_stalls = 0
         last_gap = _window_gap(region, p0)
-        while len(pts) < max_points:
+        while len(pts) < 20000:
             t_next = t + direction * step_cur
             try:
-                p, e = invert_standard_map(h, target_at(t_next), p_prev, inversion_tol,
-                                           max_iter, e_prev)
+                p, e = invert_standard_map(h, target_at(t_next), p_prev, guess_entries=e_prev)
             except InversionError:
                 halvings += 1
                 if halvings > 10:
@@ -328,7 +324,7 @@ def trace_leaves(
     h: StandardMap,
     fol: CanonicalFoliation,
     parameters: list[float],
-    region: Region | None = None,
+    region: Region,
     step: float = 1e-2,
 ) -> list[Leaf]:
     """:func:`trace_leaf` for every parameter, in order.
@@ -337,7 +333,6 @@ def trace_leaves(
     them, so the window's eigen-coordinates are computed once here and
     shared instead of once per leaf.
     """
-    region = region or default_region()
     grid = None
     if fol.kind == VERTICAL:
         grid = _eigen_grid(h, fol.change_of_basis, region)
@@ -390,14 +385,13 @@ def leaf_invariance_check(
 
 
 def canonical_parameter_range(
-    h: StandardMap, fol: CanonicalFoliation, region: Region | None = None
+    h: StandardMap, fol: CanonicalFoliation, region: Region
 ) -> tuple[float, float]:
     """Leaf-parameter interval covering the window.
 
     Radial leaves are parameterized by angle over [0, 2*pi); vertical
     leaves by the range of the first eigen-coordinate of h over the grid.
     """
-    region = region or default_region()
     if fol.kind == RADIAL:
         return (0.0, 2.0 * math.pi)
     firsts = [w[0] for w, _ in _eigen_grid(h, fol.change_of_basis, region)]
@@ -407,7 +401,7 @@ def canonical_parameter_range(
 def default_leaf_parameters(
     h: StandardMap,
     fol: CanonicalFoliation,
-    region: Region | None = None,
+    region: Region,
     count: int | None = None,
 ) -> list[float]:
     """Equispaced leaf parameters: 24 ray angles or 21 vertical constants."""

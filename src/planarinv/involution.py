@@ -29,7 +29,7 @@ from itertools import compress
 from operator import sub
 
 from .expr import EvaluationError, PlanarMap, recentered
-from .linalg2 import IDENTITY, Mat2, solve_min_norm_entries
+from .linalg2 import IDENTITY, Mat2, power_of_two_scaled, solve_min_norm_entries
 
 ORIENTATION_PRESERVING = "preserving"
 ORIENTATION_REVERSING = "reversing"
@@ -103,10 +103,6 @@ class Region:
 
     def with_grid(self, grid_n: int) -> "Region":
         return Region(self.x_min, self.x_max, self.y_min, self.y_max, grid_n)
-
-
-def default_region() -> Region:
-    return Region(-5.0, 5.0, -5.0, 5.0, 41)
 
 
 class GridSample:
@@ -191,43 +187,49 @@ def orientation(sample: GridSample) -> OrientationClass:
     A determinant ``a11*a22 - a12*a21`` vanishes when it is within
     ``1e-12 * (|a11*a22| + |a12*a21|)`` of zero, the size of the rounding
     error of its two products, so the test depends neither on the units of
-    the map nor on one large entry whose product does not cancel.
+    the map nor on one large entry whose product does not cancel.  Where a
+    product overflows, the test and the sign are those of the entries scaled
+    by a power of two ``k`` (:func:`power_of_two_scaled`), and ``|det|`` is
+    the scaled one over ``k^2``.
     """
     sign = 0
     min_abs = math.inf
     for x, y, a11, a12, a21, a22 in zip(sample.px, sample.py, sample.ux, sample.uy,
                                          sample.vx, sample.vy):
         d = a11 * a22 - a12 * a21
-        if abs(d) <= 1e-12 * (abs(a11 * a22) + abs(a12 * a21)):
+        size = abs(a11 * a22) + abs(a12 * a21)
+        k = 1.0
+        if size == math.inf:  # a product overflowed: decide on scaled entries
+            k, b11, b12, b21, b22 = power_of_two_scaled(a11, a12, a21, a22)
+            d, size = b11 * b22 - b12 * b21, abs(b11 * b22) + abs(b12 * b21)
+        if abs(d) <= 1e-12 * size:
             raise DegenerateJacobianError("Jacobian determinant vanishes", (x, y))
         s = 1 if d > 0 else -1
         if sign == 0:
             sign = s
         elif s != sign:
             raise DegenerateJacobianError("Jacobian determinant changes sign", (x, y))
-        min_abs = min(min_abs, abs(d))
+        min_abs = min(min_abs, abs(d) / k / k)
     kind = ORIENTATION_PRESERVING if sign > 0 else ORIENTATION_REVERSING
     return OrientationClass(kind, min_abs)
 
 
-def classify_fixed_point(
-    planar_map: PlanarMap, p: tuple[float, float], class_tol: float = 1e-6
-) -> str:
-    """Classify a fixed point by the +/-I test on its Jacobian.
+def classify_fixed_point(planar_map: PlanarMap, p: tuple[float, float]) -> str:
+    """Classify a fixed point by the +/-I test on its Jacobian, to 1e-6.
 
     The test only applies where the map preserves orientation; at a point
     with negative Jacobian determinant the result is UNCLASSIFIED.
     """
     _, jac = planar_map.evaluate_with_jacobian(p)
-    return _classify_jacobian(jac, class_tol)
+    return _classify_jacobian(jac)
 
 
-def _classify_jacobian(jac: Mat2, class_tol: float) -> str:
+def _classify_jacobian(jac: Mat2) -> str:
     if jac.det <= 0.0:
         return UNCLASSIFIED
-    if (jac - IDENTITY).max_abs() <= class_tol:
+    if (jac - IDENTITY).max_abs() <= 1e-6:
         return FIX_PLUS
-    if (jac + IDENTITY).max_abs() <= class_tol:
+    if (jac + IDENTITY).max_abs() <= 1e-6:
         return FIX_MINUS
     return UNCLASSIFIED
 
@@ -269,12 +271,7 @@ def polish_fixed_point(
     return None
 
 
-def find_fixed_points(
-    sample: GridSample,
-    newton_tol: float = 1e-9,
-    max_iter: int = 60,
-    class_tol: float = 1e-6,
-) -> FixedPointScan:
+def find_fixed_points(sample: GridSample, newton_tol: float = 1e-9) -> FixedPointScan:
     """Locate the fixed points in the window, seeding Newton where they can be.
 
     A fixed point zeroes ``z(p) = (I - A)(phi(p) - p)``, ``A = Dphi(0)``.
@@ -303,7 +300,7 @@ def find_fixed_points(
     converged = 0
     firsts = zip(sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
     for seed, first in compress(zip(zip(sample.px, sample.py), firsts), seeded):
-        root = polish_fixed_point(planar_map, seed, newton_tol, max_iter, _first=first)
+        root = polish_fixed_point(planar_map, seed, newton_tol, _first=first)
         if root is None:
             continue
         converged += 1
@@ -317,7 +314,7 @@ def find_fixed_points(
         ):
             buckets.setdefault((ci, cj), []).append(root)
             _, jac = planar_map.evaluate_with_jacobian(root)
-            cls = CURVE if kind == CURVE else _classify_jacobian(jac, class_tol)
+            cls = CURVE if kind == CURVE else _classify_jacobian(jac)
             points.append(FixedPoint(root, cls, jac))
     return FixedPointScan(points, kind, converged, sum(seeded) - converged)
 

@@ -45,9 +45,6 @@ class Mat2:
         return Mat2(self.a11 - other.a11, self.a12 - other.a12,
                     self.a21 - other.a21, self.a22 - other.a22)
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,
@@ -93,9 +90,6 @@ class Spectrum:
     lambda1: complex
     lambda2: complex
 
-    def as_pair(self) -> tuple[complex, complex]:
-        return (self.lambda1, self.lambda2)
-
 
 def eigenvalues(m: Mat2) -> Spectrum:
     """Both roots of the characteristic polynomial of ``m``.
@@ -112,9 +106,17 @@ def eigenvalues(m: Mat2) -> Spectrum:
     return Spectrum(complex(t / 2.0, -s / 2.0), complex(t / 2.0, s / 2.0))
 
 
-def is_linear_involution(m: Mat2, tol: float = 1e-9) -> bool:
-    """True iff every entry of m@m - I has magnitude at most tol."""
-    return ((m @ m) - IDENTITY).max_abs() <= tol
+def is_linear_involution(m: Mat2) -> bool:
+    """True iff every entry of m@m - I has magnitude at most 1e-9."""
+    return ((m @ m) - IDENTITY).max_abs() <= 1e-9
+
+
+def power_of_two_scaled(a11: float, a12: float, a21: float, a22: float) -> tuple[float, ...]:
+    """``(k, k*a11, k*a12, k*a21, k*a22)`` for the power of two ``k`` that brings
+    the largest magnitude into [1/2, 1): exact short of underflow, and no
+    product of the scaled entries overflows."""
+    k = 2.0 ** -math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))[1]
+    return k, a11 * k, a12 * k, a21 * k, a22 * k
 
 
 def solve_min_norm(m: Mat2, r: tuple[float, float]) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
 from .expr import PlanarMap
-from .involution import GridSample, Region, default_region, linear_part
+from .involution import GridSample, Region, linear_part
 from .linalg2 import MINUS_IDENTITY, Mat2
 
 NO_COLLISION_FOUND = "NoCollisionFound"
@@ -116,12 +116,6 @@ class StandardMap:
         hx, hy, h11, h12, h21, h22 = self.jacobian_entries(p)
         return (hx, hy), Mat2(h11, h12, h21, h22)
 
-    def auxiliary(self, p: tuple[float, float]) -> tuple[float, float]:
-        """g(p) = Dphi(0) p + phi(p)."""
-        fx, fy = self.base.evaluate(p)
-        ax, ay = self.linear_part.apply(p)
-        return (ax + fx, ay + fy)
-
     def as_planar_map(self) -> PlanarMap:
         a = self.linear_part
 
@@ -157,7 +151,7 @@ def conjugacy_residual(h: StandardMap, p: tuple[float, float]) -> float:
 
 def injectivity_scan(
     h,
-    region: Region | None = None,
+    region: Region,
     scan_n: int = 201,
     collision_tol: float = 1e-6,
     separation_min: float | None = None,
@@ -203,7 +197,6 @@ def injectivity_scan(
     ``M/cell`` is not finite, cells are computed node by node up to the
     first that fails, and every node before it is a candidate.
     """
-    region = region or default_region()
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
     if not 0.0 < collision_tol < math.inf:

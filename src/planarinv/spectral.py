@@ -38,7 +38,7 @@ from .involution import (
     linear_part,
     orientation,
 )
-from .linalg2 import Mat2, Spectrum, eigenvalues
+from .linalg2 import Mat2, Spectrum, eigenvalues, power_of_two_scaled
 
 COND_A_IDENTITY = "A-a"
 COND_A_GAP = "A-b"
@@ -135,10 +135,6 @@ def _distance_to_one(s: float, one: float, disc: float, disc_tol: float) -> floa
     """dist(1, {lambda1, lambda2}) for a 2x2 matrix with trace ``s + 2``,
     ``p(1) = one != 0`` and discriminant ``disc``: the smaller modulus of the
     roots of ``mu^2 - s mu + p(1)``, the spectrum shifted by -1."""
-    if disc_tol == math.inf:  # a term of disc overflowed: scale the roots by 1/k
-        k = max(abs(s), math.sqrt(abs(one)))
-        s, one = s / k, one / k / k
-        return k * _distance_to_one(s, one, s * s - 4.0 * one, _ROUNDING * (s * s + 4.0 * abs(one)))
     if disc < -disc_tol:
         return math.sqrt(abs(one))  # a conjugate pair: |mu|^2 = p(1)
     if disc <= disc_tol:
@@ -146,17 +142,22 @@ def _distance_to_one(s: float, one: float, disc: float, disc_tol: float) -> floa
     return 2.0 * abs(one) / (abs(s) + math.sqrt(disc))
 
 
-def _scaled_real_margin(a11: float, a12: float, a21: float, a22: float) -> float:
-    """``t^2 - 4d`` plus its rounding size from the entries scaled by the
-    power of two ``k`` that brings the largest into [1/2, 1), so no term
-    overflows, divided by ``k^2`` again (to +-inf if it overflows)."""
-    k = 2.0 ** -math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))[1]
-    a11, a12, a21, a22 = a11 * k, a12 * k, a21 * k, a22 * k
+def _scaled_node(a11: float, a12: float, a21: float, a22: float) -> tuple[float, ...]:
+    """``k^2 p(1)``, its rounding size, ``dist(1, Spc)`` and the (c) margin
+    ``t^2 - 4d + tol`` of a node where a term overflows, from ``B = kA`` for
+    the power of two ``k`` of :func:`power_of_two_scaled`: ``k^2 p(1) =
+    det(kI - B)``, ``dist(1, Spc(A)) = dist(k, Spc(B)) / k``, and the margin
+    is that of ``B`` over ``k^2`` (+-inf where it overflows)."""
+    k, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
     t = a11 + a22
     p = a11 * a22
     q = a12 * a21
+    one = k * k - k * t + (p - q)
+    one_tol = _ROUNDING * (k * k + k * abs(t) + abs(p) + abs(q)) + _UNDERFLOW
     disc = t * t - 4.0 * (p - q)
-    return (disc + _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW) / k / k
+    disc_tol = _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW
+    gap = _distance_to_one(t - 2.0 * k, one, disc, disc_tol) / k
+    return one, one_tol, gap, (disc + disc_tol) / k / k
 
 
 def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
@@ -184,8 +185,8 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
     * (b): when it holds, ``dist(1, Spc)`` over the samples, the largest eps
       that works, which is > 0; when it fails, 0.
     * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.  Where
-      a term of ``t^2 - 4d`` overflows, it is decided on the entries scaled
-      by a power of two (:func:`_scaled_real_margin`).
+      a term of ``t^2 - 4d`` overflows, (b) and (c) are decided on the
+      entries scaled by a power of two (:func:`_scaled_node`).
 
     The witnesses of (a) and (c) are their first failing nodes.  That of (b)
     is the first node where ``p(1)`` vanishes, or else the first node where
@@ -208,9 +209,9 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
             margin_a = m if m == m else -math.inf
         if witness_a is None and not m >= 0.0:
             witness_a = j
-        m = disc + disc_tol
+        m, gap = disc + disc_tol, None
         if disc_tol == math.inf:  # a term overflowed: decide on scaled entries
-            m = _scaled_real_margin(a11, a12, a21, a22)
+            one, one_tol, gap, m = _scaled_node(a11, a12, a21, a22)
         if not m >= margin_c:
             margin_c = m if m == m else -math.inf
         if witness_c is None and not m >= 0.0:
@@ -223,7 +224,9 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
                 sign = one
             elif flips is None and (one > 0.0) != (sign > 0.0):
                 flips = j
-            dist_one = min(dist_one, _distance_to_one(t - 2.0, one, disc, disc_tol))
+            if gap is None:
+                gap = _distance_to_one(t - 2.0, one, disc, disc_tol)
+            dist_one = min(dist_one, gap)
     witness_b = flips if vanishes is None else vanishes
     verdict_a = ConditionVerdict(COND_A_IDENTITY, witness_a is None,
                                  None if witness_a is None else samples[witness_a], margin_a)

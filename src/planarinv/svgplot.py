@@ -20,13 +20,14 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_portrait(
+def write_portrait(
+    path: str,
     region: Region,
     leaves: list[Leaf],
-    fixed_points: list[FixedPoint] | None = None,
-    title: str | None = None,
-) -> str:
-    """SVG document (as text) for the leaves inside the window."""
+    fixed_points: list[FixedPoint],
+    title: str,
+) -> None:
+    """Write the SVG document of the leaves inside the window to ``path``."""
     w = region.width
     h = region.height
     stroke = max(w, h) / 400.0
@@ -37,9 +38,8 @@ def render_portrait(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(region.x_min)} {_fmt(region.y_min)} {_fmt(w)} {_fmt(h)}" '
         f'width="640" height="{_fmt(640.0 * h / w)}">',
+        f"  <title>{title}</title>",
     ]
-    if title:
-        parts.append(f"  <title>{title}</title>")
     parts.append(
         f'  <rect x="{_fmt(region.x_min)}" y="{_fmt(region.y_min)}" '
         f'width="{_fmt(w)}" height="{_fmt(h)}" '
@@ -55,22 +55,12 @@ def render_portrait(
             f'  <polyline fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(stroke)}"{dash} points="{coords}"/>'
         )
-    for fp in fixed_points or []:
+    for fp in fixed_points:
         x, y = fp.location
         parts.append(
             f'  <circle cx="{_fmt(x)}" cy="{_fmt(flip - y)}" r="{_fmt(2.5 * stroke)}" '
             f'fill="#000000"/>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_portrait(
-    path: str,
-    region: Region,
-    leaves: list[Leaf],
-    fixed_points: list[FixedPoint] | None = None,
-    title: str | None = None,
-) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_portrait(region, leaves, fixed_points, title))
+        fh.write("\n".join(parts) + "\n")

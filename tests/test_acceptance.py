@@ -243,7 +243,7 @@ def test_criterion_09_eigenvalue_oracle():
         disc = m.trace**2 - 4 * m.det
         if disc >= 0.0:
             ok = ok and s.lambda1.imag == 0.0 and s.lambda2.imag == 0.0
-        for lam in s.as_pair():
+        for lam in (s.lambda1, s.lambda2):
             res = abs(lam * lam - m.trace * lam + m.det) / (1.0 + abs(lam) ** 2)
             worst = max(worst, res)
     ok = ok and worst <= 1e-9

@@ -117,16 +117,6 @@ def test_jacobian_against_finite_differences(source):
             assert d == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_unparse_reparse_is_bitwise_identical():
-    source = "(x - 0.25*y^3 + sinh(x/3), -y + sqrt(abs(x)))"
-    m = parse(source)
-    m2 = parse(m.unparse())
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        p = tuple(rng.uniform(-10, 10, 2))
-        assert m.evaluate(p) == m2.evaluate(p)
-
-
 def test_unary_minus_binds_before_power():
     # the grammar applies "^" to the whole unary, so -y^2 is (-y)^2
     m = parse("(-y^2, x)")

@@ -103,6 +103,22 @@ def test_orientation_determinant_test_is_relative_to_scale():
         orientation(GridSample(parse("(2, 3)"), Region(-1, 1, -1, 1, 11)))
 
 
+def test_orientation_is_decided_where_the_determinant_overflows():
+    # |det| = 2e400 overflows; the sign and the vanishing test are those of
+    # the entries scaled by a power of two, and |det| is reported as inf
+    window = Region(-1, 1, -1, 1, 3)
+    o = orientation(GridSample(parse("(1e200*x - 1e200*y, 1e200*y + 1e200*x)"), window))
+    assert (o.kind, o.min_abs_det) == (ORIENTATION_PRESERVING, math.inf)
+    o = orientation(GridSample(parse("(1e200*x, -1e200*y)"), window))
+    assert (o.kind, o.min_abs_det) == (ORIENTATION_REVERSING, math.inf)
+    # both products overflow and cancel: the determinant vanishes
+    with pytest.raises(DegenerateJacobianError, match="vanishes"):
+        orientation(GridSample(parse("(1e200*x + 1e200*y, 1e200*x + 1e200*y)"), window))
+    # det = 1e400*x: -inf at x = -1, +inf at x = 1
+    with pytest.raises(DegenerateJacobianError, match="changes sign"):
+        orientation(GridSample(parse("(1e200*x, 1e200*x*y)"), window.with_grid(2)))
+
+
 def test_fixed_points_isolated_minus():
     scan = find_fixed_points(GridSample(get("A2").map, Region(-4, 4, -4, 4)))
     assert scan.kind == "point"

@@ -20,7 +20,7 @@ def test_eigenvalues_double_negative_one():
 
 def test_eigenvalues_identity():
     s = eigenvalues(IDENTITY)
-    assert s.as_pair() == (1.0 + 0.0j, 1.0 + 0.0j)
+    assert (s.lambda1, s.lambda2) == (1.0 + 0.0j, 1.0 + 0.0j)
 
 
 def test_eigenvalues_rotation_is_conjugate_pair():
@@ -40,7 +40,7 @@ def test_characteristic_polynomial_residual_on_random_matrices():
         a, b, c, d = rng.uniform(-5, 5, 4)
         m = Mat2(a, b, c, d)
         s = eigenvalues(m)
-        for lam in s.as_pair():
+        for lam in (s.lambda1, s.lambda2):
             res = abs(lam * lam - m.trace * lam + m.det)
             assert res <= 1e-9 * (1.0 + abs(lam) ** 2)
 

@@ -58,19 +58,6 @@ def test_standard_map_collapses_rotation_blend_plateau():
         assert h.evaluate(p) == pytest.approx((3.0, 3.0), abs=1e-12)
 
 
-def test_h_equals_half_linear_part_of_auxiliary():
-    for name in ("A1", "A3", "B", "C"):
-        entry = get(name)
-        h = standard_map(entry.map)
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            p = (rng.uniform(entry.window.x_min, entry.window.x_max),
-                 rng.uniform(entry.window.y_min, entry.window.y_max))
-            gx, gy = h.auxiliary(p)
-            half = h.linear_part.apply((gx / 2, gy / 2))
-            assert half == pytest.approx(h.evaluate(p), abs=1e-12)
-
-
 def test_jacobian_formula_matches_propagation_route():
     for name in ("A1", "B", "C"):
         entry = get(name)

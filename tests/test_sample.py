@@ -93,6 +93,11 @@ def _ref_orientation(planar_map, region):
     min_abs = math.inf
     for p in region.nodes():
         _, jac = planar_map.evaluate_with_jacobian(p)
+        k = 1.0
+        if math.isinf(abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
+            # a product overflows: decide on jac scaled by a power of two
+            k = 2.0 ** -math.frexp(jac.max_abs())[1]
+            jac = jac.scale(k)
         d = jac.det
         if abs(d) <= 1e-12 * (abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
             raise DegenerateJacobianError("Jacobian determinant vanishes", p)
@@ -101,7 +106,7 @@ def _ref_orientation(planar_map, region):
             sign = s
         elif s != sign:
             raise DegenerateJacobianError("Jacobian determinant changes sign", p)
-        min_abs = min(min_abs, abs(d))
+        min_abs = min(min_abs, abs(d) / k / k)
     kind = ORIENTATION_PRESERVING if sign > 0 else ORIENTATION_REVERSING
     return OrientationClass(kind, min_abs)
 
@@ -119,22 +124,33 @@ def _ref_rounding(*terms):
     return 16 * 2.0**-52 * sum(abs(term) for term in terms)
 
 
-def _ref_distance_to_one(jac):
-    t, one = jac.trace, 1.0 - jac.trace + jac.det
-    s, k = t - 2.0, 1.0
+def _ref_distance_to_one(jac, k):
+    """dist(k, Spc(jac)), the smaller modulus of the roots of the
+    characteristic polynomial of ``jac - kI``."""
+    t, one = jac.trace, k * k - k * jac.trace + jac.det
+    s = t - 2.0 * k
     disc = t * t - 4.0 * jac.det
     disc_tol = _ref_rounding(t * t, 4.0 * jac.a11 * jac.a22, 4.0 * jac.a12 * jac.a21) \
         + 16 * 2.0**-1074
-    if math.isinf(disc_tol):
-        # t^2 or 4d overflowed: the roots of (mu/k)^2 - (s/k)(mu/k) + p(1)/k^2, times k
-        k = max(abs(s), math.sqrt(abs(one)))
-        s, one = s / k, one / k / k
-        disc, disc_tol = s * s - 4.0 * one, _ref_rounding(s * s, 4.0 * one)
     if disc < -disc_tol:
-        return k * math.sqrt(abs(one))
+        return math.sqrt(abs(one))
     if disc <= disc_tol:
-        return k * (abs(s) / 2.0)
-    return k * (2.0 * abs(one) / (abs(s) + math.sqrt(disc)))
+        return abs(s) / 2.0
+    return 2.0 * abs(one) / (abs(s) + math.sqrt(disc))
+
+
+def _ref_gap(jac):
+    """``p(1)``, its rounding size and ``dist(1, Spc)``; where a term of
+    ``t^2 - 4d`` overflows, ``k^2 p(1)``, its rounding size and the distance
+    from ``jac`` scaled by a power of two ``k``."""
+    t, p, q = jac.trace, jac.a11 * jac.a22, jac.a12 * jac.a21
+    if _ref_rounding(t * t, 4.0 * p, 4.0 * q) < math.inf:
+        return 1.0 - t + jac.det, _ref_rounding(1.0, t, p, q), _ref_distance_to_one(jac, 1.0)
+    k = 2.0 ** -math.frexp(jac.max_abs())[1]
+    b = jac.scale(k)
+    t, p, q = b.trace, b.a11 * b.a22, b.a12 * b.a21
+    return (k * k - k * t + b.det, _ref_rounding(k * k, k * t, p, q) + 16 * 2.0**-1074,
+            _ref_distance_to_one(b, k) / k)
 
 
 def _ref_real_margin(jac):
@@ -167,13 +183,14 @@ def _ref_check_A(planar_map, region):
         margin_c = min(margin_c, m if m == m else -math.inf)
         if witness_c is None and not m >= 0.0:
             witness_c = sample
+        one, one_tol, dist = _ref_gap(jac)
         if not abs(one) > one_tol:
             vanishes = vanishes or sample
         elif vanishes is None:
             sign = sign or one
             if flips is None and (one > 0.0) != (sign > 0.0):
                 flips = sample
-            dist_one = min(dist_one, _ref_distance_to_one(jac))
+            dist_one = min(dist_one, dist)
     witness_b = vanishes or flips
     return TheoremAChecks(
         ConditionVerdict(COND_A_IDENTITY, witness_a is None, witness_a, margin_a),
@@ -211,7 +228,7 @@ def _ref_shift(planar_map, region):
     return worst
 
 
-def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60, class_tol=1e-6):
+def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60):
     merge_radius = 1e-6 * region.diameter
     roots = []
     buckets = {}
@@ -236,7 +253,7 @@ def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60, cla
     points = []
     for root in roots:
         _, jac = planar_map.evaluate_with_jacobian(root)
-        cls = involution._classify_jacobian(jac, class_tol)
+        cls = involution._classify_jacobian(jac)
         if curve and cls == UNCLASSIFIED:
             cls = CURVE
         points.append(FixedPoint(root, cls, jac))
@@ -319,6 +336,7 @@ def _assert_phases_match(planar_map, region):
 @example(parse("(-0*x, -y)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(1e200*x, 1e200*y)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(1e154*x - y, 1e154*y + x)"), Region(-1, 1, -1, 1), 3)
+@example(parse("(1e200*x - 1e200*y, 1e200*y + 1e200*x)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(-x + 0.3*((x+y)/2)^2, -y - 0.3*((x+y)/2)^2)"), Region(-5, 5, -5, 5), 6)
 def test_phases_match_per_node_reference(planar_map, region, grid_n):
     _assert_phases_match(planar_map, region.with_grid(grid_n))

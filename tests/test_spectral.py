@@ -35,7 +35,7 @@ def test_samples_trace_product_exactly_two():
 
 def test_samples_identity():
     for s in sample_spectrum(GridSample(parse("(x, y)"), Region(-5, 5, -5, 5))):
-        assert s.spectrum.as_pair() == (1.0 + 0j, 1.0 + 0j)
+        assert (s.spectrum.lambda1, s.spectrum.lambda2) == (1.0 + 0j, 1.0 + 0j)
 
 
 def test_condition_A_even_shear():
@@ -111,6 +111,28 @@ def test_condition_A_c_is_decided_where_the_discriminant_overflows(source, real)
     assert ("Theorem A(c)" in assessment.verdict) is real
 
 
+@pytest.mark.parametrize("source, distance", [
+    ("(1e200*x, 1e200*y)", 1e200),  # the double eigenvalue 1e200: d = 1e400 is inf
+    ("(1e200*x - 1e200*y, 1e200*y + 1e200*x)", math.sqrt(2.0) * 1e200),  # 1e200 (1 +- i)
+])
+def test_condition_A_b_is_decided_where_p1_overflows(source, distance):
+    assessment = theorem_verdict(GridSample(parse(source), Region(-1, 1, -1, 1, 3)))
+    assert assessment.orientation.kind == ORIENTATION_PRESERVING
+    b = assessment.conditions[1]
+    assert b.holds_on_window and b.witness is None
+    assert b.margin == pytest.approx(distance, rel=1e-12)
+
+
+def test_condition_A_b_fails_for_a_jordan_block_at_one_whose_terms_overflow():
+    # Dphi = I + 1e200 N with N = [[1, -1], [1, -1]] nilpotent: both
+    # eigenvalues are 1, and p(1) is zero to within its rounding size
+    samples = sample_spectrum(GridSample(parse("(x + 1e200*(x - y), y + 1e200*(x - y))"),
+                                         Region(-1, 1, -1, 1, 3)))
+    checks = check_condition_A(samples)
+    assert not checks.b.holds_on_window
+    assert checks.b.witness.point == (-1.0, -1.0)
+
+
 def test_condition_A_b_fails_where_p1_changes_sign():
     # Dphi = diag(1 + x, -1): p(1) = -2x takes both signs and never vanishes
     # on the even grid's nodes; the witness is the first node of the other sign
@@ -148,7 +170,8 @@ def test_condition_A_c_tolerance_cannot_make_a_small_rotation_real():
     e = 1.5 * 2.0**-23
     checks = check_condition_A(_linear_samples(Mat2(1.0, -e, e, 1.0)))
     assert not checks.c.holds_on_window
-    assert checks.c.witness.spectrum.as_pair() == (complex(1.0, -e), complex(1.0, e))
+    s = checks.c.witness.spectrum
+    assert (s.lambda1, s.lambda2) == (complex(1.0, -e), complex(1.0, e))
 
 
 _ENTRY = st.floats(-3.0, 3.0)
