@@ -20,7 +20,7 @@ import math
 import sys
 import time
 
-from .expr import EvaluationError, ParseError, PlanarMap, parse
+from .expr import EvaluationError, PlanarMap, parse
 from .foliation import (
     InversionError,
     default_leaf_parameters,
@@ -31,8 +31,6 @@ from .foliation import (
 from .gallery import GalleryEntry, get as gallery_get, list_entries
 from .involution import (
     ORIENTATION_PRESERVING,
-    BasePointError,
-    DegenerateJacobianError,
     FixedPointScan,
     GridSample,
     Region,
@@ -40,10 +38,9 @@ from .involution import (
     fix_origin,
     verify_involution,
 )
-from .linalg2 import MINUS_IDENTITY, Mat2, SingularMatrixError, Spectrum
+from .linalg2 import MINUS_IDENTITY, Mat2, Spectrum
 from .linearize import (
     InjectivityCertificate,
-    NotApplicableError,
     injectivity_scan,
     spectrum_shift_check,
     standard_map,
@@ -53,18 +50,7 @@ from .svgplot import write_portrait
 
 _MAX_REPORTED_FIXED_POINTS = 64
 
-_PHASE_ERRORS = (
-    ParseError,
-    EvaluationError,
-    BasePointError,
-    DegenerateJacobianError,
-    SingularMatrixError,
-    NotApplicableError,
-    InversionError,
-    ValueError,
-    KeyError,
-    OSError,
-)
+_PHASE_ERRORS = (EvaluationError, InversionError, ValueError, KeyError, OSError)
 
 
 def _fail(command: str, phase: str, exc: Exception) -> int:

@@ -95,15 +95,22 @@ def eigenvalues(m: Mat2) -> Spectrum:
     """Both roots of the characteristic polynomial of ``m``.
 
     A non-negative rounded discriminant yields eigenvalues with imaginary
-    part exactly 0.0; a negative one yields a conjugate pair.
+    part exactly 0.0; a negative one yields a conjugate pair.  Where a term
+    of the discriminant overflows, they are those of ``m`` times ``k`` (of
+    :func:`power_of_two_scaled`) over ``k``.
     """
     t = m.trace
     disc = t * t - 4.0 * m.det
+    k = 1.0
+    if not math.isfinite(disc):
+        k, a11, a12, a21, a22 = power_of_two_scaled(m.a11, m.a12, m.a21, m.a22)
+        t = a11 + a22
+        disc = t * t - 4.0 * (a11 * a22 - a12 * a21)
     if disc >= 0.0:
         s = math.sqrt(disc)
-        return Spectrum(complex((t - s) / 2.0, 0.0), complex((t + s) / 2.0, 0.0))
+        return Spectrum(complex((t - s) / 2.0 / k, 0.0), complex((t + s) / 2.0 / k, 0.0))
     s = math.sqrt(-disc)
-    return Spectrum(complex(t / 2.0, -s / 2.0), complex(t / 2.0, s / 2.0))
+    return Spectrum(complex(t / 2.0 / k, -s / 2.0 / k), complex(t / 2.0 / k, s / 2.0 / k))
 
 
 def is_linear_involution(m: Mat2) -> bool:

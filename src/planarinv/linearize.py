@@ -26,7 +26,7 @@ from itertools import compress, islice, repeat
 
 from .expr import PlanarMap
 from .involution import GridSample, Region, linear_part
-from .linalg2 import MINUS_IDENTITY, Mat2
+from .linalg2 import MINUS_IDENTITY, Mat2, power_of_two_scaled
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
@@ -177,9 +177,10 @@ def injectivity_scan(
     order (``y`` outer, ``x`` inner) up to the first node where ``evaluate``
     raises, and that exception, or None.  Otherwise ``evaluate`` is called
     once per node, in row-major order, until a call raises.  The exception
-    (or one from computing a node's cell) is raised only if no collision
-    precedes the node.  Node ``j`` is ``(xs[j % scan_n], ys[j // scan_n])``;
-    the points are built only where they are compared or reported.
+    (or a ValueError naming the node and the cell side, where a node's cell
+    cannot be computed) is raised only if no collision precedes the node.
+    Node ``j`` is ``(xs[j % scan_n], ys[j // scan_n])``; the points are built
+    only where they are compared or reported.
 
     Only "crowded" nodes, whose cell is shared with or touches another
     node's cell, can collide.  A node is a candidate when its projection
@@ -194,8 +195,8 @@ def injectivity_scan(
     non-candidate's cell is its own and candidates share cells only with
     candidates, so the first ``j`` nodes hold ``j - c + k`` distinct cells
     when ``c`` of them are candidates in ``k`` cells.  When a projection or
-    ``M/cell`` is not finite, cells are computed node by node up to the
-    first that fails, and every node before it is a candidate.
+    ``M/cell`` is not finite, every node is a candidate, and the scan ends
+    at the first node whose cell cannot be computed.
     """
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
@@ -226,24 +227,17 @@ def injectivity_scan(
         near.update(compress(islice(s, 1, None), close))
         candidates = list(compress(range(n), map(near.__contains__, proj))) if near else []
     else:
-        # node by node: the first node whose cell cannot be computed ends the scan
-        candidates = []
-        for j, (u, v) in enumerate(zip(us, vs)):
-            try:
-                math.floor(u / cell)
-                math.floor(v / cell)
-            except Exception as exc:
-                error = exc
-                break
-            candidates.append(j)
-        if not candidates:
-            raise error
-        n = len(candidates)
+        candidates = range(n)
     buckets: dict[tuple[int, int], list[int]] = {}
     for c, j in enumerate(candidates):
         px, py = xs[j % scan_n], ys[j // scan_n]
         u, v = us[j], vs[j]
-        ci, cj = math.floor(u / cell), math.floor(v / cell)
+        try:
+            ci, cj = math.floor(u / cell), math.floor(v / cell)
+        except (OverflowError, ValueError) as exc:
+            error = ValueError(f"the image {(u, v)} of node {(px, py)} has no scan cell "
+                               f"of side {cell!r}: {exc}")
+            break
         best = None
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
@@ -288,7 +282,10 @@ def spectrum_shift_check(sample: GridSample) -> float:
     differences over ``1 + |t| + |a11*a22| + |a12*a21|``, the size of the
     terms of ``1 - t + d``.  The Jacobians are those of the grid sample, and
     each node takes the operations of ``Mat2.trace`` and ``Mat2.det`` on
-    ``linear_part + jac`` and on ``jac``.
+    ``linear_part + jac`` and on ``jac``; where a term of ``t^2 - 4d``
+    overflows, on both times the power of two ``k`` of
+    :func:`power_of_two_scaled` (the residual is relative; the trace
+    difference, of degree 1, times ``k``).  A NaN residual makes it inf.
     """
     lin = linear_part(sample.planar_map)
     if (lin - MINUS_IDENTITY).max_abs() > 1e-9:
@@ -299,12 +296,19 @@ def spectrum_shift_check(sample: GridSample) -> float:
     l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     worst = 0.0
     for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
-        g11, g22 = l11 + a11, l22 + a22
         t = a11 + a22
         p, q = a11 * a22, a12 * a21
-        residual = max(abs((g11 + g22) - (t - 2.0)),
-                       abs((g11 * g22 - (l12 + a12) * (l21 + a21)) - (1.0 - t + (p - q))))
-        worst = max(worst, residual / (1.0 + abs(t) + abs(p) + abs(q)))
+        k, m11, m12, m21, m22 = 1.0, l11, l12, l21, l22
+        if t * t + 4.0 * abs(p) + 4.0 * abs(q) == math.inf:  # take it on scaled entries
+            k, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
+            m11, m12, m21, m22 = k * l11, k * l12, k * l21, k * l22
+            t, p, q = a11 + a22, a11 * a22, a12 * a21
+        g11, g22 = m11 + a11, m22 + a22
+        residual = max(abs((g11 + g22) - (t - 2.0 * k)) * k,
+                       abs((g11 * g22 - (m12 + a12) * (m21 + a21)) - (k * k - k * t + (p - q))))
+        residual /= k * k + k * abs(t) + abs(p) + abs(q)
+        if not residual <= worst:
+            worst = residual if residual == residual else math.inf
     return worst
 
 

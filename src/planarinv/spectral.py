@@ -84,9 +84,9 @@ class SpectrumSamples(Sequence):
 
     Holds the sample's Jacobian floats and the linear part; an item is a
     :class:`SpectrumSample` built on access, with :func:`eigenvalues` and
-    ``(linear_part @ jac).trace``.  :func:`check_condition_A` and
-    :func:`check_condition_B` reduce over the floats and build items only
-    for their witnesses.
+    the trace product of :func:`_trace_product`.  :func:`check_condition_A`
+    and :func:`check_condition_B` reduce over the floats and build items
+    only for their witnesses.
     """
 
     def __init__(self, sample: GridSample, linear_part: Mat2):
@@ -101,9 +101,9 @@ class SpectrumSamples(Sequence):
             return [self[j] for j in range(len(self))[index]]
         j = range(len(self))[index]
         s = self.sample
-        jac = Mat2(s.ux[j], s.uy[j], s.vx[j], s.vy[j])
-        return SpectrumSample((s.px[j], s.py[j]), eigenvalues(jac),
-                              (self.linear_part @ jac).trace)
+        a11, a12, a21, a22 = s.ux[j], s.uy[j], s.vx[j], s.vy[j]
+        return SpectrumSample((s.px[j], s.py[j]), eigenvalues(Mat2(a11, a12, a21, a22)),
+                              _trace_product(self.linear_part, a11, a12, a21, a22))
 
     def jacobians(self):
         """``(a11, a12, a21, a22)`` of Dphi at every node."""
@@ -126,7 +126,8 @@ def sample_spectrum(sample: GridSample) -> SpectrumSamples:
 # worst rounding measured on 2x2 Jacobians is 2 ulps; a much larger multiple
 # would let a complex pair with a small imaginary part pass as real.  A
 # product that underflows is rounded to a multiple of 2^-1074 instead, so
-# the discriminant, whose terms can all be subnormal, also allows _UNDERFLOW.
+# the discriminant, whose terms can all be subnormal, and p(1), whose k^2 can
+# underflow, also allow _UNDERFLOW.
 _ROUNDING = 16 * 2.0**-52
 _UNDERFLOW = 16 * 2.0**-1074
 
@@ -142,22 +143,18 @@ def _distance_to_one(s: float, one: float, disc: float, disc_tol: float) -> floa
     return 2.0 * abs(one) / (abs(s) + math.sqrt(disc))
 
 
-def _scaled_node(a11: float, a12: float, a21: float, a22: float) -> tuple[float, ...]:
-    """``k^2 p(1)``, its rounding size, ``dist(1, Spc)`` and the (c) margin
-    ``t^2 - 4d + tol`` of a node where a term overflows, from ``B = kA`` for
-    the power of two ``k`` of :func:`power_of_two_scaled`: ``k^2 p(1) =
-    det(kI - B)``, ``dist(1, Spc(A)) = dist(k, Spc(B)) / k``, and the margin
-    is that of ``B`` over ``k^2`` (+-inf where it overflows)."""
-    k, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
-    t = a11 + a22
-    p = a11 * a22
-    q = a12 * a21
-    one = k * k - k * t + (p - q)
-    one_tol = _ROUNDING * (k * k + k * abs(t) + abs(p) + abs(q)) + _UNDERFLOW
-    disc = t * t - 4.0 * (p - q)
-    disc_tol = _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW
-    gap = _distance_to_one(t - 2.0 * k, one, disc, disc_tol) / k
-    return one, one_tol, gap, (disc + disc_tol) / k / k
+def _trace_product(lin: Mat2, a11: float, a12: float, a21: float, a22: float) -> float:
+    """Trace(lin @ A) with the operations of ``(lin @ A).trace``.  Where its
+    products overflow both ways (a NaN), it is taken from both matrices
+    scaled by a power of two (:func:`power_of_two_scaled`) and divided by
+    both scales: the true value, or +-inf."""
+    l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
+    tp = (l11 * a11 + l12 * a21) + (l21 * a12 + l22 * a22)
+    if tp != tp:
+        kl, l11, l12, l21, l22 = power_of_two_scaled(l11, l12, l21, l22)
+        ka, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
+        tp = ((l11 * a11 + l12 * a21) + (l21 * a12 + l22 * a22)) / kl / ka
+    return tp
 
 
 def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
@@ -175,8 +172,13 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
     "= 0" and ">= 0" allow each expression's rounding size: ``_ROUNDING``
     times the sum of its terms' magnitudes (``2``, ``|a11|``, ``|a22|`` for
     ``t - 2``; ``1``, ``|t|``, ``|a11*a22|``, ``|a12*a21|`` for ``p(1)``;
-    ``t^2``, ``4|a11*a22|``, ``4|a12*a21|`` for the discriminant, plus
-    ``_UNDERFLOW``).
+    ``t^2``, ``4|a11*a22|``, ``4|a12*a21|`` for the discriminant), plus
+    ``_UNDERFLOW`` for the last two.
+
+    A node where a term of ``t^2 - 4d`` overflows is decided on its entries
+    scaled by a power of two ``k`` (:func:`power_of_two_scaled`), ``B = kA``:
+    ``t - 2 = (tr B - 2k)/k``, ``p(1) = det(kI - B)/k^2``, ``t^2 - 4d`` is
+    that of ``B`` over ``k^2`` and ``dist(1, Spc) = dist(k, Spc(B))/k``.
 
     Margins are signed distances to the respective decision boundary:
 
@@ -184,9 +186,7 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
       ``tol - |p(1)|``; non-negative iff it holds.
     * (b): when it holds, ``dist(1, Spc)`` over the samples, the largest eps
       that works, which is > 0; when it fails, 0.
-    * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.  Where
-      a term of ``t^2 - 4d`` overflows, (b) and (c) are decided on the
-      entries scaled by a power of two (:func:`_scaled_node`).
+    * (c): the least ``t^2 - 4d + tol``; non-negative iff it holds.
 
     The witnesses of (a) and (c) are their first failing nodes.  That of (b)
     is the first node where ``p(1)`` vanishes, or else the first node where
@@ -199,19 +199,22 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
         t = a11 + a22
         p = a11 * a22
         q = a12 * a21
-        d = p - q
-        one = 1.0 - t + d
-        one_tol = _ROUNDING * (1.0 + abs(t) + abs(p) + abs(q))
-        disc = t * t - 4.0 * d
-        disc_tol = _ROUNDING * (t * t + 4.0 * abs(p) + 4.0 * abs(q)) + _UNDERFLOW
-        m = min(_ROUNDING * (2.0 + abs(a11) + abs(a22)) - abs(t - 2.0), one_tol - abs(one))
+        k, size = 1.0, t * t + 4.0 * abs(p) + 4.0 * abs(q)
+        if size == math.inf:  # a term overflowed: decide on scaled entries
+            k, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
+            t, p, q = a11 + a22, a11 * a22, a12 * a21
+            size = t * t + 4.0 * abs(p) + 4.0 * abs(q)
+        one = k * k - k * t + (p - q)
+        one_tol = _ROUNDING * (k * k + k * abs(t) + abs(p) + abs(q)) + _UNDERFLOW
+        disc = t * t - 4.0 * (p - q)
+        disc_tol = _ROUNDING * size + _UNDERFLOW
+        m = min((_ROUNDING * (2.0 * k + abs(a11) + abs(a22)) - abs(t - 2.0 * k)) / k,
+                (one_tol - abs(one)) / k / k)
         if not m >= margin_a:
             margin_a = m if m == m else -math.inf
         if witness_a is None and not m >= 0.0:
             witness_a = j
-        m, gap = disc + disc_tol, None
-        if disc_tol == math.inf:  # a term overflowed: decide on scaled entries
-            one, one_tol, gap, m = _scaled_node(a11, a12, a21, a22)
+        m = (disc + disc_tol) / k / k
         if not m >= margin_c:
             margin_c = m if m == m else -math.inf
         if witness_c is None and not m >= 0.0:
@@ -224,9 +227,7 @@ def check_condition_A(samples: SpectrumSamples) -> TheoremAChecks:
                 sign = one
             elif flips is None and (one > 0.0) != (sign > 0.0):
                 flips = j
-            if gap is None:
-                gap = _distance_to_one(t - 2.0, one, disc, disc_tol)
-            dist_one = min(dist_one, gap)
+            dist_one = min(dist_one, _distance_to_one(t - 2.0 * k, one, disc, disc_tol) / k)
     witness_b = flips if vanishes is None else vanishes
     verdict_a = ConditionVerdict(COND_A_IDENTITY, witness_a is None,
                                  None if witness_a is None else samples[witness_a], margin_a)
@@ -244,17 +245,17 @@ def check_condition_B(samples: SpectrumSamples) -> ConditionVerdict:
 
     Holds iff min Trace(Dphi(0) Dphi(p)) > -1; the margin is that minimum
     plus one, so a margin of 3 means the trace never dropped below 2.
-    Each trace takes the operations of ``(linear_part @ jac).trace``.
+    Each trace is that of :func:`_trace_product`, so a trace whose products
+    overflow both ways is taken on scaled entries; a NaN fails the test.
     """
     lin = samples.linear_part
-    l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     min_tp = math.inf
     witness = None
     for j, (a11, a12, a21, a22) in enumerate(samples.jacobians()):
-        tp = (l11 * a11 + l12 * a21) + (l21 * a12 + l22 * a22)
-        if tp < min_tp:
-            min_tp = tp
-        if witness is None and tp <= -1.0:
+        tp = _trace_product(lin, a11, a12, a21, a22)
+        if not tp >= min_tp:
+            min_tp = tp if tp == tp else -math.inf
+        if witness is None and not tp > -1.0:
             witness = j
     holds = min_tp > -1.0
     return ConditionVerdict(COND_B_TRACE, holds, None if holds else samples[witness],

@@ -316,3 +316,14 @@ def test_analyze_and_foliate_reject_an_infinite_window_bound(bound, value, tmp_p
     assert captured.out == ""
     assert captured.err == f"foliate: [setup] {message}\n"
     assert not csv_path.exists()
+
+
+def test_analyze_a_window_whose_scan_cells_overflow_fails_in_injectivity(tmp_path, capsys):
+    # h = (x, y) near x = 1e303: image / 1e-6 overflows, so no scan cell exists
+    args = ["analyze", "(x, -y)", "--grid", "5", "--scan", "11"]
+    assert run(args + ["--window", "1e303,1.5e303,-1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: [injectivity] ")
+    assert "no scan cell of side 1e-06" in err
+    assert "Traceback" not in err
+    assert run(args + ["--window", "1e300,1.5e300,-1,1", "--out", str(tmp_path / "r.json")]) == 0

@@ -34,6 +34,19 @@ def test_eigenvalue_branch_order():
     assert s.lambda1 == 1.0 and s.lambda2 == 3.0
 
 
+@pytest.mark.parametrize("m, expected", [
+    (Mat2(1e200, 2e200, -1e200, -1e200), (-1e200j, 1e200j)),  # t*t - 4*det is -inf
+    (Mat2(3e200, 1e200, 1e200, 3e200), (2e200, 4e200)),  # inf - inf
+    (Mat2(1e200, 0.0, 0.0, -1e200), (-1e200, 1e200)),  # -4*det is inf
+])
+def test_eigenvalues_where_a_term_of_the_discriminant_overflows(m, expected):
+    # the roots of m scaled by a power of two k, divided by k
+    s = eigenvalues(m)
+    for got, want in zip((s.lambda1, s.lambda2), expected):
+        assert got.real == pytest.approx(want.real, rel=1e-15)
+        assert got.imag == pytest.approx(want.imag, rel=1e-15)
+
+
 def test_characteristic_polynomial_residual_on_random_matrices():
     rng = np.random.default_rng(101)
     for _ in range(10000):

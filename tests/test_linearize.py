@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ def test_spectrum_shift_brute_force_on_random_matrices():
                            f"-y + {d!r}*x^2 + {e!r}*x*y + {f!r}*y^2)")
         assert spectrum_shift_check(GridSample(planar_map, Region(-1, 1, -1, 1, 21))) \
             <= 4 * 2.0**-52
+
+
+def test_spectrum_shift_residual_is_finite_at_every_node():
+    # at the four corners det(Dg) - (1 - t + d) is inf - inf on the raw
+    # entries; those nodes are taken on entries scaled by a power of two.  A
+    # node's NaN residual makes the result inf (below), so a finite result
+    # means every node's residual is finite
+    sample = GridSample(parse("(-x + 1e200*y^2, -y + 1e200*x^2)"), Region(-1, 1, -1, 1, 3))
+    assert spectrum_shift_check(sample) <= 1e-15
+    # and a residual that is NaN is not dropped by the maximum
+    nan_node = SimpleNamespace(planar_map=sample.planar_map, ux=[math.nan, -1.0],
+                               uy=[0.0, 0.0], vx=[0.0, 0.0], vy=[-1.0, -1.0])
+    assert spectrum_shift_check(nan_node) == math.inf
 
 
 def test_theorem_B_jacobian_bounds():

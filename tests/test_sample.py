@@ -116,8 +116,24 @@ def _ref_sample_spectrum(planar_map, region):
     samples = []
     for p in region.nodes():
         _, jac = planar_map.evaluate_with_jacobian(p)
-        samples.append(SpectrumSample(p, eigenvalues(jac), (lin @ jac).trace))
+        trace_product = (lin @ jac).trace
+        if math.isnan(trace_product):
+            # products overflow both ways: take it from both matrices scaled
+            kl, ka = _ref_scale(lin), _ref_scale(jac)
+            trace_product = (lin.scale(kl) @ jac.scale(ka)).trace / kl / ka
+        samples.append(SpectrumSample(p, eigenvalues(jac), trace_product))
     return samples
+
+
+def _ref_scale(jac):
+    """The power of two that brings the largest entry of ``jac`` into [1/2, 1)."""
+    return 2.0 ** -math.frexp(jac.max_abs())[1]
+
+
+def _ref_overflows(jac):
+    """True where a term of ``t^2 - 4d`` overflows."""
+    t, p, q = jac.trace, jac.a11 * jac.a22, jac.a12 * jac.a21
+    return math.isinf(t * t + 4.0 * abs(p) + 4.0 * abs(q))
 
 
 def _ref_rounding(*terms):
@@ -144,9 +160,9 @@ def _ref_gap(jac):
     ``t^2 - 4d`` overflows, ``k^2 p(1)``, its rounding size and the distance
     from ``jac`` scaled by a power of two ``k``."""
     t, p, q = jac.trace, jac.a11 * jac.a22, jac.a12 * jac.a21
-    if _ref_rounding(t * t, 4.0 * p, 4.0 * q) < math.inf:
+    if not _ref_overflows(jac):
         return 1.0 - t + jac.det, _ref_rounding(1.0, t, p, q), _ref_distance_to_one(jac, 1.0)
-    k = 2.0 ** -math.frexp(jac.max_abs())[1]
+    k = _ref_scale(jac)
     b = jac.scale(k)
     t, p, q = b.trace, b.a11 * b.a22, b.a12 * b.a21
     return (k * k - k * t + b.det, _ref_rounding(k * k, k * t, p, q) + 16 * 2.0**-1074,
@@ -157,10 +173,10 @@ def _ref_real_margin(jac):
     """``t^2 - 4d`` plus its rounding size; where a term overflows, that of
     ``jac`` scaled by a power of two, over the scale squared."""
     t, p, q = jac.trace, jac.a11 * jac.a22, jac.a12 * jac.a21
-    tol = _ref_rounding(t * t, 4.0 * p, 4.0 * q) + 16 * 2.0**-1074
-    if tol < math.inf:
+    if not _ref_overflows(jac):
+        tol = _ref_rounding(t * t, 4.0 * p, 4.0 * q) + 16 * 2.0**-1074
         return t * t - 4.0 * jac.det + tol
-    k = 2.0 ** -math.frexp(jac.max_abs())[1]
+    k = _ref_scale(jac)
     return _ref_real_margin(jac.scale(k)) / k / k
 
 
@@ -171,11 +187,12 @@ def _ref_check_A(planar_map, region):
     sign = 0.0
     for sample in samples:
         _, jac = planar_map.evaluate_with_jacobian(sample.point)
-        t, d = jac.trace, jac.det
-        p, q = jac.a11 * jac.a22, jac.a12 * jac.a21
-        one = 1.0 - t + d
-        one_tol = _ref_rounding(1.0, t, p, q)
-        m = min(_ref_rounding(2.0, jac.a11, jac.a22) - abs(t - 2.0), one_tol - abs(one))
+        # (a) on the entries that (b) reads: scaled by k where a term overflows
+        one, one_tol, dist = _ref_gap(jac)
+        k = _ref_scale(jac) if _ref_overflows(jac) else 1.0
+        b = jac.scale(k)
+        m = min((_ref_rounding(2.0 * k, b.a11, b.a22) - abs(b.trace - 2.0 * k)) / k,
+                (one_tol - abs(one)) / k / k)
         margin_a = min(margin_a, m if m == m else -math.inf)
         if witness_a is None and not m >= 0.0:
             witness_a = sample
@@ -183,7 +200,6 @@ def _ref_check_A(planar_map, region):
         margin_c = min(margin_c, m if m == m else -math.inf)
         if witness_c is None and not m >= 0.0:
             witness_c = sample
-        one, one_tol, dist = _ref_gap(jac)
         if not abs(one) > one_tol:
             vanishes = vanishes or sample
         elif vanishes is None:
@@ -220,11 +236,16 @@ def _ref_shift(planar_map, region):
     worst = 0.0
     for p in region.nodes():
         _, jac = planar_map.evaluate_with_jacobian(p)
-        g = lin + jac
-        residual = max(abs(g.trace - (jac.trace - 2.0)),
-                       abs(g.det - (1.0 - jac.trace + jac.det)))
-        scale = 1.0 + abs(jac.trace) + abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)
-        worst = max(worst, residual / scale)
+        # where a term overflows, both matrices scaled by k; the trace
+        # difference is of degree 1 in k, the others of degree 2
+        k = _ref_scale(jac) if _ref_overflows(jac) else 1.0
+        a = jac.scale(k)
+        g = lin.scale(k) + a
+        residual = max(abs(g.trace - (a.trace - 2.0 * k)) * k,
+                       abs(g.det - (k * k - k * a.trace + a.det)))
+        scale = k * k + k * abs(a.trace) + abs(a.a11 * a.a22) + abs(a.a12 * a.a21)
+        residual /= scale
+        worst = max(worst, residual if residual == residual else math.inf)
     return worst
 
 
@@ -337,6 +358,10 @@ def _assert_phases_match(planar_map, region):
 @example(parse("(1e200*x, 1e200*y)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(1e154*x - y, 1e154*y + x)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(1e200*x - 1e200*y, 1e200*y + 1e200*x)"), Region(-1, 1, -1, 1), 3)
+@example(parse("(1e200*x + 2e200*y, -1e200*x - 1e200*y)"), Region(-1, 1, -1, 1), 3)
+@example(parse("(1e200*(-x + y + x^2 - 0.5*x*y), 1e200*(x + 2*y - 4*x*y))"),
+         Region(0, 1, -0.01, 0.01), 3)
+@example(parse("(-x + 1e200*y^2, -y + 1e200*x^2)"), Region(-1, 1, -1, 1), 3)
 @example(parse("(-x + 0.3*((x+y)/2)^2, -y - 0.3*((x+y)/2)^2)"), Region(-5, 5, -5, 5), 6)
 def test_phases_match_per_node_reference(planar_map, region, grid_n):
     _assert_phases_match(planar_map, region.with_grid(grid_n))

@@ -36,8 +36,12 @@ def _reference_scan(h, region, scan_n, collision_tol, separation_min):
     images = []
     for p in scan.nodes():
         u, v = h.evaluate(p)
-        ci = math.floor(u / cell)
-        cj = math.floor(v / cell)
+        try:
+            ci = math.floor(u / cell)
+            cj = math.floor(v / cell)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"the image {(u, v)} of node {p} has no scan cell "
+                             f"of side {cell!r}: {exc}") from exc
         best = None
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
@@ -195,14 +199,15 @@ def test_injected_failure_before_and_after_a_collision():
 
 
 def test_cell_errors_end_the_scan_at_their_node():
-    # h = (x + 1e600 x)/2 is infinite off the y axis: floor(inf) raises at node 0
+    # h = (x + 1e600 x)/2 is infinite off the y axis: floor(inf) fails at node 0
     got = _assert_parity(standard_map(parse("(1e300*x, y)")), Region(-1, 1, -1, 1),
                          5, 1e-6, None)
-    assert got[:2] == ("raised", OverflowError)
+    assert got[:2] == ("raised", ValueError)
+    assert "node (-1.0, -1.0) has no scan cell of side 1e-06" in got[2]
     # a collision before the first overflowing node is still reported
     got = _assert_parity(parse("(0*x + 1e305*y, 0)"), Region(-1, 1, 0, 1), 7, 1e-6, 0.1)
     assert got[1].status == COLLISION
-    # floor(nan) raises ValueError; here at the first node with x > 0
+    # floor(nan) fails too; here at the first node with x > 0
     nan_right = _Nan()
     got = _assert_parity(nan_right, Region(0.5, 1, 0, 1), 5, 1e-6, 0.5)
     assert got[:2] == ("raised", ValueError)

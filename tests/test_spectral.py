@@ -133,6 +133,34 @@ def test_condition_A_b_fails_for_a_jordan_block_at_one_whose_terms_overflow():
     assert checks.b.witness.point == (-1.0, -1.0)
 
 
+def test_condition_A_a_is_decided_on_scaled_entries_where_p1_overflows():
+    # eigenvalues +-1e200 i: t = 0 is within the rounding size of t - 2, and
+    # p(1) is inf - inf on the raw entries
+    assessment = theorem_verdict(GridSample(parse("(1e200*x + 2e200*y, -1e200*x - 1e200*y)"),
+                                            Region(-1, 1, -1, 1, 3)))
+    assert assessment.verdict == ("Theorem A(b) applies on [-1, 1] x [-1, 1] (1 is never an "
+                                  "eigenvalue; distance to the spectrum 1e+200)")
+    a, b, c = assessment.conditions
+    assert not a.holds_on_window and a.margin < 0.0
+    assert b.holds_on_window and b.margin == pytest.approx(1e200, rel=1e-12)
+    assert not c.holds_on_window
+    s = a.witness.spectrum
+    assert s.lambda1.real == s.lambda2.real == 0.0
+    assert s.lambda2.imag == -s.lambda1.imag == pytest.approx(1e200, rel=1e-15)
+
+
+def test_condition_B_trace_product_that_overflows_both_ways_fails():
+    # at (1, 0) the trace product is -3.5e400; its float products give inf - inf
+    assessment = theorem_verdict(GridSample(
+        parse("(1e200*(-x + y + x^2 - 0.5*x*y), 1e200*(x + 2*y - 4*x*y))"),
+        Region(0, 1, -0.01, 0.01, 3)))
+    assert assessment.verdict == ("no hypothesis verified on [0, 1] x [-0.01, 0.01]; "
+                                  "Theorem B trace condition violated at (1, -0.01)")
+    (b,) = assessment.conditions
+    assert b.margin == -math.inf
+    assert b.witness.trace_product == -math.inf
+
+
 def test_condition_A_b_fails_where_p1_changes_sign():
     # Dphi = diag(1 + x, -1): p(1) = -2x takes both signs and never vanishes
     # on the even grid's nodes; the witness is the first node of the other sign
@@ -213,12 +241,15 @@ def test_condition_A_c_is_unchanged_by_a_scale_that_overflows(a11, a12, a21, a22
 @example(-1.0, 0.0, 0.0, 1.0)
 @example(0.0, -1.0, 1.0, 0.0)
 def test_condition_A_margins_have_the_sign_of_the_verdict(a11, a12, a21, a22):
-    checks = check_condition_A(_linear_samples(Mat2(a11, a12, a21, a22)))
-    assert (checks.a.margin >= 0.0) is checks.a.holds_on_window
-    assert (checks.b.margin > 0.0) is checks.b.holds_on_window
-    assert (checks.c.margin >= 0.0) is checks.c.holds_on_window
-    for verdict in checks.as_list():
-        assert (verdict.witness is None) is verdict.holds_on_window
+    # also times 2^510, where a term of t^2 - 4d can overflow and the node is
+    # decided on scaled entries
+    for c in (1.0, 2.0**510):
+        checks = check_condition_A(_linear_samples(Mat2(a11 * c, a12 * c, a21 * c, a22 * c)))
+        assert (checks.a.margin >= 0.0) is checks.a.holds_on_window
+        assert (checks.b.margin > 0.0) is checks.b.holds_on_window
+        assert (checks.c.margin >= 0.0) is checks.c.holds_on_window
+        for verdict in checks.as_list():
+            assert (verdict.witness is None) is verdict.holds_on_window
 
 
 def test_condition_A_margins_have_the_sign_of_the_verdict_on_the_gallery():
