@@ -14,7 +14,7 @@ from planarinv import (
     GridSample,
     Region,
     diagonalize_involution,
-    example_c_map,
+    get,
     injectivity_scan,
     sample_spectrum,
     check_condition_A,
@@ -26,7 +26,7 @@ from planarinv.svgplot import write_portrait
 
 
 def main() -> None:
-    psi = example_c_map()
+    psi = get("C").map
     window = Region(-6.0, 6.0, -6.0, 6.0)
 
     print("on the unit disk around (3, 3) the map is a translation:")

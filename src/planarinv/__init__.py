@@ -6,7 +6,6 @@ explicit standard-map conjugacy, certify its injectivity empirically, and
 trace the induced invariant foliation.
 """
 
-from .dual import Dual
 from .expr import EvaluationError, ExprNode, ParseError, PlanarMap, parse, recentered
 from .foliation import (
     RADIAL,
@@ -22,7 +21,7 @@ from .foliation import (
     trace_leaf,
     trace_leaves,
 )
-from .gallery import GalleryEntry, example_c_map, get, list_entries
+from .gallery import GalleryEntry, get, list_entries
 from .involution import (
     CURVE,
     FIX_MINUS,

@@ -8,29 +8,22 @@ The grammar covers exactly what the built-in map gallery needs:
     factor:= unary ("^" integer)?
     unary := "-" unary | atom
     atom  := number | "x" | "y" | func "(" expr ")" | "(" expr ")"
-    func  := "sinh" | "cosh" | "asinh" | "sqrt" | "abs"
+    func  := "sinh" | "cosh" | "asinh" | "sqrt" | "abs" | "sin" | "cos"
 
 Whitespace is insignificant; numbers are decimal literals with optional
 fraction and exponent; "^" accepts only non-negative integer literals and
 is evaluated by repeated multiplication (no branch cuts).
 
-A :class:`PlanarMap` wraps either a parsed expression pair or a native
-Python function written against the generic helpers in :mod:`planarinv.dual`.
-Both realizations satisfy the same evaluation contract, so everything
-downstream is agnostic to how a map was constructed.
-
-An expression pair is evaluated by straight-line Python functions generated
-from the trees on the map's first evaluation.  :func:`compile_pair` returns
-the first two: a float-only value kernel and a forward-mode Jacobian kernel
-that keeps the value and both partials of every subexpression in float
-locals.  The Jacobian kernel repeats :class:`~planarinv.dual.Dual`'s
-arithmetic operation by operation, so both kernels return exactly what
-:func:`evaluate_node` returns on floats and on seeded duals, without walking
-the tree or allocating a dual per operation.  The same ``exec`` builds a
+A :class:`PlanarMap` carries a pair of expression trees, from :func:`parse`
+or built directly as :class:`ExprNode` trees (which may share subtrees).
+It is evaluated by straight-line Python functions generated from the trees
+on the map's first evaluation.  :func:`compile_pair` returns the first two:
+a float-only value kernel and a forward-mode Jacobian kernel that keeps the
+value and both partials of every subexpression in float locals, with the
+chain rule applied operation by operation.  The same ``exec`` builds a
 third kernel, ``grid``, which runs the value lines over a whole grid of
 nodes in one loop and keeps the standard map's values there (see
-:meth:`PlanarMap.grid_kernel`).  :func:`evaluate_node` remains the generic
-evaluator behind :meth:`PlanarMap.components`.
+:meth:`PlanarMap.grid_kernel`).
 """
 
 from __future__ import annotations
@@ -41,11 +34,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import dual
-from .dual import Dual
 from .linalg2 import Mat2
 
-_FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs")
+_FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
 
 _BINARY = ("add", "sub", "mul", "div")
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
@@ -209,41 +200,6 @@ class _Parser:
         )
 
 
-def evaluate_node(node: ExprNode, x, y):
-    """Evaluate a tree at (x, y); works on floats and on Dual scalars."""
-    kind = node.kind
-    if kind == "num":
-        return node.value
-    if kind == "x":
-        return x
-    if kind == "y":
-        return y
-    if kind == "pow":
-        return dual.ipow(evaluate_node(node.children[0], x, y), node.exponent)
-    if kind in _BINARY:
-        a = evaluate_node(node.children[0], x, y)
-        b = evaluate_node(node.children[1], x, y)
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
-        return a / b
-    arg = evaluate_node(node.children[0], x, y)
-    if kind == "neg":
-        return -arg
-    if kind == "sinh":
-        return dual.sinh(arg)
-    if kind == "cosh":
-        return dual.cosh(arg)
-    if kind == "asinh":
-        return dual.asinh(arg)
-    if kind == "sqrt":
-        return dual.sqrt(arg)
-    return abs(arg)  # "abs"
-
-
 _SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
 
 
@@ -255,7 +211,8 @@ _SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
 # fresh name per temporary raised peak memory by about 1 MB.  Registers
 # (see _reuse_names) keep the names few enough to hold.
 _KERNEL_NAMES = tuple(sys.intern(name) for name in (
-    "make", "value", "jacobian", "grid", "_sinh", "_cosh", "_asinh", "_sqrt",
+    "make", "value", "jacobian", "grid",
+    "_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos",
     "xs", "ys", "us", "vs", "a11", "a12", "a21", "a22", "append_u", "append_v",
     *(f"r{i}" for i in range(64)), *(f"c{i}" for i in range(32))))
 
@@ -300,11 +257,12 @@ class _KernelWriter:
     Every emitted subexpression is named by a tuple ``(value, partials)``:
     ``value`` is the Python expression holding its value (a temporary, a
     literal's parameter, ``x`` or ``y``) and ``partials`` names its d/dx and
-    d/dy in the Jacobian kernel, or is None where :func:`evaluate_node`
-    would hold a plain number rather than a Dual (a subtree free of x and y,
-    or a zeroth power).  The Jacobian kernel repeats the matching Dual
-    operation for each node, including Dual's constant-versus-Dual cases and
-    exception messages, so its results are bit-identical to the dual path.
+    d/dy in the Jacobian kernel, or is None for a constant (a subtree free of
+    x and y, or a zeroth power), which the Jacobian kernel computes with the
+    value kernel's float operations.  Every other node applies the chain
+    rule of its operation, taking its own value from the float operation (a
+    quotient rounded once), so the Jacobian kernel's values are the value
+    kernel's, bit for bit.
 
     Subexpressions are numbered by operation and operand names, so each
     distinct subtree is emitted once.  Literals are keyed by type and repr
@@ -321,7 +279,7 @@ class _KernelWriter:
     def emit(self, node: ExprNode) -> tuple:
         kind = node.kind
         if kind == "x":
-            return "x", ("1.0", "0.0")  # dual.seed
+            return "x", ("1.0", "0.0")  # the identity rows
         if kind == "y":
             return "y", ("0.0", "1.0")
         if kind == "num":
@@ -371,7 +329,7 @@ class _KernelWriter:
                 op = _INFIX[kind]
                 jac.append(f"{tx} = {da[0]} {op} {db[0]}; {ty} = {da[1]} {op} {db[1]}")
             elif da is not None:
-                return t, da  # Dual +- number keeps the partials
+                return t, da  # varying +- constant keeps the partials
             elif kind == "add":
                 return t, db
             else:
@@ -387,10 +345,10 @@ class _KernelWriter:
                 jac.append(f"{tx} = {db[0]} * {a}; {ty} = {db[1]} * {a}")
         elif kind == "div":
             jac.append(f"if {b} == 0.0: raise ZeroDivisionError('division by zero')")
-            if db is None:  # Dual / number
+            if db is None:  # varying / constant
                 jac.append(f"{t}_i = 1.0 / {b}; {line}")
                 jac.append(f"{tx} = {da[0]} * {t}_i; {ty} = {da[1]} * {t}_i")
-            elif da is None:  # number / Dual
+            elif da is None:  # constant / varying
                 jac.append(f"{t} = {a} / {b}; {t}_s = -{t} / {b}")
                 jac.append(f"{tx} = {t}_s * {db[0]}; {ty} = {t}_s * {db[1]}")
             else:
@@ -406,6 +364,10 @@ class _KernelWriter:
                 jac.append(f"{t}_d = _sinh({a}); {line}")
             elif kind == "asinh":
                 jac.append(f"{t}_d = 1.0 / _sqrt(1.0 + {a} * {a}); {line}")
+            elif kind == "sin":
+                jac.append(f"{t}_d = _cos({a}); {line}")
+            elif kind == "cos":
+                jac.append(f"{t}_d = -_sin({a}); {line}")
             elif kind == "sqrt":
                 jac.append(line)
                 jac.append(f"if {t} == 0.0: raise ZeroDivisionError('derivative of sqrt at zero')")
@@ -416,19 +378,19 @@ class _KernelWriter:
         return t, (tx, ty)
 
     def _power(self, t: str, arg: tuple, exponent: int) -> tuple:
-        """dual.ipow: ``out = 1.0`` times the base, ``exponent`` times."""
+        """Repeated multiplication: ``out = 1.0`` times the base, ``exponent`` times."""
         a, da = arg
         if exponent == 0:
-            self._both(f"{t} = 1.0")  # the empty product, a number even for a Dual base
+            self._both(f"{t} = 1.0")  # the empty product, a constant even for a varying base
             return t, None
         if da is None:
-            # a number base may be an int literal: repeat ipow exactly
+            # a constant base may be an int literal: repeat the products exactly
             self._both(f"{t} = 1.0")
             self._repeat(self.value_lines, exponent, f"{t} = {t} * {a}")
             self._repeat(self.jac_lines, exponent, f"{t} = {t} * {a}")
             return t, None
         if exponent == 1:
-            return arg  # 1.0 * v is v, bit for bit, for a float or Dual v
+            return arg  # 1.0 * v is v, bit for bit, with its partials
         tx, ty = f"{t}_x", f"{t}_y"
         self.value_lines.append(f"{t} = {a}")
         self._repeat(self.value_lines, exponent - 1, f"{t} = {t} * {a}")
@@ -452,7 +414,7 @@ class _KernelWriter:
             jac_out.append((f"float({value})", "0.0", "0.0") if partials is None
                            else (value,) + partials)
         (u, ux, uy), (v, vx, vy) = jac_out
-        params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt"]
+        params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"]
                            + [f"c{i}" for i in range(len(self.literals))])
         value_body = _reuse_names(self.value_lines + [f"return {first[0]}, {second[0]}"])
         jac_body = _reuse_names(self.jac_lines + [f"return {u}, {v}, {ux}, {uy}, {vx}, {vy}"])
@@ -486,92 +448,41 @@ def _compile_kernels(first: ExprNode, second: ExprNode) -> tuple[Callable, Calla
     v = writer.emit(second)
     namespace: dict = {}
     exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
-    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, *writer.literals)
+    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, math.sin, math.cos,
+                             *writer.literals)
 
 
 def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]:
     """Compile an expression pair into its value and Jacobian kernels.
 
-    ``value(x, y)`` returns ``(u, v)`` exactly as :func:`evaluate_node` does
-    on floats.  ``jacobian(x, y)`` returns ``(u, v, du/dx, du/dy, dv/dx,
-    dv/dy)`` exactly as :func:`evaluate_node` does on ``dual.seed(x, y)``,
-    with a number component read as a Dual of zero partials.  Both raise
-    the exceptions, with the messages, that the tree walk raises.
+    ``value(x, y)`` returns ``(u, v)``.  ``jacobian(x, y)`` returns ``(u, v,
+    du/dx, du/dy, dv/dx, dv/dy)``, with zero partials for a constant
+    component and ``value``'s ``(u, v)`` wherever both succeed.  Both raise
+    what the float operations raise, and the Jacobian kernel raises
+    ZeroDivisionError for the derivative of sqrt at zero.
     """
     return _compile_kernels(first, second)[:2]
 
 
-def _native_grid(fn: Callable) -> Callable:
-    """Grid kernel of a native component function: the loop that the
-    compiled grid kernel runs, calling ``fn`` at each node."""
-
-    def grid(xs, ys, a11, a12, a21, a22, us, vs):
-        append_u, append_v = us.append, vs.append
-        for y in ys:
-            for x in xs:
-                u, v = fn(x, y)
-                u, v = float(u), float(v)
-                if not 0.0 * u * v == 0.0:
-                    return
-                append_u(0.5 * (x + (a11 * u + a12 * v)))
-                append_v(0.5 * (y + (a21 * u + a22 * v)))
-
-    return grid
-
-
-def _dual_jacobian(fn: Callable) -> Callable:
-    """Jacobian kernel of a native component function, run on seeded duals."""
-
-    def jacobian(x, y):
-        u, v = fn(*dual.seed(x, y))
-        if not isinstance(u, Dual):
-            u = Dual(u)
-        if not isinstance(v, Dual):
-            v = Dual(v)
-        return u.value, v.value, u.dx, u.dy, v.dx, v.dy
-
-    return jacobian
-
-
 @dataclass(frozen=True)
 class PlanarMap:
-    """A differentiable map of the plane.
-
-    Wraps a generic component function f(x, y) -> (u, v) that accepts
-    either floats or Dual scalars.  Construct with :func:`parse` for
-    expression-backed maps or :meth:`from_function` for native ones.
+    """A differentiable map of the plane, given by the expression trees of
+    its two components.  Construct with :func:`parse`, or with
+    :meth:`from_expressions` from trees built directly.
     """
 
     source: str
-    _fn: Callable = field(repr=False)
-    asts: tuple[ExprNode, ExprNode] | None = field(default=None, repr=False)
+    asts: tuple[ExprNode, ExprNode] = field(repr=False)
     # (value, jacobian, grid) kernels, built on the first evaluation
     _kernels: tuple[Callable, Callable, Callable] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_expressions(cls, first: ExprNode, second: ExprNode, source: str) -> "PlanarMap":
-        def fn(x, y):
-            return evaluate_node(first, x, y), evaluate_node(second, x, y)
-
-        return cls(source, fn, (first, second))
-
-    @classmethod
-    def from_function(cls, fn: Callable, name: str) -> "PlanarMap":
-        return cls(f"native:{name}", fn, None)
-
-    def components(self, x, y):
-        """Raw component evaluation; x and y may be floats or Duals.
-
-        Intended for building derived maps; no error wrapping is applied.
-        """
-        return self._fn(x, y)
+        return cls(source, (first, second))
 
     def _build_kernels(self) -> tuple[Callable, Callable, Callable]:
-        if self.asts is None:
-            kernels = (self._fn, _dual_jacobian(self._fn), _native_grid(self._fn))
-        else:
-            kernels = _compile_kernels(*self.asts)
+        kernels = _compile_kernels(*self.asts)
         object.__setattr__(self, "_kernels", kernels)
         return kernels
 
@@ -608,10 +519,8 @@ class PlanarMap:
         Plain floats for callers in a hot loop; raises EvaluationError on a
         failed or non-finite evaluation, like :meth:`evaluate`.  Wherever
         both succeed, ``(u, v)`` is bit for bit :meth:`evaluate`'s value:
-        every Dual operation, and so every line of the Jacobian kernel,
-        computes its value with the float operation, a quotient included.
-        (A native map keeps this when it is written on those operations
-        and the :mod:`planarinv.dual` helpers.)
+        every line of the Jacobian kernel computes its value with the float
+        operation, a quotient included.
         """
         kernel = (self._kernels or self._build_kernels())[1]
         try:
@@ -652,25 +561,16 @@ def recentered(base: PlanarMap, center: tuple[float, float]) -> PlanarMap:
     """Conjugate a map by the translation taking ``center`` to the origin.
 
     The result fixes the origin whenever ``base`` fixes ``center``; the
-    Jacobian is unchanged up to the coordinate shift.  An expression map
-    stays one, with ``x + cx`` and ``y + cy`` substituted into its trees and
-    ``cx``, ``cy`` subtracted from its components, so it runs on compiled
-    kernels; the operations, and so the results, are those of the wrapper
-    that a native map gets.
+    Jacobian is unchanged up to the coordinate shift.  The trees of the
+    result are those of ``base`` with ``x + cx`` and ``y + cy`` substituted
+    for ``x`` and ``y``, minus ``cx`` and ``cy``.
     """
     cx, cy = float(center[0]), float(center[1])
     source = f"recentered({base.source} @ ({cx:g}, {cy:g}))"
-    if base.asts is not None:
-        shift_x = ExprNode("num", value=cx)
-        shift_y = ExprNode("num", value=cy)
-        x = ExprNode("add", (ExprNode("x"), shift_x))
-        y = ExprNode("add", (ExprNode("y"), shift_y))
-        first, second = (_substitute(tree, x, y) for tree in base.asts)
-        return PlanarMap.from_expressions(
-            ExprNode("sub", (first, shift_x)), ExprNode("sub", (second, shift_y)), source)
-
-    def fn(x, y):
-        u, v = base.components(x + cx, y + cy)
-        return u - cx, v - cy
-
-    return PlanarMap(source, fn, None)
+    shift_x = ExprNode("num", value=cx)
+    shift_y = ExprNode("num", value=cy)
+    x = ExprNode("add", (ExprNode("x"), shift_x))
+    y = ExprNode("add", (ExprNode("y"), shift_y))
+    first, second = (_substitute(tree, x, y) for tree in base.asts)
+    return PlanarMap.from_expressions(
+        ExprNode("sub", (first, shift_x)), ExprNode("sub", (second, shift_y)), source)

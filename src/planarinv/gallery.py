@@ -10,8 +10,9 @@ Two of them stop fixing the origin at n = 0 (the power drops to a
 constant); the loader recenters those at their unique fixed point rather
 than silently shifting, and records the offset on the entry.
 
-Entry "C" is a native map: a rotation blend that deforms -I inside two
-disks while leaving it untouched elsewhere.  It is an exact smooth
+Entry "C" is a rotation blend that deforms -I inside two disks while
+leaving it untouched elsewhere, built directly as expression trees that
+share their subtrees (see :func:`_rotation_blend`).  It is an exact smooth
 involution whose Jacobian is the identity on a whole unit disk, so no
 linearization hypothesis can hold and its standard map collapses the disk
 to one point.  There is intentionally no entry for the non-constructive
@@ -24,9 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import dual
-from .dual import clamp, cos, sin, value_of
-from .expr import PlanarMap, parse
+from .expr import ExprNode, PlanarMap, parse
 from .involution import Region, fix_origin
 
 _NAMES = ("A1", "A2", "A3", "A4", "B", "C", "identity", "minus-identity", "flip-y")
@@ -53,48 +52,53 @@ def list_entries() -> tuple[str, ...]:
     return _NAMES
 
 
-def _bump(t):
-    """Smooth profile: pi on [0, 1], 0 beyond 2, C^1 smoothstep between.
+def _rotation_blend() -> PlanarMap:
+    """Entry C: ``phi(p) = -(p + (R(tp) - I)(p + c) + (R(tm) - I)(p - c))``,
+    with ``c = (3, 3)`` and ``R(t) = [[cos t, sin t], [-sin t, cos t]]``.
 
-    The input is a squared radius, so the pi-plateau covers the unit disk
-    and the support ends at radius sqrt(2).
+    The angles are ``tp = bump(|p + c|^2)`` and ``tm = -bump(|p - c|^2)``,
+    where ``bump(d)`` is pi for ``d <= 1``, 0 for ``d >= 2`` and the C^1
+    smoothstep ``pi*(3u^2 - 2u^3)`` of ``u = 2 - d`` between.  ``u`` is
+    ``max(s, 0) - max(s - 1, 0)`` with ``s = 2 - d``, and ``max(a, 0)`` is
+    ``(a + abs(a))*0.5``, exact in floats, so ``u`` is exactly 1 on the unit
+    disks and exactly 0 outside the disks of radius sqrt(2).  The angle
+    field is odd under ``p -> -p``, which makes the map an involution.
+    Outside both disks both angles are 0, ``cos 0 - 1`` and ``sin 0`` are 0,
+    and the value is exactly ``-p``.  Each subtree is built once and shared.
     """
-    u = clamp(2.0 - abs(t), 0.0, 1.0)
-    return math.pi * (3.0 * u * u - 2.0 * u * u * u)
+    x, y = ExprNode("x"), ExprNode("y")
 
+    def num(value: float) -> ExprNode:
+        return ExprNode("num", value=value)
 
-def _rotation_blend(x, y):
-    """Deformation of -I: rotates -p about (3,3) or (-3,-3) by a bump angle.
+    def op(kind: str, *args: ExprNode) -> ExprNode:
+        return ExprNode(kind, args)
 
-    The angle field theta(q) = bump(|q-(3,3)|^2) - bump(|q+(3,3)|^2) is odd
-    under q -> -q, which is exactly what makes the composite an involution;
-    the two bump supports are disjoint, so at most one branch is active.
-    """
-    qx, qy = -x, -y
-    dp = (qx - 3.0) * (qx - 3.0) + (qy - 3.0) * (qy - 3.0)
-    if value_of(dp) < 2.0:
-        theta = _bump(dp)
-        cx, cy = 3.0, 3.0
-    else:
-        dm = (qx + 3.0) * (qx + 3.0) + (qy + 3.0) * (qy + 3.0)
-        if value_of(dm) < 2.0:
-            theta = -_bump(dm)
-            cx, cy = -3.0, -3.0
-        else:
-            return qx, qy
-    ux, uy = qx - cx, qy - cy
-    c, s = cos(theta), sin(theta)
-    return (cx + c * ux + s * uy, cy - s * ux + c * uy)
+    def ramp(a: ExprNode) -> ExprNode:  # max(a, 0)
+        return op("mul", op("add", a, op("abs", a)), num(0.5))
 
+    def bump(d: ExprNode) -> ExprNode:
+        s = op("sub", num(2.0), d)
+        u = op("sub", ramp(s), ramp(op("sub", s, num(1.0))))
+        cubic = op("sub", op("mul", op("mul", num(3.0), u), u),
+                   op("mul", op("mul", op("mul", num(2.0), u), u), u))
+        return op("mul", num(math.pi), cubic)
 
-def example_c_map() -> PlanarMap:
-    """The rotation-blend involution (entry "C") as a native map.
+    def turn(shift: float, negate: bool) -> tuple[ExprNode, ExprNode]:
+        """``(R(t) - I) w`` for ``w = p + (shift, shift)``, where ``t`` is
+        ``bump(|w|^2)``, negated if ``negate``."""
+        wx, wy = op("add", x, num(shift)), op("add", y, num(shift))
+        theta = bump(op("add", op("mul", wx, wx), op("mul", wy, wy)))
+        if negate:
+            theta = op("neg", theta)
+        c, s = op("sub", op("cos", theta), num(1.0)), op("sin", theta)
+        return (op("add", op("mul", c, wx), op("mul", s, wy)),
+                op("sub", op("mul", c, wy), op("mul", s, wx)))
 
-    Derivative propagation flows through the bump profile, the squared
-    norms, and the rotation, so Jacobians are exact wherever the map is
-    differentiable (everywhere: the bump is C^1 with flat junctions).
-    """
-    return PlanarMap.from_function(_rotation_blend, "rotation-blend")
+    (px, py), (mx, my) = turn(3.0, False), turn(-3.0, True)
+    return PlanarMap.from_expressions(
+        op("neg", op("add", op("add", x, px), mx)),
+        op("neg", op("add", op("add", y, py), my)), "rotation-blend")
 
 
 def _entry_a(name: str, n: int) -> GalleryEntry:
@@ -106,12 +110,12 @@ def _entry_a(name: str, n: int) -> GalleryEntry:
             name, n, parse(formula), Region(-5, 5, -5, 5),
             "reversing", "Theorem B", formula,
             "odd-degree triangular shear composed with a y-flip",
-            known_h=lambda x, y, k=odd: (x - dual.ipow(y, k) / 2.0, y),
+            known_h=lambda x, y, k=odd: (x - y**k / 2.0, y),
             foliation_equation=f"2*x - y^{odd} = c",
         )
     if name == "A2":
         formula = f"(-x + y^{even}, -y)"
-        known_h = (lambda x, y, k=even: (x - dual.ipow(y, k) / 2.0, y)) if n >= 1 else None
+        known_h = (lambda x, y, k=even: (x - y**k / 2.0, y)) if n >= 1 else None
         planar_map, offset = fix_origin(parse(formula))
         return GalleryEntry(
             name, n, planar_map, Region(-5, 5, -5, 5),
@@ -142,7 +146,7 @@ def _entry_a(name: str, n: int) -> GalleryEntry:
 
 
 def _diagonal_h(x: float, y: float, k: int) -> tuple[float, float]:
-    w = dual.ipow((x + y) / 2.0, k)
+    w = ((x + y) / 2.0) ** k
     return (x - w / 2.0, y + w / 2.0)
 
 
@@ -173,9 +177,11 @@ def get(name: str, n: int | None = None) -> GalleryEntry:
         )
     if name == "C":
         return GalleryEntry(
-            "C", None, example_c_map(), Region(-6, 6, -6, 6),
+            "C", None, _rotation_blend(), Region(-6, 6, -6, 6),
             "preserving", "none",
-            "R(-theta(p)) applied to -p, theta(p) = bump(|p-(3,3)|^2) - bump(|p+(3,3)|^2)",
+            "-(p + (R(tp) - I)(p + c) + (R(tm) - I)(p - c)), c = (3, 3), "
+            "R(t) = [[cos t, sin t], [-sin t, cos t]], tp = bump(|p + c|^2), "
+            "tm = -bump(|p - c|^2)",
             "rotation-blend deformation of -I; constant on a unit disk after "
             "the standard map, hence not linearizable",
         )

@@ -2,10 +2,11 @@
 
 Eigenvalues come from the quadratic formula applied to the characteristic
 polynomial, with the real/complex split taken from the sign of the rounded
-discriminant.  A real double root can therefore come out as a conjugate
-pair ``lambda +- 1e-8 i``, so no realness test reads them: the spectral
-conditions are decided from trace and determinant, and eigenvalues are
-reported as witnesses.
+discriminant; of two real roots, the smaller in magnitude is the
+determinant over the larger, so it does not cancel.  A real double root
+can come out as a conjugate pair ``lambda +- 1e-8 i``, so no realness test
+reads them: the spectral conditions are decided from trace and
+determinant, and eigenvalues are reported as witnesses.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ MINUS_IDENTITY = Mat2(-1.0, 0.0, 0.0, -1.0)
 class Spectrum:
     """Ordered eigenvalue pair of a Mat2.
 
-    lambda1 takes the '-' branch of the quadratic formula and lambda2 the
-    '+' branch, which keeps the ordering deterministic even though the
-    spectrum is mathematically a set.
+    Real roots come with ``lambda1 <= lambda2``, and a conjugate pair with
+    the negative imaginary part first, which keeps the ordering
+    deterministic even though the spectrum is mathematically a set.
     """
 
     lambda1: complex
@@ -95,20 +96,24 @@ def eigenvalues(m: Mat2) -> Spectrum:
     """Both roots of the characteristic polynomial of ``m``.
 
     A non-negative rounded discriminant yields eigenvalues with imaginary
-    part exactly 0.0; a negative one yields a conjugate pair.  Where a term
-    of the discriminant overflows, they are those of ``m`` times ``k`` (of
+    part exactly 0.0; a negative one yields a conjugate pair.  Of two real
+    roots, the larger in magnitude is ``(t + copysign(s, t))/2`` and the
+    other ``det`` over it, or 0 when both are.  Where a term of the
+    discriminant overflows, they are those of ``m`` times ``k`` (of
     :func:`power_of_two_scaled`) over ``k``.
     """
-    t = m.trace
-    disc = t * t - 4.0 * m.det
+    t, d = m.trace, m.det
+    disc = t * t - 4.0 * d
     k = 1.0
     if not math.isfinite(disc):
         k, a11, a12, a21, a22 = power_of_two_scaled(m.a11, m.a12, m.a21, m.a22)
-        t = a11 + a22
-        disc = t * t - 4.0 * (a11 * a22 - a12 * a21)
+        t, d = a11 + a22, a11 * a22 - a12 * a21
+        disc = t * t - 4.0 * d
     if disc >= 0.0:
-        s = math.sqrt(disc)
-        return Spectrum(complex((t - s) / 2.0 / k, 0.0), complex((t + s) / 2.0 / k, 0.0))
+        big = (t + math.copysign(math.sqrt(disc), t)) / 2.0
+        small = d / big if big != 0.0 else 0.0
+        lo, hi = (small, big) if small <= big else (big, small)
+        return Spectrum(complex(lo / k, 0.0), complex(hi / k, 0.0))
     s = math.sqrt(-disc)
     return Spectrum(complex(t / 2.0 / k, -s / 2.0 / k), complex(t / 2.0 / k, s / 2.0 / k))
 

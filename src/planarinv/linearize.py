@@ -27,6 +27,7 @@ from itertools import compress, islice, repeat
 from .expr import PlanarMap
 from .involution import GridSample, Region, linear_part
 from .linalg2 import MINUS_IDENTITY, Mat2, power_of_two_scaled
+from .spectral import _trace_product
 
 NO_COLLISION_FOUND = "NoCollisionFound"
 COLLISION = "Collision"
@@ -49,9 +50,7 @@ class StandardMap:
     """Derived map h(p) = (p + Dphi(0) phi(p)) / 2 with its linear part.
 
     ``jacobian_entries`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2 from
-    the base map's propagated Jacobian; :meth:`as_planar_map` instead
-    routes derivative propagation through the composed expression, giving
-    an independent second route for cross-checks.
+    the base map's propagated Jacobian.
     """
 
     base: PlanarMap
@@ -115,18 +114,6 @@ class StandardMap:
     ) -> tuple[tuple[float, float], Mat2]:
         hx, hy, h11, h12, h21, h22 = self.jacobian_entries(p)
         return (hx, hy), Mat2(h11, h12, h21, h22)
-
-    def as_planar_map(self) -> PlanarMap:
-        a = self.linear_part
-
-        def fn(x, y):
-            u, v = self.base.components(x, y)
-            return (
-                (x + a.a11 * u + a.a12 * v) * 0.5,
-                (y + a.a21 * u + a.a22 * v) * 0.5,
-            )
-
-        return PlanarMap.from_function(fn, f"standard({self.base.source})")
 
 
 @dataclass(frozen=True)
@@ -323,19 +310,38 @@ def theorem_B_jacobian_check(sample: GridSample) -> JacobianBounds:
 
     Under the verified trace condition of an orientation-reversing base
     involution both minima are positive (the trace stays above 1/2), which
-    is what forces Spc(h) away from (-inf, 0].  Dh at each node takes the
-    operations of :meth:`StandardMap.jacobian_entries` on the sample's
-    Jacobian, with Dphi(0) from :func:`linear_part`.
+    is what forces Spc(h) away from (-inf, 0].  With ``L = Dphi(0)`` from
+    :func:`linear_part` and ``A`` the sample's Jacobian, Dh is
+    ``(I + L A)/2``: its trace is ``1 + Trace(L A)/2``, with the trace
+    product of :func:`planarinv.spectral._trace_product`, and its
+    determinant takes the operations of :meth:`StandardMap.jacobian_entries`
+    on the entries of Dh.  Where those overflow both ways (a NaN), it is
+    ``det(kl*ka I + L' A')/4`` over ``(kl*ka)^2``, with ``L' = kl L`` and
+    ``A' = ka A`` scaled by powers of two (:func:`power_of_two_scaled`), as
+    the trace product is.  A NaN that remains makes a minimum -inf.
     """
     lin = linear_part(sample.planar_map)
     l11, l12, l21, l22 = lin.a11, lin.a12, lin.a21, lin.a22
     min_trace = math.inf
     min_det = math.inf
     for a11, a12, a21, a22 in zip(sample.ux, sample.uy, sample.vx, sample.vy):
+        trace = 1.0 + 0.5 * _trace_product(lin, a11, a12, a21, a22)
         h11 = 0.5 * (1.0 + (l11 * a11 + l12 * a21))
         h12 = 0.5 * (0.0 + (l11 * a12 + l12 * a22))
         h21 = 0.5 * (0.0 + (l21 * a11 + l22 * a21))
         h22 = 0.5 * (1.0 + (l21 * a12 + l22 * a22))
-        min_trace = min(min_trace, h11 + h22)
-        min_det = min(min_det, h11 * h22 - h12 * h21)
+        det = h11 * h22 - h12 * h21
+        if det != det:  # take it on scaled entries
+            kl, m11, m12, m21, m22 = power_of_two_scaled(l11, l12, l21, l22)
+            ka, b11, b12, b21, b22 = power_of_two_scaled(a11, a12, a21, a22)
+            k = kl * ka
+            g11 = k + (m11 * b11 + m12 * b21)
+            g12 = 0.0 + (m11 * b12 + m12 * b22)
+            g21 = 0.0 + (m21 * b11 + m22 * b21)
+            g22 = k + (m21 * b12 + m22 * b22)
+            det = (g11 * g22 - g12 * g21) / kl / ka / kl / ka / 4.0
+        if not trace >= min_trace:
+            min_trace = trace if trace == trace else -math.inf
+        if not det >= min_det:
+            min_det = det if det == det else -math.inf
     return JacobianBounds(min_trace, min_det)

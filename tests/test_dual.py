@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planarinv.dual import Dual, clamp, cos, cosh, asinh, ipow, seed, sin, sinh, sqrt, value_of
+from treewalk import Dual, ipow, seed
 
 
 def _fd(f, x, h=1e-6):
@@ -15,12 +15,12 @@ def _fd(f, x, h=1e-6):
 @pytest.mark.parametrize(
     "fn,ref,lo,hi",
     [
-        (sinh, math.sinh, -3.0, 3.0),
-        (cosh, math.cosh, -3.0, 3.0),
-        (asinh, math.asinh, -10.0, 10.0),
-        (sqrt, math.sqrt, 0.1, 10.0),
-        (sin, math.sin, -3.0, 3.0),
-        (cos, math.cos, -3.0, 3.0),
+        (Dual.sinh, math.sinh, -3.0, 3.0),
+        (Dual.cosh, math.cosh, -3.0, 3.0),
+        (Dual.asinh, math.asinh, -10.0, 10.0),
+        (Dual.sqrt, math.sqrt, 0.1, 10.0),
+        (Dual.sin, math.sin, -3.0, 3.0),
+        (Dual.cos, math.cos, -3.0, 3.0),
     ],
 )
 def test_unary_chain_rule_matches_finite_differences(fn, ref, lo, hi):
@@ -102,13 +102,3 @@ def test_mixing_with_plain_floats():
     assert f.dx == 2.5
     assert (2.0 - x).dx == -1.0
 
-
-def test_clamp_flattens_derivatives_outside_band():
-    inside = clamp(Dual(0.5, 1.0, 0.0), 0.0, 1.0)
-    assert isinstance(inside, Dual) and inside.dx == 1.0
-    below = clamp(Dual(-0.5, 1.0, 0.0), 0.0, 1.0)
-    assert below == 0.0 and not isinstance(below, Dual)
-    above = clamp(Dual(1.5, 1.0, 0.0), 0.0, 1.0)
-    assert above == 1.0
-    assert value_of(inside) == 0.5
-    assert value_of(2.5) == 2.5

@@ -1,10 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
+from treewalk import entries, evaluate_node, seed
+
 from planarinv import gallery
-from planarinv.expr import EvaluationError, ParseError, PlanarMap, parse, recentered
+from planarinv.expr import (
+    EvaluationError,
+    ExprNode,
+    ParseError,
+    PlanarMap,
+    compile_pair,
+    parse,
+    recentered,
+)
 from planarinv.involution import Region
 
 
@@ -33,7 +41,7 @@ def test_syntax_error_carries_offset():
 
 def test_unknown_identifier():
     with pytest.raises(ParseError) as err:
-        parse("(sin(x), y)")
+        parse("(tan(x), y)")
     assert "unknown identifier" in str(err.value)
 
 
@@ -124,20 +132,19 @@ def test_unary_minus_binds_before_power():
 
 
 def test_native_and_expression_maps_share_the_contract():
+    # the same map parsed and built from trees: y*y*y against y^3
     expr_map = parse("(x - y^3, -y)")
-
-    def fn(x, y):
-        return x - y * y * y, -y
-
-    native = PlanarMap.from_function(fn, "shear")
+    x, y = ExprNode("x"), ExprNode("y")
+    built = PlanarMap.from_expressions(
+        ExprNode("sub", (x, ExprNode("mul", (ExprNode("mul", (y, y)), y)))),
+        ExprNode("neg", (y,)), "shear")
     rng = np.random.default_rng(3)
     for _ in range(50):
         p = tuple(rng.uniform(-4, 4, 2))
-        assert native.evaluate(p) == pytest.approx(expr_map.evaluate(p), rel=1e-14)
-        _, j1 = native.evaluate_with_jacobian(p)
+        assert built.evaluate(p) == pytest.approx(expr_map.evaluate(p), rel=1e-14)
+        _, j1 = built.evaluate_with_jacobian(p)
         _, j2 = expr_map.evaluate_with_jacobian(p)
         assert (j1 - j2).max_abs() < 1e-12
-    assert native.source == "native:shear"
 
 
 def test_recentered_conjugates_by_translation():
@@ -149,35 +156,32 @@ def test_recentered_conjugates_by_translation():
     assert jac.rows() == ((-1.0, 0.0), (0.0, -1.0))
 
 
-def _outcome(fn, p):
+def _outcome(fn, *args):
     try:
-        return "ok", repr(fn(p))
-    except EvaluationError as exc:
-        return "raised", str(exc)
+        return "ok", repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
 
 
 def test_recentered_expression_maps_compile_and_match_the_wrapper():
-    def wrapped(base, center):  # how native maps are recentered
+    def wrapped(base, center, x, y):  # the base trees walked at p + center, minus center
         cx, cy = center
+        u, v = (evaluate_node(tree, x + cx, y + cy) for tree in base.asts)
+        return u - cx, v - cy
 
-        def fn(x, y):
-            u, v = base.components(x + cx, y + cy)
-            return u - cx, v - cy
+    def wrapped_entries(base, center, x, y):
+        return entries(*wrapped(base, center, *seed(x, y)))
 
-        return PlanarMap(base.source, fn, None)
-
-    entries = [gallery.get("A2", 0), gallery.get("A4", 0)]
-    assert entries[0].map.asts is not None
-    cases = [(parse(e.formula), e.recentered_at, e.window) for e in entries]
+    shifted_entries = [gallery.get("A2", 0), gallery.get("A4", 0)]
+    cases = [(parse(e.formula), e.recentered_at, e.window) for e in shifted_entries]
     cases.append((parse("(sqrt(x) + 1/y, -y + x^2)"), (0.25, -0.5), Region(-2, 2, -2, 2, 17)))
     for base, center, window in cases:
-        shifted, reference = recentered(base, center), wrapped(base, center)
-        assert shifted.asts is not None
+        shifted = recentered(base, center)
         assert shifted.source == f"recentered({base.source} @ ({center[0]:g}, {center[1]:g}))"
-        for p in window.nodes():
-            assert _outcome(shifted.evaluate, p) == _outcome(reference.evaluate, p)
-            assert (_outcome(shifted.evaluate_with_jacobian, p)
-                    == _outcome(reference.evaluate_with_jacobian, p))
+        value, jacobian = compile_pair(*shifted.asts)
+        for x, y in window.nodes():
+            assert _outcome(value, x, y) == _outcome(wrapped, base, center, x, y)
+            assert _outcome(jacobian, x, y) == _outcome(wrapped_entries, base, center, x, y)
 
 
 def test_non_finite_samples_raise_with_point():
@@ -193,17 +197,12 @@ def test_non_finite_samples_raise_with_point():
 
 
 def test_non_finite_partial_raises_for_native_maps():
-    from planarinv.dual import Dual
-
-    def fn(x, y):
-        kink = Dual(0.0, math.inf, 0.0) if isinstance(y, Dual) else 0.0
-        return x, kink
-
-    m = PlanarMap.from_function(fn, "infinite-slope")
-    assert m.evaluate((1.0, 2.0)) == (1.0, 0.0)
+    # at y = 0 the value of y*1e300*1e300 is 0 and its y-partial inf
+    m = parse("(x, y*1e300*1e300)")
+    assert m.evaluate((1.0, 0.0)) == (1.0, 0.0)
     with pytest.raises(EvaluationError) as err:
-        m.evaluate_with_jacobian((1.0, 2.0))
-    assert err.value.point == (1.0, 2.0)
-    overflow = PlanarMap.from_function(lambda x, y: (x * 1e308 * 10.0, y), "overflow")
+        m.evaluate_with_jacobian((1.0, 0.0))
+    assert err.value.point == (1.0, 0.0)
+    overflow = parse("(x*1e308*10, y)")
     with pytest.raises(EvaluationError):
         overflow.evaluate((1.0, 0.0))

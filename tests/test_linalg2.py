@@ -30,7 +30,7 @@ def test_eigenvalues_rotation_is_conjugate_pair():
 
 def test_eigenvalue_branch_order():
     s = eigenvalues(Mat2(3, 0, 0, 1))
-    # '-' branch first, '+' branch second
+    # real roots in increasing order
     assert s.lambda1 == 1.0 and s.lambda2 == 3.0
 
 
@@ -45,6 +45,18 @@ def test_eigenvalues_where_a_term_of_the_discriminant_overflows(m, expected):
     for got, want in zip((s.lambda1, s.lambda2), expected):
         assert got.real == pytest.approx(want.real, rel=1e-15)
         assert got.imag == pytest.approx(want.imag, rel=1e-15)
+
+
+@pytest.mark.parametrize("m, small, big", [
+    (Mat2(1e10, 0.0, 0.0, 1e-10), 1e-10, 1e10),
+    (Mat2(1e200, 0.0, 0.0, 1e-100), 1e-100, 1e200),  # t*t overflows: on scaled entries
+    (Mat2(-1e10, 0.0, 0.0, 1e-10), -1e10, 1e-10),
+    (Mat2(0.0, 1.0, 0.0, 0.0), 0.0, 0.0),  # both roots 0
+])
+def test_eigenvalues_keep_the_small_root(m, small, big):
+    # the small root is det over the large one, so it does not cancel
+    s = eigenvalues(m)
+    assert (s.lambda1, s.lambda2) == (complex(small, 0.0), complex(big, 0.0))
 
 
 def test_characteristic_polynomial_residual_on_random_matrices():

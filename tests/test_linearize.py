@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from planarinv.expr import parse
+from planarinv.expr import ExprNode, PlanarMap, parse
 from planarinv.gallery import get, list_entries
 from planarinv.involution import BasePointError, GridSample, Region
 from planarinv.linalg2 import Mat2
@@ -18,6 +18,7 @@ from planarinv.linearize import (
     standard_map,
     theorem_B_jacobian_check,
 )
+from planarinv.spectral import check_condition_B, sample_spectrum
 
 
 def test_standard_map_closed_form_shear():
@@ -59,11 +60,28 @@ def test_standard_map_collapses_rotation_blend_plateau():
         assert h.evaluate(p) == pytest.approx((3.0, 3.0), abs=1e-12)
 
 
+def _composed(h):
+    """h = (p + Dphi(0) phi(p))/2 as one expression map, from phi's trees."""
+    u, v = h.base.asts
+    a = h.linear_part
+
+    def row(x, a1, a2):
+        return ExprNode("mul", (ExprNode("add", (ExprNode("add", (x, _scaled(a1, u))),
+                                                 _scaled(a2, v))), ExprNode("num", value=0.5)))
+
+    return PlanarMap.from_expressions(row(ExprNode("x"), a.a11, a.a12),
+                                      row(ExprNode("y"), a.a21, a.a22), "composed")
+
+
+def _scaled(c, tree):
+    return ExprNode("mul", (ExprNode("num", value=c), tree))
+
+
 def test_jacobian_formula_matches_propagation_route():
     for name in ("A1", "B", "C"):
         entry = get(name)
         h = standard_map(entry.map)
-        as_map = h.as_planar_map()
+        as_map = _composed(h)
         rng = np.random.default_rng(9)
         for _ in range(100):
             p = (rng.uniform(entry.window.x_min, entry.window.x_max),
@@ -178,3 +196,16 @@ def test_theorem_B_jacobian_bounds():
     flip = get("flip-y")
     bounds = theorem_B_jacobian_check(GridSample(flip.map, flip.window))
     assert bounds.min_trace == 2.0 and bounds.min_det == 1.0
+
+    # the products of the entries of Dh overflow both ways (their
+    # differences are NaN).  The trace is 1 + Trace(Dphi(0) Dphi(p))/2, about
+    # -1e401 where the trace condition fails; det Dh is about +1e800 at every
+    # node (by exact rational arithmetic), so its true minimum overflows to inf
+    planar_map = parse("(1e200*(-x + y + x^2 - 0.5*x*y), 1e200*(x + 2*y - 4*x*y))")
+    sample = GridSample(planar_map, Region(0, 1, -0.01, 0.01, 3))
+    bounds = theorem_B_jacobian_check(sample)
+    assert bounds.min_trace == -math.inf
+    assert bounds.min_det == math.inf
+    condition = check_condition_B(sample_spectrum(sample))
+    assert not condition.holds_on_window
+    assert condition.witness.point == (1.0, -0.01)

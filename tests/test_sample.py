@@ -47,7 +47,7 @@ from planarinv.involution import (
     polish_fixed_point,
     verify_involution,
 )
-from planarinv.linalg2 import MINUS_IDENTITY, eigenvalues
+from planarinv.linalg2 import IDENTITY, MINUS_IDENTITY, eigenvalues
 from planarinv.linearize import (
     JacobianBounds,
     NotApplicableError,
@@ -282,13 +282,24 @@ def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60):
 
 
 def _ref_theorem_B(planar_map, region):
+    lin = linear_part(planar_map)
     h = standard_map(planar_map)
     min_trace = math.inf
     min_det = math.inf
-    for p in region.nodes():
-        _, dh = h.evaluate_with_jacobian(p)
-        min_trace = min(min_trace, dh.trace)
-        min_det = min(min_det, dh.det)
+    for sample in _ref_sample_spectrum(planar_map, region):
+        # trace Dh = 1 + Trace(Dphi(0) Dphi(p))/2
+        trace = 1.0 + 0.5 * sample.trace_product
+        _, dh = h.evaluate_with_jacobian(sample.point)
+        det = dh.det
+        if math.isnan(det):
+            # products overflow both ways: det(I + L A) = det(k I + L' A')/k^2,
+            # with L' and A' scaled by powers of two and k the product of the scales
+            _, jac = planar_map.evaluate_with_jacobian(sample.point)
+            kl, ka = _ref_scale(lin), _ref_scale(jac)
+            g = IDENTITY.scale(kl * ka) + lin.scale(kl) @ jac.scale(ka)
+            det = g.det / kl / ka / kl / ka / 4.0
+        min_trace = min(min_trace, trace if trace == trace else -math.inf)
+        min_det = min(min_det, det if det == det else -math.inf)
     return JacobianBounds(min_trace, min_det)
 
 
@@ -384,15 +395,10 @@ def test_phases_match_on_a_decimal_constant_component():
 
 
 def test_phases_match_on_native_maps():
+    # a quotient that raises at x = 0, and a value that is inf where x > 0
     region = Region(-1, 1, -1, 1, 5)
-    natives = {
-        "raises": lambda x, y: (1.0 / x if x > 0 else -x, -y),
-        "non-finite": lambda x, y: (x * 1e308 * 10.0 if x > 0 else -x, -y),
-        "not a pair": lambda x, y: (x, y, x) if y > 0 else (-x, y),
-        "int values": lambda x, y: (-x, 3) if x == -1.0 else (-x, -y),
-    }
-    for name, fn in natives.items():
-        _assert_phases_match(PlanarMap.from_function(fn, name), region)
+    for source in ("(1/x, -y)", "(-x + (x + abs(x))*1e308*10, -y)"):
+        _assert_phases_match(parse(source), region)
 
 
 # ----------------------------------------------------------------------
@@ -524,9 +530,8 @@ def test_division_by_a_subexpression_of_x_or_y_keeps_values_exact():
 
 
 def test_dividing_native_map_keeps_values_exact():
-    # a native map written on Dual arithmetic, dividing Duals by numbers and Duals
-    planar_map = PlanarMap.from_function(
-        lambda x, y: (x / 3.0 - y / (x * x + 7.0), 10.0 / (y + 9.0) + x / 0.1), "quotients")
+    # quotients of varying by constant, varying by varying and constant by varying
+    planar_map = parse("(x/3 - y/(x*x + 7), 10/(y + 9) + x/0.1)")
     region = Region(-5, 5, -5, 5, 21)
     _values_match_evaluate(planar_map, list(region.nodes()) + [(0.1 * i, 0.3) for i in range(10)])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planarinv.expr import PlanarMap, parse
+from planarinv.expr import ExprNode, PlanarMap, parse
 from planarinv.gallery import get, list_entries
 from planarinv.involution import ORIENTATION_PRESERVING, GridSample, Region, orientation
 from planarinv.linalg2 import Mat2
@@ -180,9 +180,12 @@ def test_condition_A_b_fails_where_p1_changes_sign():
 
 
 def _linear_samples(m: Mat2):
-    a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
-    planar_map = PlanarMap.from_function(
-        lambda x, y: (a11 * x + a12 * y, a21 * x + a22 * y), "linear")
+    # built from num nodes: the entries need not have a short decimal spelling
+    def row(a, b):
+        return ExprNode("add", (ExprNode("mul", (ExprNode("num", value=a), ExprNode("x"))),
+                                ExprNode("mul", (ExprNode("num", value=b), ExprNode("y")))))
+
+    planar_map = PlanarMap.from_expressions(row(m.a11, m.a12), row(m.a21, m.a22), "linear")
     return sample_spectrum(GridSample(planar_map, Region(-1, 1, -1, 1, 2)))
 
 

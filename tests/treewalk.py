@@ -1,21 +1,20 @@
-"""First-order forward-mode scalars for exact Jacobian propagation in the plane.
+"""The reference that the compiled kernels are tested against: a tree walk
+over :class:`planarinv.expr.ExprNode` trees on forward-mode scalars.
 
 A :class:`Dual` carries a value together with its two partial derivatives
 with respect to the plane coordinates.  Arithmetic applies the chain rule
-exactly, so running a map on seeded duals produces the value and one full
-Jacobian row per component without any finite differencing.
-
-The module-level helpers (:func:`sinh`, :func:`sqrt`, ...) accept either a
-plain float or a :class:`Dual`, which lets the same map body serve both the
-cheap value-only evaluation path and the derivative-propagating path.
-Every operation computes its value with the float operation (a quotient
-included, rounded once), so a map body run on seeded duals returns, as the
-values, bit for bit what it returns on floats.
+exactly, so :func:`evaluate_node` on seeded duals produces the value and
+one full Jacobian row per component without any finite differencing, and
+on floats the value alone.  Every operation computes its value with the
+float operation (a quotient included, rounded once), so a tree walked on
+seeded duals returns, as the values, bit for bit what it returns on floats.
 """
 
 from __future__ import annotations
 
 import math
+
+from planarinv.expr import ExprNode
 
 
 class Dual:
@@ -131,11 +130,6 @@ def seed(x: float, y: float) -> tuple[Dual, Dual]:
     return Dual(x, 1.0, 0.0), Dual(y, 0.0, 1.0)
 
 
-def value_of(v) -> float:
-    """Plain float value of a Dual or a number."""
-    return v.value if isinstance(v, Dual) else float(v)
-
-
 def ipow(v, n: int):
     """v**n by repeated multiplication; n must be a non-negative integer.
 
@@ -149,35 +143,45 @@ def ipow(v, n: int):
     return out
 
 
-def sinh(v):
-    return v.sinh() if isinstance(v, Dual) else math.sinh(v)
+def evaluate_node(node: ExprNode, x, y):
+    """Evaluate a tree at (x, y); works on floats and on Dual scalars."""
+    kind = node.kind
+    if kind == "num":
+        return node.value
+    if kind == "x":
+        return x
+    if kind == "y":
+        return y
+    if kind == "pow":
+        return ipow(evaluate_node(node.children[0], x, y), node.exponent)
+    if kind in ("add", "sub", "mul", "div"):
+        a = evaluate_node(node.children[0], x, y)
+        b = evaluate_node(node.children[1], x, y)
+        if kind == "add":
+            return a + b
+        if kind == "sub":
+            return a - b
+        if kind == "mul":
+            return a * b
+        return a / b
+    arg = evaluate_node(node.children[0], x, y)
+    if kind == "neg":
+        return -arg
+    if kind == "abs":
+        return abs(arg)
+    # sinh, cosh, asinh, sqrt, sin, cos
+    return getattr(arg, kind)() if isinstance(arg, Dual) else getattr(math, kind)(arg)
 
 
-def cosh(v):
-    return v.cosh() if isinstance(v, Dual) else math.cosh(v)
+def entries(u, v) -> tuple:
+    """``(u, v, du/dx, du/dy, dv/dx, dv/dy)`` of two components computed on
+    seeded duals, a number read as a Dual of zero partials."""
+    u = u if isinstance(u, Dual) else Dual(u)
+    v = v if isinstance(v, Dual) else Dual(v)
+    return u.value, v.value, u.dx, u.dy, v.dx, v.dy
 
 
-def asinh(v):
-    return v.asinh() if isinstance(v, Dual) else math.asinh(v)
-
-
-def sqrt(v):
-    return v.sqrt() if isinstance(v, Dual) else math.sqrt(v)
-
-
-def sin(v):
-    return v.sin() if isinstance(v, Dual) else math.sin(v)
-
-
-def cos(v):
-    return v.cos() if isinstance(v, Dual) else math.cos(v)
-
-
-def clamp(v, lo: float, hi: float):
-    """Clamp by value; outside the band the result is a constant (flat derivative)."""
-    x = value_of(v)
-    if x <= lo:
-        return lo
-    if x >= hi:
-        return hi
-    return v
+def jacobian_entries(first: ExprNode, second: ExprNode, x: float, y: float) -> tuple:
+    """:func:`entries` of a tree pair walked on ``seed(x, y)``."""
+    sx, sy = seed(x, y)
+    return entries(evaluate_node(first, sx, sy), evaluate_node(second, sx, sy))
