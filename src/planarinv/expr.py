@@ -17,13 +17,12 @@ is evaluated by repeated multiplication (no branch cuts).
 A :class:`PlanarMap` carries a pair of expression trees, from :func:`parse`
 or built directly as :class:`ExprNode` trees (which may share subtrees).
 It is evaluated by straight-line Python functions generated from the trees
-on the map's first evaluation.  :func:`compile_pair` returns the first two:
-a float-only value kernel and a forward-mode Jacobian kernel that keeps the
-value and both partials of every subexpression in float locals, with the
-chain rule applied operation by operation.  The same ``exec`` builds a
-third kernel, ``grid``, which runs the value lines over a whole grid of
-nodes in one loop and keeps the standard map's values there (see
-:meth:`PlanarMap.grid_kernel`).
+on the map's first evaluation.  :func:`compile_pair` builds all three from
+one ``exec``: a float-only value kernel; a forward-mode Jacobian kernel
+that keeps the value and both partials of every subexpression in float
+locals, with the chain rule applied operation by operation; and a grid
+kernel, which runs the value lines over a whole grid of nodes in one loop
+and keeps the standard map's values there (see :meth:`PlanarMap.grid_kernel`).
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
-
-from .linalg2 import Mat2
 
 _FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
 
@@ -441,8 +438,17 @@ class _KernelWriter:
         )
 
 
-def _compile_kernels(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable, Callable]:
-    """The value, Jacobian and grid kernels of an expression pair, from one ``exec``."""
+def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable, Callable]:
+    """Compile an expression pair into its value, Jacobian and grid kernels,
+    from one ``exec``.
+
+    ``value(x, y)`` returns ``(u, v)``.  ``jacobian(x, y)`` returns ``(u, v,
+    du/dx, du/dy, dv/dx, dv/dy)``, with zero partials for a constant
+    component and ``value``'s ``(u, v)`` wherever both succeed.  Both raise
+    what the float operations raise, and the Jacobian kernel raises
+    ZeroDivisionError for the derivative of sqrt at zero.  ``grid`` is
+    described at :meth:`PlanarMap.grid_kernel`.
+    """
     writer = _KernelWriter()
     u = writer.emit(first)
     v = writer.emit(second)
@@ -450,18 +456,6 @@ def _compile_kernels(first: ExprNode, second: ExprNode) -> tuple[Callable, Calla
     exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
     return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, math.sin, math.cos,
                              *writer.literals)
-
-
-def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable]:
-    """Compile an expression pair into its value and Jacobian kernels.
-
-    ``value(x, y)`` returns ``(u, v)``.  ``jacobian(x, y)`` returns ``(u, v,
-    du/dx, du/dy, dv/dx, dv/dy)``, with zero partials for a constant
-    component and ``value``'s ``(u, v)`` wherever both succeed.  Both raise
-    what the float operations raise, and the Jacobian kernel raises
-    ZeroDivisionError for the derivative of sqrt at zero.
-    """
-    return _compile_kernels(first, second)[:2]
 
 
 @dataclass(frozen=True)
@@ -482,7 +476,7 @@ class PlanarMap:
         return cls(source, (first, second))
 
     def _build_kernels(self) -> tuple[Callable, Callable, Callable]:
-        kernels = _compile_kernels(*self.asts)
+        kernels = compile_pair(*self.asts)
         object.__setattr__(self, "_kernels", kernels)
         return kernels
 
@@ -513,14 +507,13 @@ class PlanarMap:
             raise EvaluationError("non-finite map value", (p[0], p[1]))
         return (u, v)
 
-    def jacobian_entries(self, p: tuple[float, float]) -> tuple[float, ...]:
+    def evaluate_with_jacobian(self, p: tuple[float, float]) -> tuple[float, ...]:
         """Value and Jacobian at ``p`` as ``(u, v, du/dx, du/dy, dv/dx, dv/dy)``.
 
-        Plain floats for callers in a hot loop; raises EvaluationError on a
-        failed or non-finite evaluation, like :meth:`evaluate`.  Wherever
-        both succeed, ``(u, v)`` is bit for bit :meth:`evaluate`'s value:
-        every line of the Jacobian kernel computes its value with the float
-        operation, a quotient included.
+        Raises EvaluationError on a failed or non-finite evaluation, like
+        :meth:`evaluate`.  Wherever both succeed, ``(u, v)`` is bit for bit
+        :meth:`evaluate`'s value: every line of the Jacobian kernel computes
+        its value with the float operation, a quotient included.
         """
         kernel = (self._kernels or self._build_kernels())[1]
         try:
@@ -533,12 +526,6 @@ class PlanarMap:
         if not 0.0 * u * v * ux * uy * vx * vy == 0.0:
             raise EvaluationError("non-finite map value or derivative", (p[0], p[1]))
         return entries
-
-    def evaluate_with_jacobian(
-        self, p: tuple[float, float]
-    ) -> tuple[tuple[float, float], Mat2]:
-        u, v, ux, uy, vx, vy = self.jacobian_entries(p)
-        return (u, v), Mat2(ux, uy, vx, vy)
 
 
 def parse(source: str) -> PlanarMap:

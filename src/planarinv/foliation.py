@@ -10,9 +10,9 @@ pulling every target point back through a Newton inversion of h, seeded
 with the previous preimage (predictor-corrector continuation).
 
 The Newton step reads h and Dh as plain floats from
-``StandardMap.jacobian_entries``.  Each inversion hands back those floats at
-its root, and the next inversion of the march, which starts there, reads
-them instead of evaluating h again; so does the leaf residual.
+``StandardMap.evaluate_with_jacobian``.  Each inversion hands back those
+floats at its root, and the next inversion of the march, which starts
+there, reads them instead of evaluating h again; so does the leaf residual.
 :func:`trace_leaves` traces a family of leaves; for a vertical foliation it
 computes the window's eigen-coordinates once, and every leaf takes its
 starting node from that one grid.
@@ -136,7 +136,7 @@ def invert_standard_map(
 ) -> tuple[tuple[float, float], Entries]:
     """Newton-solve h(p) = target starting from ``guess``.
 
-    Returns the root and ``h.jacobian_entries`` there, the floats
+    Returns the root and ``h.evaluate_with_jacobian`` there, the floats
     ``(hx, hy, h11, h12, h21, h22)`` of its convergence check.  A caller
     that holds those entries at ``guess`` passes them as ``guess_entries``,
     and the first iteration reads them instead of evaluating h.
@@ -146,12 +146,12 @@ def invert_standard_map(
     when the iteration fails to converge, carrying the last iterate.
     """
     p = (float(guess[0]), float(guess[1]))
-    jacobian_entries = h.jacobian_entries
+    evaluate_with_jacobian = h.evaluate_with_jacobian
     e = guess_entries
     for _ in range(max_iter + 1):
         if e is None:
             try:
-                e = jacobian_entries(p)
+                e = evaluate_with_jacobian(p)
             except EvaluationError as exc:
                 raise InversionError(str(exc), p) from exc
         hx, hy, a11, a12, a21, a22 = e

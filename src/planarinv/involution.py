@@ -29,7 +29,7 @@ from itertools import compress
 from operator import sub
 
 from .expr import EvaluationError, PlanarMap, recentered
-from .linalg2 import IDENTITY, Mat2, power_of_two_scaled, solve_min_norm_entries
+from .linalg2 import IDENTITY, Mat2, power_of_two_scaled, solve_min_norm
 
 ORIENTATION_PRESERVING = "preserving"
 ORIENTATION_REVERSING = "reversing"
@@ -106,14 +106,14 @@ class Region:
 
 
 class GridSample:
-    """``planar_map.jacobian_entries`` at every node of ``region``, in
+    """``planar_map.evaluate_with_jacobian`` at every node of ``region``, in
     :meth:`Region.nodes` order, as flat lists of floats.
 
     ``px``, ``py`` hold the coordinates of every node and ``u``, ``v``,
     ``ux``, ``uy``, ``vx``, ``vy`` its value and Jacobian entries; ``u``,
     ``v`` are bit for bit :meth:`PlanarMap.evaluate` at the node.  Taking
     the sample raises the exception of the first node where
-    ``jacobian_entries`` fails, so every sample is complete; every grid
+    ``evaluate_with_jacobian`` fails, so every sample is complete; every grid
     phase reads the map and the window from it.
     """
 
@@ -123,7 +123,7 @@ class GridSample:
         xs, ys = region.xs(), region.ys()
         self.px = xs * len(ys)
         self.py = [y for y in ys for _ in xs]
-        rows = list(map(planar_map.jacobian_entries, zip(self.px, self.py)))
+        rows = list(map(planar_map.evaluate_with_jacobian, zip(self.px, self.py)))
         self.u, self.v, self.ux, self.uy, self.vx, self.vy = map(list, zip(*rows))
 
 
@@ -167,16 +167,22 @@ def verify_involution(sample: GridSample, tol: float = 1e-9) -> InvolutionCheck:
     ||phi(phi(p)) - p|| / (1 + ||p||).
 
     phi(p) comes from the grid sample, and phi(phi(p)) from one
-    ``evaluate`` call per node.
+    ``evaluate`` call per node.  Where a norm overflows, the residual is
+    taken on ``phi(phi(p))``, ``p`` and 1 scaled by the power of two of
+    :func:`power_of_two_scaled`; a NaN residual counts as inf.
     """
     evaluate = sample.planar_map.evaluate
     worst = 0.0
     worst_point = (sample.region.x_min, sample.region.y_min)
     for x, y, fx, fy in zip(sample.px, sample.py, sample.u, sample.v):
-        r = evaluate((fx, fy))
-        res = math.hypot(r[0] - x, r[1] - y) / (1.0 + math.hypot(x, y))
-        if res > worst:
-            worst = res
+        rx, ry = evaluate((fx, fy))
+        num, den = math.hypot(rx - x, ry - y), 1.0 + math.hypot(x, y)
+        if num == math.inf or den == math.inf:  # take it on scaled values
+            k, rx, ry, sx, sy = power_of_two_scaled(rx, ry, x, y)
+            num, den = math.hypot(rx - sx, ry - sy), k + math.hypot(sx, sy)
+        res = num / den
+        if not res <= worst:
+            worst = res if res == res else math.inf
             worst_point = (x, y)
     return InvolutionCheck(worst, worst <= tol, worst_point)
 
@@ -214,17 +220,12 @@ def orientation(sample: GridSample) -> OrientationClass:
     return OrientationClass(kind, min_abs)
 
 
-def classify_fixed_point(planar_map: PlanarMap, p: tuple[float, float]) -> str:
+def classify_fixed_point(jac: Mat2) -> str:
     """Classify a fixed point by the +/-I test on its Jacobian, to 1e-6.
 
-    The test only applies where the map preserves orientation; at a point
-    with negative Jacobian determinant the result is UNCLASSIFIED.
+    The test only applies where the map preserves orientation; where the
+    Jacobian determinant is not positive the result is UNCLASSIFIED.
     """
-    _, jac = planar_map.evaluate_with_jacobian(p)
-    return _classify_jacobian(jac)
-
-
-def _classify_jacobian(jac: Mat2) -> str:
     if jac.det <= 0.0:
         return UNCLASSIFIED
     if (jac - IDENTITY).max_abs() <= 1e-6:
@@ -244,26 +245,26 @@ def polish_fixed_point(
 ) -> tuple[float, float] | None:
     """Newton-polish a fixed-point seed; None if the iteration fails.
 
-    Runs on the plain floats of ``planar_map.jacobian_entries``; the step
-    solves ``(Dphi(p) - I) delta = p - phi(p)`` with the operations of
-    ``solve_min_norm(jac - IDENTITY, (-rx, -ry))``.  ``_first`` is internal
-    to :func:`find_fixed_points`: the seed's entries, from its grid sample.
+    Runs on the plain floats of ``planar_map.evaluate_with_jacobian``; the
+    step solves ``(Dphi(p) - I) delta = p - phi(p)`` with
+    :func:`solve_min_norm`.  ``_first`` is internal to
+    :func:`find_fixed_points`: the seed's entries, from its grid sample.
     """
     px, py = float(seed[0]), float(seed[1])
-    jacobian_entries = planar_map.jacobian_entries
+    evaluate_with_jacobian = planar_map.evaluate_with_jacobian
     entries = _first
     for _ in range(max_iter + 1):
         try:
-            fx, fy, j11, j12, j21, j22 = entries or jacobian_entries((px, py))
+            fx, fy, j11, j12, j21, j22 = entries or evaluate_with_jacobian((px, py))
         except EvaluationError:
             return None  # iterate escaped the map's numeric range
         entries = None
         rx, ry = fx - px, fy - py
         if math.hypot(rx, ry) <= tol:
             return (px, py)
-        sx, sy = solve_min_norm_entries(j11 - 1.0, j12 - 0.0, j21 - 0.0, j22 - 1.0, -rx, -ry)
+        sx, sy = solve_min_norm(j11 - 1.0, j12 - 0.0, j21 - 0.0, j22 - 1.0, -rx, -ry)
         nx, ny = px + sx, py + sy
-        if not (math.isfinite(nx) and math.isfinite(ny)) or math.hypot(nx, ny) > 1e9:
+        if not (math.isfinite(nx) and math.isfinite(ny)):
             return None
         if sx == 0.0 and sy == 0.0:
             return None  # stalled on a zero step with residual remaining
@@ -313,8 +314,8 @@ def find_fixed_points(sample: GridSample, newton_tol: float = 1e-9) -> FixedPoin
             for kx, ky in buckets.get((ci + di, cj + dj), ())
         ):
             buckets.setdefault((ci, cj), []).append(root)
-            _, jac = planar_map.evaluate_with_jacobian(root)
-            cls = CURVE if kind == CURVE else _classify_jacobian(jac)
+            jac = Mat2(*planar_map.evaluate_with_jacobian(root)[2:])
+            cls = CURVE if kind == CURVE else classify_fixed_point(jac)
             points.append(FixedPoint(root, cls, jac))
     return FixedPointScan(points, kind, converged, sum(seeded) - converged)
 
@@ -325,7 +326,7 @@ def linear_part(planar_map: PlanarMap) -> Mat2:
     Raises :class:`BasePointError` unless the map fixes the origin, that is
     ``|phi(0)| <= 1e-9``; :func:`fix_origin` recenters a map that does not.
     """
-    u, v, a11, a12, a21, a22 = planar_map.jacobian_entries((0.0, 0.0))
+    u, v, a11, a12, a21, a22 = planar_map.evaluate_with_jacobian((0.0, 0.0))
     drift = math.hypot(u, v)
     if drift > 1e-9:
         raise BasePointError(

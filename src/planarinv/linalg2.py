@@ -131,21 +131,16 @@ def power_of_two_scaled(a11: float, a12: float, a21: float, a22: float) -> tuple
     return k, a11 * k, a12 * k, a21 * k, a22 * k
 
 
-def solve_min_norm(m: Mat2, r: tuple[float, float]) -> tuple[float, float]:
-    """Solve m @ delta = r; minimum-norm least squares when m is rank deficient.
+def solve_min_norm(
+    a11: float, a12: float, a21: float, a22: float, rx: float, ry: float
+) -> tuple[float, float]:
+    """Solve ``m @ delta = r`` for ``m = [[a11, a12], [a21, a22]]`` and
+    ``r = (rx, ry)``; minimum-norm least squares when m is rank deficient.
 
     Rank-deficient systems arise in Newton iterations whose Jacobian is
     structurally singular (e.g. root sets that form a curve), where the
     minimum-norm step still converges to the nearest root.
     """
-    return solve_min_norm_entries(m.a11, m.a12, m.a21, m.a22, r[0], r[1])
-
-
-def solve_min_norm_entries(
-    a11: float, a12: float, a21: float, a22: float, rx: float, ry: float
-) -> tuple[float, float]:
-    """:func:`solve_min_norm` on the entries of ``m`` and ``r``, for callers
-    that keep the matrix as plain floats."""
     scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if scale == 0.0:
         return (0.0, 0.0)

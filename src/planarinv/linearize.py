@@ -49,8 +49,8 @@ class NotApplicableError(ValueError):
 class StandardMap:
     """Derived map h(p) = (p + Dphi(0) phi(p)) / 2 with its linear part.
 
-    ``jacobian_entries`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2 from
-    the base map's propagated Jacobian.
+    ``evaluate_with_jacobian`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2
+    from the base map's propagated Jacobian.
     """
 
     base: PlanarMap
@@ -89,15 +89,14 @@ class StandardMap:
             return us, vs, exc
         raise RuntimeError(f"the grid kernel stopped at node {j}, where evaluate succeeds")
 
-    def jacobian_entries(self, p: tuple[float, float]) -> tuple[float, ...]:
+    def evaluate_with_jacobian(self, p: tuple[float, float]) -> tuple[float, ...]:
         """h(p) and Dh(p) as the floats ``(hx, hy, h11, h12, h21, h22)``.
 
         Each entry takes the operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)``
         in :class:`Mat2` arithmetic, in the same order (``0.0 +`` included,
-        which turns a -0.0 into 0.0), so the floats are those of
-        :meth:`evaluate_with_jacobian`.
+        which turns a -0.0 into 0.0).
         """
-        u, v, ux, uy, vx, vy = self.base.jacobian_entries(p)
+        u, v, ux, uy, vx, vy = self.base.evaluate_with_jacobian(p)
         a = self.linear_part
         a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
         return (
@@ -108,12 +107,6 @@ class StandardMap:
             0.5 * (0.0 + (a21 * ux + a22 * vx)),
             0.5 * (1.0 + (a21 * uy + a22 * vy)),
         )
-
-    def evaluate_with_jacobian(
-        self, p: tuple[float, float]
-    ) -> tuple[tuple[float, float], Mat2]:
-        hx, hy, h11, h12, h21, h22 = self.jacobian_entries(p)
-        return (hx, hy), Mat2(h11, h12, h21, h22)
 
 
 @dataclass(frozen=True)
@@ -314,8 +307,8 @@ def theorem_B_jacobian_check(sample: GridSample) -> JacobianBounds:
     :func:`linear_part` and ``A`` the sample's Jacobian, Dh is
     ``(I + L A)/2``: its trace is ``1 + Trace(L A)/2``, with the trace
     product of :func:`planarinv.spectral._trace_product`, and its
-    determinant takes the operations of :meth:`StandardMap.jacobian_entries`
-    on the entries of Dh.  Where those overflow both ways (a NaN), it is
+    determinant takes the operations of
+    :meth:`StandardMap.evaluate_with_jacobian` on the entries of Dh.  Where those overflow both ways (a NaN), it is
     ``det(kl*ka I + L' A')/4`` over ``(kl*ka)^2``, with ``L' = kl L`` and
     ``A' = ka A`` scaled by powers of two (:func:`power_of_two_scaled`), as
     the trace product is.  A NaN that remains makes a minimum -inf.

@@ -155,6 +155,16 @@ def test_analyze_recenters_a_map_that_fixes_another_point(tmp_path):
     assert [p["location"] for p in report["fixed_points"]["points"]] == [[0.0, 0.0]]
 
 
+def test_analyze_recenters_at_a_fixed_point_far_from_the_window(tmp_path):
+    # one Newton step from the origin lands on (1e10, 0), however far that is
+    out = tmp_path / "far.json"
+    assert run(["analyze", "(-x + 2e10, -y)", "--grid", "9", "--scan", "21",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["recentered_at"] == [1e10, 0.0]
+    assert report["theorem_verdict"].startswith("Theorem A(c)")
+
+
 def test_analyze_takes_any_fixed_point_as_the_base(tmp_path):
     # (1, 0) is no FixMinus point: the map reverses orientation
     out = tmp_path / "flip.json"

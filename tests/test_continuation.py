@@ -46,7 +46,7 @@ def _ref_invert(h, target, guess, tol, max_iter, stats):
     p = (float(guess[0]), float(guess[1]))
     for _ in range(max_iter + 1):
         try:
-            hx, hy, a11, a12, a21, a22 = h.jacobian_entries(p)
+            hx, hy, a11, a12, a21, a22 = h.evaluate_with_jacobian(p)
         except EvaluationError as exc:
             raise InversionError(str(exc), p) from exc
         rx, ry = target[0] - hx, target[1] - hy
@@ -225,13 +225,13 @@ def test_leaves_that_recover_from_halvings_match_the_reference_trace():
 
 def test_h_jacobian_is_never_taken_twice_in_a_row_at_one_point(monkeypatch):
     calls = []
-    original = StandardMap.jacobian_entries
+    original = StandardMap.evaluate_with_jacobian
 
     def recording(self, p):
         calls.append(p)
         return original(self, p)
 
-    monkeypatch.setattr(StandardMap, "jacobian_entries", recording)
+    monkeypatch.setattr(StandardMap, "evaluate_with_jacobian", recording)
     for name, planar_map, window in _gallery_cases():
         calls.clear()
         h = standard_map(planar_map)

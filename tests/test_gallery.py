@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from matrices import value_and_jacobian
 from treewalk import Dual, entries, evaluate_node, seed
 
 from planarinv.gallery import get, list_entries
@@ -121,7 +122,7 @@ def test_rotation_blend_is_minus_identity_far_out():
     assert len(outside) > 30000
     for p in outside:
         assert repr(psi.evaluate(p)) == repr((-p[0], -p[1]))
-        assert psi.jacobian_entries(p)[2:] == (-1.0, 0.0, 0.0, -1.0)
+        assert psi.evaluate_with_jacobian(p)[2:] == (-1.0, 0.0, 0.0, -1.0)
 
 
 def test_rotation_blend_involution_at_random_points():
@@ -142,7 +143,7 @@ def test_rotation_blend_unit_jacobian_inside_plateau():
         angle = rng.uniform(0, 2 * math.pi)
         radius = rng.uniform(0, 0.999)
         p = (3.0 + radius * math.cos(angle), 3.0 + radius * math.sin(angle))
-        _, jac = psi.evaluate_with_jacobian(p)
+        _, jac = value_and_jacobian(psi, p)
         assert (jac - IDENTITY).max_abs() <= 1e-9
 
 
@@ -201,7 +202,7 @@ def test_rotation_blend_matches_its_branching_reference():
     entry = get("C")
     worst_value = worst_partial = 0.0
     for p in entry.window.with_grid(201).nodes():
-        got, want = entry.map.jacobian_entries(p), _reference_entries(*p)
+        got, want = entry.map.evaluate_with_jacobian(p), _reference_entries(*p)
         assert entry.map.evaluate(p) == got[:2]
         assert _rotation_blend(*p) == want[:2]
         worst_value = max(worst_value, *(abs(a - b) for a, b in zip(got[:2], want[:2])))

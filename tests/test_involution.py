@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from matrices import value_and_jacobian
 
 from planarinv import involution
 from planarinv.expr import parse
@@ -64,6 +65,20 @@ def test_verify_involution_polynomially_conjugated_flip():
     # flip (x, y) -> (x, -y) seen through the coordinate change (x + y^3, y)
     check = verify_involution(GridSample(parse("(x + 2*y^3, -y)"), Region(-3, 3, -3, 3)), 1e-9)
     assert check.passed and check.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("source, residual", [
+    ("(y, -x)", 2.0),  # phi(phi(p)) = -p: the difference and |p| overflow
+    ("(0.5*x, 0.5*y)", 0.75),  # only |p| overflows
+    ("(-x, -y)", 0.0),
+    ("(x, -y)", 0.0),
+    ("(-y, -x)", 0.0),
+])
+def test_verify_involution_where_the_residual_overflows(source, residual):
+    check = verify_involution(GridSample(parse(source), Region(1.3e308, 1.7e308,
+                                                                 1.3e308, 1.7e308, 3)))
+    assert check.max_residual == residual
+    assert check.passed == (residual == 0.0)
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -163,10 +178,10 @@ def test_fixed_points_polished_to_tolerance():
 
 
 def test_classify_fixed_point():
-    assert classify_fixed_point(parse("(x, y)"), (2.0, 3.0)) == FIX_PLUS
-    assert classify_fixed_point(get("A4").map, (0.0, 0.0)) == FIX_MINUS
+    assert classify_fixed_point(value_and_jacobian(parse("(x, y)"), (2.0, 3.0))[1]) == FIX_PLUS
+    assert classify_fixed_point(value_and_jacobian(get("A4").map, (0.0, 0.0))[1]) == FIX_MINUS
     # orientation-reversing: the +/-I dichotomy does not apply
-    assert classify_fixed_point(get("A1").map, (1.0, 0.0)) == UNCLASSIFIED
+    assert classify_fixed_point(value_and_jacobian(get("A1").map, (1.0, 0.0))[1]) == UNCLASSIFIED
 
 
 def test_fix_origin_keeps_a_map_fixing_the_origin():

@@ -56,7 +56,7 @@ def _reference_value(first, second, x, y):
 
 
 def _assert_parity(first, second, points):
-    value, jacobian = compile_pair(first, second)
+    value, jacobian, _ = compile_pair(first, second)
     for x, y in points:
         assert _outcome(value, x, y) == _outcome(_reference_value, first, second, x, y)
         assert _outcome(jacobian, x, y) == _outcome(jacobian_entries, first, second, x, y)
@@ -91,7 +91,7 @@ def test_literals_equal_under_eq_stay_distinct():
     plus = ExprNode("add", (ExprNode("x"), ExprNode("num", value=0.0)))
     minus = ExprNode("add", (ExprNode("x"), ExprNode("num", value=-0.0)))
     assert plus == minus  # so == cannot identify common subexpressions
-    value, _ = compile_pair(plus, minus)
+    value, _, _ = compile_pair(plus, minus)
     assert repr(value(-0.0, 1.0)) == "(0.0, -0.0)"
     _assert_parity(plus, minus, [(-0.0, 1.0)])
     two, int_two = ExprNode("num", value=2.0), ExprNode("num", value=2)

@@ -142,16 +142,15 @@ def test_solve_min_norm_regular_matches_cramer():
         if abs(m.det) < 0.1:
             continue
         r = tuple(rng.uniform(-2, 2, 2))
-        dx, dy = solve_min_norm(m, r)
+        dx, dy = solve_min_norm(m.a11, m.a12, m.a21, m.a22, *r)
         assert m.apply((dx, dy)) == pytest.approx(r, rel=1e-9, abs=1e-12)
 
 
 def test_solve_min_norm_rank_deficient():
     # residual restricted to the column span; the step has no x component
-    m = Mat2(0.0, -3.0, 0.0, -2.0)
-    dx, dy = solve_min_norm(m, (1.0, 2.0))
+    dx, dy = solve_min_norm(0.0, -3.0, 0.0, -2.0, 1.0, 2.0)
     assert dx == 0.0
     expected = np.linalg.lstsq(np.array([[0.0, -3.0], [0.0, -2.0]]),
                                np.array([1.0, 2.0]), rcond=None)[0]
     assert (dx, dy) == pytest.approx(tuple(expected), rel=1e-12, abs=1e-12)
-    assert solve_min_norm(Mat2(0, 0, 0, 0), (1.0, 1.0)) == (0.0, 0.0)
+    assert solve_min_norm(0.0, 0.0, 0.0, 0.0, 1.0, 1.0) == (0.0, 0.0)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from matrices import value_and_jacobian
 
 from planarinv.expr import ExprNode, PlanarMap, parse
 from planarinv.gallery import get, list_entries
@@ -41,7 +42,7 @@ def test_standard_map_fixes_origin_with_identity_derivative():
         entry = get(name)
         h = standard_map(entry.map)
         assert math.hypot(*h.evaluate((0.0, 0.0))) <= 1e-12
-        _, dh = h.evaluate_with_jacobian((0.0, 0.0))
+        _, dh = value_and_jacobian(h, (0.0, 0.0))
         assert (dh - Mat2(1, 0, 0, 1)).max_abs() <= 1e-9
 
 
@@ -86,8 +87,8 @@ def test_jacobian_formula_matches_propagation_route():
         for _ in range(100):
             p = (rng.uniform(entry.window.x_min, entry.window.x_max),
                  rng.uniform(entry.window.y_min, entry.window.y_max))
-            _, formula = h.evaluate_with_jacobian(p)
-            _, propagated = as_map.evaluate_with_jacobian(p)
+            _, formula = value_and_jacobian(h, p)
+            _, propagated = value_and_jacobian(as_map, p)
             assert (formula - propagated).max_abs() <= 1e-10
 
 
@@ -98,7 +99,7 @@ def test_conjugacy_residual_hand_checked():
 
 def test_conjugacy_residual_positive_for_non_involution():
     m = parse("(x + 1, y)")
-    _, linear = m.evaluate_with_jacobian((0.0, 0.0))
+    _, linear = value_and_jacobian(m, (0.0, 0.0))
     from planarinv.linearize import StandardMap
 
     fake_h = StandardMap(m, linear)

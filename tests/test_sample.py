@@ -23,6 +23,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from matrices import value_and_jacobian
 from test_grid import _GRID_MAPS, FLIP_Y
 from test_scan import _WINDOWS
 
@@ -92,7 +93,7 @@ def _ref_orientation(planar_map, region):
     sign = 0
     min_abs = math.inf
     for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
+        _, jac = value_and_jacobian(planar_map, p)
         k = 1.0
         if math.isinf(abs(jac.a11 * jac.a22) + abs(jac.a12 * jac.a21)):
             # a product overflows: decide on jac scaled by a power of two
@@ -115,7 +116,7 @@ def _ref_sample_spectrum(planar_map, region):
     lin = linear_part(planar_map)  # the base is the origin
     samples = []
     for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
+        _, jac = value_and_jacobian(planar_map, p)
         trace_product = (lin @ jac).trace
         if math.isnan(trace_product):
             # products overflow both ways: take it from both matrices scaled
@@ -186,7 +187,7 @@ def _ref_check_A(planar_map, region):
     witness_a = witness_c = vanishes = flips = None
     sign = 0.0
     for sample in samples:
-        _, jac = planar_map.evaluate_with_jacobian(sample.point)
+        _, jac = value_and_jacobian(planar_map, sample.point)
         # (a) on the entries that (b) reads: scaled by k where a term overflows
         one, one_tol, dist = _ref_gap(jac)
         k = _ref_scale(jac) if _ref_overflows(jac) else 1.0
@@ -235,7 +236,7 @@ def _ref_shift(planar_map, region):
             f"got linear part {lin.rows()}")
     worst = 0.0
     for p in region.nodes():
-        _, jac = planar_map.evaluate_with_jacobian(p)
+        _, jac = value_and_jacobian(planar_map, p)
         # where a term overflows, both matrices scaled by k; the trace
         # difference is of degree 1 in k, the others of degree 2
         k = _ref_scale(jac) if _ref_overflows(jac) else 1.0
@@ -273,8 +274,8 @@ def _ref_find_fixed_points(planar_map, region, newton_tol=1e-9, max_iter=60):
     curve = len(roots) > max(1, 0.05 * region.grid_n)
     points = []
     for root in roots:
-        _, jac = planar_map.evaluate_with_jacobian(root)
-        cls = involution._classify_jacobian(jac)
+        _, jac = value_and_jacobian(planar_map, root)
+        cls = involution.classify_fixed_point(jac)
         if curve and cls == UNCLASSIFIED:
             cls = CURVE
         points.append(FixedPoint(root, cls, jac))
@@ -289,12 +290,12 @@ def _ref_theorem_B(planar_map, region):
     for sample in _ref_sample_spectrum(planar_map, region):
         # trace Dh = 1 + Trace(Dphi(0) Dphi(p))/2
         trace = 1.0 + 0.5 * sample.trace_product
-        _, dh = h.evaluate_with_jacobian(sample.point)
+        _, dh = value_and_jacobian(h, sample.point)
         det = dh.det
         if math.isnan(det):
             # products overflow both ways: det(I + L A) = det(k I + L' A')/k^2,
             # with L' and A' scaled by powers of two and k the product of the scales
-            _, jac = planar_map.evaluate_with_jacobian(sample.point)
+            _, jac = value_and_jacobian(planar_map, sample.point)
             kl, ka = _ref_scale(lin), _ref_scale(jac)
             g = IDENTITY.scale(kl * ka) + lin.scale(kl) @ jac.scale(ka)
             det = g.det / kl / ka / kl / ka / 4.0
@@ -308,7 +309,7 @@ def _first_failure(planar_map, region):
     as an outcome, or None."""
     for p in region.nodes():
         try:
-            planar_map.jacobian_entries(p)
+            planar_map.evaluate_with_jacobian(p)
         except Exception as exc:  # noqa: BLE001 - any exception must match
             return "raised", type(exc), str(exc)
     return None
@@ -507,7 +508,7 @@ def test_sample_values_are_evaluate_values(planar_map, region, grid_n):
     columns = (sample.u, sample.v, sample.ux, sample.uy, sample.vx, sample.vy)
     assert {len(column) for column in columns} == {len(nodes)}
     for j, p in enumerate(nodes):
-        assert tuple(column[j] for column in columns) == planar_map.jacobian_entries(p)
+        assert tuple(column[j] for column in columns) == planar_map.evaluate_with_jacobian(p)
         got = (sample.u[j], sample.v[j])
         assert repr(got) == repr(planar_map.evaluate(p))
         assert all(type(value) is float for value in got)
@@ -515,7 +516,7 @@ def test_sample_values_are_evaluate_values(planar_map, region, grid_n):
 
 def _values_match_evaluate(planar_map, points) -> None:
     for p in points:
-        assert repr(planar_map.jacobian_entries(p)[:2]) == repr(planar_map.evaluate(p)), p
+        assert repr(planar_map.evaluate_with_jacobian(p)[:2]) == repr(planar_map.evaluate(p)), p
 
 
 def test_division_by_a_subexpression_of_x_or_y_keeps_values_exact():
@@ -544,7 +545,7 @@ def test_dividing_by_a_literal_keeps_values_exact(divisor, x):
     literal = ExprNode("num", value=divisor)
     m = PlanarMap.from_expressions(ExprNode("div", (ExprNode("x"), literal)), ExprNode("y"), "lit")
     try:
-        entries = m.jacobian_entries((x, 1.0))
+        entries = m.evaluate_with_jacobian((x, 1.0))
     except ArithmeticError:
         return  # the quotient or its partial overflows
     assert repr(entries[:2]) == repr(m.evaluate((x, 1.0)))
@@ -574,7 +575,7 @@ def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
     nodes = set(region.nodes())
     counts = {"nodes": 0, "polish": 0}
     depth = [0]
-    entries, polish = PlanarMap.jacobian_entries, involution.polish_fixed_point
+    entries, polish = PlanarMap.evaluate_with_jacobian, involution.polish_fixed_point
 
     def counting_entries(self, p):
         if not depth[0] and (p[0], p[1]) in nodes:
@@ -589,7 +590,7 @@ def test_analyze_takes_one_jacobian_per_window_node(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(PlanarMap, "jacobian_entries", counting_entries)
+    monkeypatch.setattr(PlanarMap, "evaluate_with_jacobian", counting_entries)
     monkeypatch.setattr(involution, "polish_fixed_point", counting_polish)
     for spec in ("gallery:A1:1", "gallery:A2:1", "gallery:C", "(x - y^3, -y)"):
         counts.update(nodes=0, polish=0)

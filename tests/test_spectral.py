@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from matrices import value_and_jacobian
 
 from planarinv.expr import ExprNode, PlanarMap, parse
 from planarinv.gallery import get, list_entries
@@ -333,7 +334,7 @@ def test_spectrum_continuity_on_window():
     region = Region(-3, 3, -3, 3, 21)
     samples = sample_spectrum(GridSample(entry.map, region))
     n = region.grid_n
-    jacs = [entry.map.evaluate_with_jacobian(s.point)[1] for s in samples]
+    jacs = [value_and_jacobian(entry.map, s.point)[1] for s in samples]
     for row in range(n):
         for col in range(n - 1):
             i = row * n + col
