@@ -12,7 +12,7 @@ The grammar covers exactly what the built-in map gallery needs:
 
 Whitespace is insignificant; numbers are decimal literals with optional
 fraction and exponent; "^" accepts only non-negative integer literals and
-is evaluated by repeated multiplication (no branch cuts).
+is evaluated by repeated multiplication from the left (no branch cuts).
 
 A :class:`PlanarMap` carries a pair of expression trees, from :func:`parse`
 or built directly as :class:`ExprNode` trees (which may share subtrees).
@@ -21,8 +21,14 @@ on the map's first evaluation.  :func:`compile_pair` builds all three from
 one ``exec``: a float-only value kernel; a forward-mode Jacobian kernel
 that keeps the value and both partials of every subexpression in float
 locals, with the chain rule applied operation by operation; and a grid
-kernel, which runs the value lines over a whole grid of nodes in one loop
-and keeps the standard map's values there (see :meth:`PlanarMap.grid_kernel`).
+kernel, which runs the value lines over a whole grid of nodes and keeps
+the standard map's values there (see :meth:`PlanarMap.grid_kernel`).
+
+The kernels take the same float operations as a walk over the tree, but
+run some of them less often.  The powers of one base share a chain: each
+starts from the highest power of that base already computed, a prefix of
+its own left fold, so it repeats the same roundings.  The grid kernel runs
+each value line at the loop level that its dependence on x and y needs.
 """
 
 from __future__ import annotations
@@ -197,7 +203,7 @@ class _Parser:
         )
 
 
-_SSA_NAME = re.compile(r"\bt\d+(?:_[a-z])?\b")
+_SSA_NAME = re.compile(r"\b(t\d+(?:_[a-z])?)\b")
 
 
 # The identifiers of generated kernels, held interned for the life of the
@@ -211,7 +217,19 @@ _KERNEL_NAMES = tuple(sys.intern(name) for name in (
     "make", "value", "jacobian", "grid",
     "_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos",
     "xs", "ys", "us", "vs", "a11", "a12", "a21", "a22", "append_u", "append_v",
+    "cols", "Exception",
     *(f"r{i}" for i in range(64)), *(f"c{i}" for i in range(32))))
+
+# A power chain writes at most this many multiplications by the base out as
+# plain code, and longer runs as a loop: unrolled, y^3000 would nest too
+# deep for the compiler, and y^999 would take 30 ms to compile.
+_UNROLLED_STEPS = 8
+
+_X, _Y = 1, 2  # the bits of a value's dependence on x and on y
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
 
 
 def _reuse_names(lines: list[str]) -> list[str]:
@@ -221,30 +239,46 @@ def _reuse_names(lines: list[str]) -> list[str]:
 
     A temporary first appears where it is assigned, and its register is
     released only after the line of its last use, so no line reads a
-    register that the same line assigns to another temporary.  A loop is
-    one header line and one body line, so a temporary read in the body
-    stays live for every pass of the loop.
+    register that the same line assigns to another temporary.  A ``for``
+    loop is its header line and the deeper-indented lines below it, and
+    loops may nest: a temporary assigned before a loop and read inside it
+    stays live until that loop's last line, so every pass of the loop
+    reads it.
     """
-    last_use = {}
-    for i, line in enumerate(lines):
-        for name in _SSA_NAME.findall(line):
+    pieces = [_SSA_NAME.split(line) for line in lines]  # names at the odd places
+    first: dict[str, int] = {}
+    last_use: dict[str, int] = {}
+    for i, split in enumerate(pieces):
+        for name in split[1::2]:
+            first.setdefault(name, i)
             last_use[name] = i
+    for head, line in enumerate(lines):
+        if line.lstrip().startswith("for "):
+            end = head
+            while end + 1 < len(lines) and _indent(lines[end + 1]) > _indent(line):
+                end += 1
+            for split in pieces[head + 1:end + 1]:
+                for name in split[1::2]:
+                    if first[name] < head and last_use[name] < end:
+                        last_use[name] = end
+    released: dict[int, list[str]] = {}
+    for name in first:  # in order, so the code is reproducible
+        released.setdefault(last_use[name], []).append(name)
     registers: dict[str, str] = {}
     free: list[str] = []
     used = 0
     renamed = []
-    for i, line in enumerate(lines):
-        names = _SSA_NAME.findall(line)
+    for i, split in enumerate(pieces):
+        names = split[1::2]
         for name in names:
             if name not in registers:
                 if not free:
                     free.append(f"r{used}")
                     used += 1
                 registers[name] = free.pop()
-        renamed.append(_SSA_NAME.sub(lambda m: registers[m.group()], line))
-        for name in dict.fromkeys(names):  # in order, so the code is reproducible
-            if last_use[name] == i:
-                free.append(registers[name])
+        split[1::2] = [registers[name] for name in names]
+        renamed.append("".join(split))
+        free.extend(registers[name] for name in released.get(i, ()))
     return renamed
 
 
@@ -264,14 +298,19 @@ class _KernelWriter:
     Subexpressions are numbered by operation and operand names, so each
     distinct subtree is emitted once.  Literals are keyed by type and repr
     rather than by ``==``, which would merge 0.0 with -0.0 and 1 with 1.0.
+    The value lines of each subexpression are kept as one block, tagged
+    with the coordinates its value depends on, so that the grid kernel can
+    run each block at the loop level it needs.
     """
 
     def __init__(self):
         self.literals: list = []
         self.literal_names: dict[tuple, str] = {}
         self.emitted: dict[tuple, tuple] = {}
-        self.value_lines: list[str] = []
+        self.value_blocks: list[tuple[int, list[str]]] = []
         self.jac_lines: list[str] = []
+        self.depends: dict[str, int] = {"x": _X, "y": _Y}  # literals depend on neither
+        self.powers: dict[str, dict[int, tuple]] = {}  # base -> exponent -> emitted power
 
     def emit(self, node: ExprNode) -> tuple:
         kind = node.kind
@@ -296,17 +335,19 @@ class _KernelWriter:
             self.literals.append(value)  # by reference: repr(1e999) is "inf"
         return name
 
-    def _both(self, line: str) -> None:
-        self.value_lines.append(line)
-        self.jac_lines.append(line)
+    def _value(self, t: str, depends: int, lines: list[str]) -> None:
+        self.depends[t] = depends
+        self.value_blocks.append((depends, lines))
 
     def _operation(self, kind: str, exponent: int | None, args: tuple) -> tuple:
         t = f"t{len(self.emitted)}"
         if kind == "pow":
             return self._power(t, args[0], exponent)
         a, da = args[0]
+        depends = self.depends.get(a, 0)
         if kind in _INFIX:
             b, db = args[1]
+            depends |= self.depends.get(b, 0)
             line = f"{t} = {a} {_INFIX[kind]} {b}"
         elif kind == "neg":
             line = f"{t} = -{a}"
@@ -314,7 +355,7 @@ class _KernelWriter:
             line = f"{t} = abs({a})"
         else:
             line = f"{t} = _{kind}({a})"
-        self.value_lines.append(line)
+        self._value(t, depends, [line])
         if da is None and (kind not in _INFIX or db is None):
             self.jac_lines.append(line)  # plain float arithmetic, as on values
             return t, None
@@ -375,35 +416,94 @@ class _KernelWriter:
         return t, (tx, ty)
 
     def _power(self, t: str, arg: tuple, exponent: int) -> tuple:
-        """Repeated multiplication: ``out = 1.0`` times the base, ``exponent`` times."""
+        """Repeated multiplication from the left, ``a^k = ((a*a)*a)...``.
+
+        A varying base keeps a chain of its emitted powers: ``a^k`` starts
+        from the highest ``a^j`` below it, a prefix of the same left fold,
+        and multiplies by the base for the ``k - j`` missing steps only, so
+        it takes the roundings that the whole fold takes.  In the Jacobian
+        kernel each step of the ``(t, tx, ty)`` tuple is replayed from the
+        prefix's three names.
+        """
         a, da = arg
         if exponent == 0:
-            self._both(f"{t} = 1.0")  # the empty product, a constant even for a varying base
+            line = f"{t} = 1.0"  # the empty product, a constant even for a varying base
+            self._value(t, 0, [line])
+            self.jac_lines.append(line)
             return t, None
         if da is None:
             # a constant base may be an int literal: repeat the products exactly
-            self._both(f"{t} = 1.0")
-            self._repeat(self.value_lines, exponent, f"{t} = {t} * {a}")
-            self._repeat(self.jac_lines, exponent, f"{t} = {t} * {a}")
+            lines = [f"{t} = 1.0"] + self._repeat(exponent, f"{t} = {t} * {a}")
+            self._value(t, 0, lines)
+            self.jac_lines.extend(lines)
             return t, None
         if exponent == 1:
             return arg  # 1.0 * v is v, bit for bit, with its partials
+        chain = self.powers.setdefault(a, {1: arg})
+        start = max(k for k in chain if k < exponent)
+        p, (px, py) = chain[start]
+        steps = exponent - start
         tx, ty = f"{t}_x", f"{t}_y"
-        self.value_lines.append(f"{t} = {a}")
-        self._repeat(self.value_lines, exponent - 1, f"{t} = {t} * {a}")
-        self.jac_lines.append(f"{t}, {tx}, {ty} = {a}, {da[0]}, {da[1]}")
-        self._repeat(self.jac_lines, exponent - 1,
-                     f"{t}, {tx}, {ty} = {t} * {a}, {tx} * {a} + {t} * {da[0]}, "
-                     f"{ty} * {a} + {t} * {da[1]}")
-        return t, (tx, ty)
+
+        def step(s, sx, sy):
+            return (f"{t}, {tx}, {ty} = {s} * {a}, {sx} * {a} + {s} * {da[0]}, "
+                    f"{sy} * {a} + {s} * {da[1]}")
+
+        if steps <= _UNROLLED_STEPS:  # Python groups a * b * c from the left
+            self._value(t, self.depends[a], [f"{t} = {p}" + f" * {a}" * steps])
+            self.jac_lines.append(step(p, px, py))
+            self.jac_lines.extend([step(t, tx, ty)] * (steps - 1))
+        else:
+            self._value(t, self.depends[a],
+                        [f"{t} = {p}"] + self._repeat(steps, f"{t} = {t} * {a}"))
+            self.jac_lines.append(f"{t}, {tx}, {ty} = {p}, {px}, {py}")
+            self.jac_lines.extend(self._repeat(steps, step(t, tx, ty)))
+        chain[exponent] = t, (tx, ty)
+        return chain[exponent]
 
     @staticmethod
-    def _repeat(lines: list[str], count: int, body: str) -> None:
+    def _repeat(count: int, body: str) -> list[str]:
         if count == 1:
-            lines.append(body)
-        else:
-            lines.append(f"for _ in range({count}):")
-            lines.append(f"    {body}")
+            return [body]
+        return [f"for _ in range({count}):", f"    {body}"]
+
+    def _grid_lines(self, first: tuple, second: tuple) -> list[str]:
+        """The grid kernel's body: each value block at the loop level that
+        its dependence on x and y needs (see :meth:`PlanarMap.grid_kernel`),
+        then at each node PlanarMap.evaluate's float() and finiteness test
+        and StandardMap.evaluate's operations."""
+        levels: dict[int, list[str]] = {0: [], _X: [], _Y: [], _X | _Y: []}
+        for depends, lines in self.value_blocks:
+            levels[depends].extend(lines)
+        components = []
+        for name, (value, partials) in (("u", first), ("v", second)):
+            if partials is None:
+                levels[0].append(f"{name} = float({value})")
+                components.append(name)
+            else:
+                components.append(value)
+        u, v = components
+        node = levels[_X | _Y] + [
+            f"if not 0.0 * {u} * {v} == 0.0:",
+            "    return",
+            f"append_u(0.5 * x + 0.5 * (a11 * {u} + a12 * {v}))",
+            f"append_v(0.5 * y + 0.5 * (a21 * {u} + a22 * {v}))"]
+        lines = ["append_u, append_v = us.append, vs.append"] + levels[0]
+        column, columns = "x", "xs"
+        if levels[_X]:
+            carried = [name for name in dict.fromkeys(_SSA_NAME.findall("\n".join(node)))
+                       if self.depends[name] == _X]
+            column, columns = ", ".join(["x"] + carried), "cols"
+            # whatever a column raises ends the grid at that column of row 0,
+            # as evaluate_grid catches any exception and evaluates that node again
+            lines += ["cols = []", "try:", "    for x in xs:"]
+            lines += [f"        {line}" for line in levels[_X]]
+            lines += [f"        cols.append(({column}))",
+                      "except Exception:",
+                      "    ys = ys[:1]"]
+        lines += ["for y in ys:"] + [f"    {line}" for line in levels[_Y]]
+        lines += [f"    for {column} in {columns}:"] + [f"        {line}" for line in node]
+        return _reuse_names(lines)
 
     def source(self, first: tuple, second: tuple) -> str:
         jac_out = []
@@ -413,28 +513,17 @@ class _KernelWriter:
         (u, ux, uy), (v, vx, vy) = jac_out
         params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"]
                            + [f"c{i}" for i in range(len(self.literals))])
-        value_body = _reuse_names(self.value_lines + [f"return {first[0]}, {second[0]}"])
+        value_lines = [line for _, lines in self.value_blocks for line in lines]
+        value_body = _reuse_names(value_lines + [f"return {first[0]}, {second[0]}"])
         jac_body = _reuse_names(self.jac_lines + [f"return {u}, {v}, {ux}, {uy}, {vx}, {vy}"])
-        # the value lines once per node, with PlanarMap.evaluate's float() and
-        # finiteness test, then StandardMap.evaluate's operations
-        grid_body = _reuse_names(self.value_lines + [
-            f"{name} = {value}" if partials is not None else f"{name} = float({value})"
-            for name, (value, partials) in (("u", first), ("v", second))])
         return "\n".join(
             [f"def make({params}):", "    def value(x, y):"]
             + [f"        {line}" for line in value_body]
             + ["    def jacobian(x, y):"]
             + [f"        {line}" for line in jac_body]
-            + ["    def grid(xs, ys, a11, a12, a21, a22, us, vs):",
-               "        append_u, append_v = us.append, vs.append",
-               "        for y in ys:",
-               "            for x in xs:"]
-            + [f"                {line}" for line in grid_body]
-            + ["                if not 0.0 * u * v == 0.0:",
-               "                    return",
-               "                append_u(0.5 * (x + (a11 * u + a12 * v)))",
-               "                append_v(0.5 * (y + (a21 * u + a22 * v)))",
-               "    return value, jacobian, grid", ""]
+            + ["    def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
+            + [f"        {line}" for line in self._grid_lines(first, second)]
+            + ["    return value, jacobian, grid", ""]
         )
 
 
@@ -486,10 +575,18 @@ class PlanarMap:
         at the nodes ``(x, y)``, ``y`` outer and ``x`` inner.
 
         At each node it takes the operations of :meth:`evaluate` and then
-        appends ``0.5 * (x + (a11*u + a12*v))`` to ``us`` and
-        ``0.5 * (y + (a21*u + a22*v))`` to ``vs``.  It returns at the first
-        node whose value is not finite and lets an exception of the map
-        propagate unwrapped; either way the lists end before that node.
+        appends ``0.5*x + 0.5*(a11*u + a12*v)`` to ``us`` and
+        ``0.5*y + 0.5*(a21*u + a22*v)`` to ``vs``.  The operations of a
+        value that depends on neither coordinate run once per call, those
+        of a value that depends on ``x`` alone once per column, in a pass
+        before the rows, and those of a value that depends on ``y`` alone
+        once per row; only the rest run at every node.  Float operations
+        have no state, so each node still gets :meth:`evaluate`'s floats.
+
+        The kernel stops at the first node, in row-major order, where
+        :meth:`evaluate` fails: it returns there, or lets the map's
+        exception propagate unwrapped, and either way the lists end before
+        that node.  A column whose pass raises stops row 0 at that column.
         """
         return (self._kernels or self._build_kernels())[2]
 

@@ -59,8 +59,9 @@ class StandardMap:
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
         fx, fy = self.base.evaluate(p)
         a = self.linear_part
-        return (0.5 * (p[0] + (a.a11 * fx + a.a12 * fy)),
-                0.5 * (p[1] + (a.a21 * fx + a.a22 * fy)))
+        # halved term by term, so h stays finite where p + Dphi(0) phi(p) overflows
+        return (0.5 * p[0] + 0.5 * (a.a11 * fx + a.a12 * fy),
+                0.5 * p[1] + 0.5 * (a.a21 * fx + a.a22 * fy))
 
     def evaluate_grid(
         self, xs: list[float], ys: list[float]
@@ -92,16 +93,17 @@ class StandardMap:
     def evaluate_with_jacobian(self, p: tuple[float, float]) -> tuple[float, ...]:
         """h(p) and Dh(p) as the floats ``(hx, hy, h11, h12, h21, h22)``.
 
-        Each entry takes the operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)``
-        in :class:`Mat2` arithmetic, in the same order (``0.0 +`` included,
+        ``(hx, hy)`` takes :meth:`evaluate`'s operations.  Each entry of Dh
+        takes the operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)`` in
+        :class:`Mat2` arithmetic, in the same order (``0.0 +`` included,
         which turns a -0.0 into 0.0).
         """
         u, v, ux, uy, vx, vy = self.base.evaluate_with_jacobian(p)
         a = self.linear_part
         a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
         return (
-            0.5 * (p[0] + (a11 * u + a12 * v)),
-            0.5 * (p[1] + (a21 * u + a22 * v)),
+            0.5 * p[0] + 0.5 * (a11 * u + a12 * v),
+            0.5 * p[1] + 0.5 * (a21 * u + a22 * v),
             0.5 * (1.0 + (a11 * ux + a12 * vx)),
             0.5 * (0.0 + (a11 * uy + a12 * vy)),
             0.5 * (0.0 + (a21 * ux + a22 * vx)),

@@ -337,3 +337,14 @@ def test_analyze_a_window_whose_scan_cells_overflow_fails_in_injectivity(tmp_pat
     assert "no scan cell of side 1e-06" in err
     assert "Traceback" not in err
     assert run(args + ["--window", "1e300,1.5e300,-1,1", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_analyze_names_a_finite_image_where_p_plus_the_image_overflows(capsys):
+    # h is the identity and stays finite on this window; the scan cell of
+    # its image still overflows, so the run fails in injectivity
+    args = ["analyze", "(-x, -y)", "--window", "1.3e308,1.7e308,1.3e308,1.7e308",
+            "--grid", "3", "--scan", "5"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: [injectivity] the image (1.3e+308, 1.3e+308) of node")
+    assert "(inf, inf)" not in err

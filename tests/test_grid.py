@@ -131,6 +131,56 @@ def test_evaluate_grid_stops_where_evaluate_fails():
             assert len(us) == len(vs) == failure[0] and failure[1] in str(error), source
 
 
+def _first_failure(h, xs, ys):
+    """The row-major index of the first node where h.evaluate fails, or None."""
+    us, _, error = _per_node(h, xs, ys)
+    return None if error is None else len(us)
+
+
+def test_hoisted_grid_stops_at_the_same_node():
+    # the grid kernel runs x-only values once per column before the rows,
+    # y-only values once per row and constants once; it must still stop
+    # at the first failing node in row-major order, with evaluate's error
+    xs = [-1.0, -0.5, 0.0, 0.5, 800.0]
+    ys = [1.0, 0.25, -1.0, 4.0]
+    cases = {
+        "(1/x + y, y)": 2,  # x-only, raises at the inner column 2 of row 0
+        "(x + sqrt(y), -y)": 10,  # y-only, raises at the middle row 2
+        "(1/x + sqrt(y), y)": 2,  # both: column 2 of row 0 comes before row 2
+        "(1/x + sqrt(y + 1.5), y)": 2,
+        "(1/x + sqrt(y - 2), y)": 0,  # both: row 0 fails at its first node
+        "(x*y + 1/x, sqrt(y))": 2,  # x-only and y-only values read at the nodes
+        "(1/(x*y + 0.5) + 1/x, y)": 1,  # a node value fails before the column
+        "(x + sqrt(-1), y)": 0,  # a constant subtree raises
+        "(sqrt(-1), y)": 0,  # a constant component raises
+        "(2^3/0, x)": 0,
+        "(sinh(x), y)": 4,  # x-only component: math range error at x = 800
+        "(x, 1e306*x*y)": 4,  # goes to inf at the last column of row 0
+        "(1e306*x, y)": 4,  # x-only component that goes to inf
+        "(x + 0*y^999, -y)": 15,  # 4^999 overflows at row 3: 0*inf is NaN
+    }
+    for source, failure in cases.items():
+        h = StandardMap(parse(source), Mat2(1.0, 0.5, -0.0, -1.0))
+        _, _, error = _assert_grid_parity(h, xs, ys)
+        assert _first_failure(h, xs, ys) == failure, source
+        assert error is not None and error[0] is EvaluationError, source
+    # an empty axis has no node to fail, even where a constant raises
+    for source in ("(1/x + y, y)", "(sqrt(-1), y)", "(x, sqrt(y))"):
+        for axes in (([], ys), (xs, []), ([], [])):
+            assert _assert_grid_parity(StandardMap(parse(source), IDENTITY), *axes)[2] is None
+
+
+def test_hoisted_grid_takes_each_component_at_its_level():
+    # u and v each a constant, an x-only or a y-only value, or both
+    components = ("2", "-0.0", "sinh(x)", "1/x", "y^3", "sqrt(y)", "x*y")
+    xs = [-2.0, -0.0, 0.0, 1.5, 3.0]
+    ys = [2.0, 0.0, -0.0, -1.0]
+    for u in components:
+        for v in components:
+            for linear in (IDENTITY, MINUS_IDENTITY, Mat2(0.0, -1.0, -1.0, 0.0)):
+                _assert_grid_parity(StandardMap(parse(f"({u}, {v})"), linear), xs, ys)
+
+
 def test_evaluate_grid_converts_constant_components_with_float():
     # a literal that is a number but not a float: evaluate converts the
     # component with float(), so 0.0 * u never meets the Decimal itself

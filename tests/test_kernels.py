@@ -105,3 +105,76 @@ def test_kernels_match_on_every_gallery_expression():
         for n in ((0, 1, 2) if name in ("A1", "A2", "A3", "A4") else (None,)):
             entry = gallery.get(name, n)
             _assert_parity(*entry.map.asts, list(entry.window.nodes()))
+
+
+# ----------------------------------------------------------------------
+# power chains: a^k starts from the highest power of a already emitted
+# ----------------------------------------------------------------------
+
+_POWER_BASES = (ExprNode("x"), ExprNode("y"), parse("((x + y)/2, sinh(y))").asts[0],
+                parse("((x + y)/2, sinh(y))").asts[1])
+# signed zeros, subnormals, and bases whose powers overflow
+_POWER_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1.0, -1.0, 1.5, -0.75,
+                     1e30, -1e31, 1e300, 700.0]),
+    st.floats(-1e40, 1e40),
+)
+_POWER_AXIS = st.lists(_POWER_COORDS, min_size=1, max_size=5)
+
+
+def _grid_outcome(first, second, xs, ys, linear):
+    """The grid kernel's lists, which end before the first failing node."""
+    us, vs = [], []
+    try:
+        compile_pair(first, second)[2](xs, ys, *linear, us, vs)
+    except (ArithmeticError, ValueError):
+        pass
+    return repr(us), repr(vs)
+
+
+def _reference_grid(first, second, xs, ys, linear):
+    a11, a12, a21, a22 = linear
+    us, vs = [], []
+    for y in ys:
+        for x in xs:
+            try:
+                u, v = (float(value) for value in _reference_value(first, second, x, y))
+            except (ArithmeticError, ValueError):
+                return repr(us), repr(vs)
+            if not 0.0 * u * v == 0.0:
+                return repr(us), repr(vs)
+            us.append(0.5 * x + 0.5 * (a11 * u + a12 * v))
+            vs.append(0.5 * y + 0.5 * (a21 * u + a22 * v))
+    return repr(us), repr(vs)
+
+
+def _assert_power_parity(first, second, xs, ys):
+    _assert_parity(first, second, [(x, y) for y in ys for x in xs])
+    for linear in ((1.0, 0.0, 0.0, 1.0), (-1.0, 0.5, -0.0, -1.0)):
+        assert _grid_outcome(first, second, xs, ys, linear) == \
+            _reference_grid(first, second, xs, ys, linear)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_POWER_BASES),
+       st.lists(st.integers(2, 12), min_size=1, max_size=11, unique=True),
+       st.integers(0, 12), _POWER_AXIS, _POWER_AXIS)
+@example(ExprNode("y"), [3, 5, 7, 9], 2, [0.5, -0.0], [5e-324, 1e40, -1.5])
+@example(ExprNode("x"), [12, 2, 11, 3], 12, [1e-160, -1e31], [0.0])
+def test_power_chains_match_tree_walk(base, exponents, last, xs, ys):
+    # the powers of one base, emitted in the drawn order and summed; the
+    # second component takes one more power, often one already emitted
+    powers = [ExprNode("pow", (base,), exponent=k) for k in exponents]
+    first = powers[0]
+    for k, power in enumerate(powers[1:]):
+        first = ExprNode("add" if k % 2 else "sub", (first, power))
+    second = ExprNode("mul", (ExprNode("y"), ExprNode("pow", (base,), exponent=last)))
+    _assert_power_parity(first, second, xs, ys)
+
+
+def test_long_powers_keep_their_loops():
+    # unrolled, these runs would nest too deep to compile
+    points = [0.5, -1.0, 1.0000001, -0.0, 2.0]
+    for source in ("(x + 0*y^3000, -y)", "(y^10000, x)", "(y^10000 - y^3, y^9999 + x^2)",
+                   "(x^2 + x^40, x^41 - x^39)"):
+        _assert_power_parity(*parse(source).asts, points, points)

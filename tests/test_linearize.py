@@ -37,6 +37,21 @@ def test_standard_map_of_minus_identity_is_identity():
     assert h.evaluate((3.0, -4.0)) == (3.0, -4.0)
 
 
+def test_standard_map_stays_finite_where_p_plus_the_image_overflows():
+    # h is the identity for these maps; p + Dphi(0) phi(p) = 2p overflows on
+    # this window, so h is halved term by term on all three paths
+    window = Region(1.3e308, 1.7e308, 1.3e308, 1.7e308, 3)
+    xs, ys = window.xs(), window.ys()
+    for source in ("(-x, -y)", "(x, -y)", "(-y, -x)"):
+        h = standard_map(parse(source))
+        for p in window.nodes():
+            assert h.evaluate(p) == p, source
+            assert h.evaluate_with_jacobian(p)[:2] == p, source
+        us, vs, error = h.evaluate_grid(xs, ys)
+        assert error is None, source
+        assert list(zip(us, vs)) == list(window.nodes()), source
+
+
 def test_standard_map_fixes_origin_with_identity_derivative():
     for name in list_entries():
         entry = get(name)

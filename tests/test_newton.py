@@ -40,13 +40,13 @@ FLIP_Y = Mat2(1.0, 0.0, 0.0, -1.0)
 def _ref_evaluate(h, p):
     fx, fy = h.base.evaluate(p)
     ax, ay = h.linear_part.apply((fx, fy))
-    return (0.5 * (p[0] + ax), 0.5 * (p[1] + ay))
+    return (0.5 * p[0] + 0.5 * ax, 0.5 * p[1] + 0.5 * ay)
 
 
 def _ref_evaluate_with_jacobian(h, p):
     (fx, fy), jac = value_and_jacobian(h.base, p)
     ax, ay = h.linear_part.apply((fx, fy))
-    value = (0.5 * (p[0] + ax), 0.5 * (p[1] + ay))
+    value = (0.5 * p[0] + 0.5 * ax, 0.5 * p[1] + 0.5 * ay)
     return value, (IDENTITY + h.linear_part @ jac).scale(0.5)
 
 
