@@ -297,8 +297,10 @@ def cmd_analyze(args) -> int:
         del sample
 
         phase = "injectivity"
-        sep = 1e-3 * region.diameter
-        cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, 1e-6, sep))
+        # a window narrower than 1 scales the collision tolerance with it, as
+        # it does the separation, so that neighbouring nodes are no collision
+        tol, sep = 1e-6 * min(1.0, region.diameter), 1e-3 * region.diameter
+        cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, tol, sep))
 
         phase = "foliation-kind"
         try:
@@ -316,7 +318,7 @@ def cmd_analyze(args) -> int:
             "conditions": [_ser_condition(c) for c in assessment.conditions],
             "theorem_verdict": assessment.verdict,
             "linearizable_on_window": assessment.linearizable_on_window,
-            "injectivity": _ser_injectivity(cert, args.scan, 1e-6, sep),
+            "injectivity": _ser_injectivity(cert, args.scan, tol, sep),
             "spectrum_shift_deviation": shift_deviation,
             "foliation_kind": foliation_kind,
             "leaf_count": 0,

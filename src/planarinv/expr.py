@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -205,20 +204,16 @@ class _Parser:
 
 _SSA_NAME = re.compile(r"\b(t\d+(?:_[a-z])?)\b")
 
-
 # The identifiers of generated kernels, held interned for the life of the
 # process.  Compiling interns every identifier, and an interned name that no
 # live object refers to is deleted again, so each map would insert and
 # delete its names in the interpreter's table of interned strings; that
-# churn fills the table with deleted slots until it grows, which with a
-# fresh name per temporary raised peak memory by about 1 MB.  Registers
-# (see _reuse_names) keep the names few enough to hold.
-_KERNEL_NAMES = tuple(sys.intern(name) for name in (
-    "make", "value", "jacobian", "grid",
-    "_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos",
-    "xs", "ys", "us", "vs", "a11", "a12", "a21", "a22", "append_u", "append_v",
-    "cols", "Exception",
-    *(f"r{i}" for i in range(64)), *(f"c{i}" for i in range(32))))
+# churn fills the table with deleted slots until it grows, which raised
+# peak memory by about 1 MB.  compile_pair adds the names of every kernel
+# it compiles.  Each kernel numbers its temporaries and literals from t0
+# and c0, so the set grows with the largest kernel compiled, not with the
+# number of maps.
+_KERNEL_NAMES: set[str] = set()
 
 # A power chain writes at most this many multiplications by the base out as
 # plain code, and longer runs as a loop: unrolled, y^3000 would nest too
@@ -226,60 +221,6 @@ _KERNEL_NAMES = tuple(sys.intern(name) for name in (
 _UNROLLED_STEPS = 8
 
 _X, _Y = 1, 2  # the bits of a value's dependence on x and on y
-
-
-def _indent(line: str) -> int:
-    return len(line) - len(line.lstrip())
-
-
-def _reuse_names(lines: list[str]) -> list[str]:
-    """Rename the single-assignment temporaries ``t<n>[_<suffix>]`` of
-    straight-line code to registers ``r<k>``, each register taken again
-    once its temporary is past its last use.
-
-    A temporary first appears where it is assigned, and its register is
-    released only after the line of its last use, so no line reads a
-    register that the same line assigns to another temporary.  A ``for``
-    loop is its header line and the deeper-indented lines below it, and
-    loops may nest: a temporary assigned before a loop and read inside it
-    stays live until that loop's last line, so every pass of the loop
-    reads it.
-    """
-    pieces = [_SSA_NAME.split(line) for line in lines]  # names at the odd places
-    first: dict[str, int] = {}
-    last_use: dict[str, int] = {}
-    for i, split in enumerate(pieces):
-        for name in split[1::2]:
-            first.setdefault(name, i)
-            last_use[name] = i
-    for head, line in enumerate(lines):
-        if line.lstrip().startswith("for "):
-            end = head
-            while end + 1 < len(lines) and _indent(lines[end + 1]) > _indent(line):
-                end += 1
-            for split in pieces[head + 1:end + 1]:
-                for name in split[1::2]:
-                    if first[name] < head and last_use[name] < end:
-                        last_use[name] = end
-    released: dict[int, list[str]] = {}
-    for name in first:  # in order, so the code is reproducible
-        released.setdefault(last_use[name], []).append(name)
-    registers: dict[str, str] = {}
-    free: list[str] = []
-    used = 0
-    renamed = []
-    for i, split in enumerate(pieces):
-        names = split[1::2]
-        for name in names:
-            if name not in registers:
-                if not free:
-                    free.append(f"r{used}")
-                    used += 1
-                registers[name] = free.pop()
-        split[1::2] = [registers[name] for name in names]
-        renamed.append("".join(split))
-        free.extend(registers[name] for name in released.get(i, ()))
-    return renamed
 
 
 class _KernelWriter:
@@ -503,7 +444,7 @@ class _KernelWriter:
                       "    ys = ys[:1]"]
         lines += ["for y in ys:"] + [f"    {line}" for line in levels[_Y]]
         lines += [f"    for {column} in {columns}:"] + [f"        {line}" for line in node]
-        return _reuse_names(lines)
+        return lines
 
     def source(self, first: tuple, second: tuple) -> str:
         jac_out = []
@@ -514,13 +455,12 @@ class _KernelWriter:
         params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"]
                            + [f"c{i}" for i in range(len(self.literals))])
         value_lines = [line for _, lines in self.value_blocks for line in lines]
-        value_body = _reuse_names(value_lines + [f"return {first[0]}, {second[0]}"])
-        jac_body = _reuse_names(self.jac_lines + [f"return {u}, {v}, {ux}, {uy}, {vx}, {vy}"])
         return "\n".join(
             [f"def make({params}):", "    def value(x, y):"]
-            + [f"        {line}" for line in value_body]
-            + ["    def jacobian(x, y):"]
-            + [f"        {line}" for line in jac_body]
+            + [f"        {line}" for line in value_lines]
+            + [f"        return {first[0]}, {second[0]}", "    def jacobian(x, y):"]
+            + [f"        {line}" for line in self.jac_lines]
+            + [f"        return {u}, {v}, {ux}, {uy}, {vx}, {vy}"]
             + ["    def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
             + [f"        {line}" for line in self._grid_lines(first, second)]
             + ["    return value, jacobian, grid", ""]
@@ -536,15 +476,23 @@ def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable,
     component and ``value``'s ``(u, v)`` wherever both succeed.  Both raise
     what the float operations raise, and the Jacobian kernel raises
     ZeroDivisionError for the derivative of sqrt at zero.  ``grid`` is
-    described at :meth:`PlanarMap.grid_kernel`.
+    described at :meth:`PlanarMap.grid_kernel`.  A tree nested too deeply
+    for Python's recursion limit raises ValueError.
     """
     writer = _KernelWriter()
-    u = writer.emit(first)
-    v = writer.emit(second)
+    try:
+        u = writer.emit(first)
+        v = writer.emit(second)
+    except RecursionError:
+        raise ValueError("expression nested too deeply to compile") from None
     namespace: dict = {}
     exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
-    return namespace["make"](math.sinh, math.cosh, math.asinh, math.sqrt, math.sin, math.cos,
-                             *writer.literals)
+    make = namespace["make"]
+    kernels = make(math.sinh, math.cosh, math.asinh, math.sqrt, math.sin, math.cos,
+                   *writer.literals)
+    for code in [make.__code__] + [kernel.__code__ for kernel in kernels]:
+        _KERNEL_NAMES.update(code.co_varnames, code.co_freevars, code.co_names)
+    return kernels
 
 
 @dataclass(frozen=True)
@@ -627,7 +575,11 @@ class PlanarMap:
 
 def parse(source: str) -> PlanarMap:
     """Parse a comma-separated expression pair like ``"(x - y^3, -y)"``."""
-    first, second = _Parser(source).parse_map()
+    parser = _Parser(source)
+    try:
+        first, second = parser.parse_map()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
     return PlanarMap.from_expressions(first, second, source)
 
 

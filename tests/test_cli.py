@@ -348,3 +348,42 @@ def test_analyze_names_a_finite_image_where_p_plus_the_image_overflows(capsys):
     err = capsys.readouterr().err
     assert err.startswith("analyze: [injectivity] the image (1.3e+308, 1.3e+308) of node")
     assert "(inf, inf)" not in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("(" + " + ".join(["x"] * 600) + ", y)", "expression nested too deeply to compile"),
+    ("(" + "-" * 600 + "x, y)", "expression nested too deeply to compile"),
+    ("(" + "(" * 200 + "x" + ")" * 200 + ", y)", "expression nested too deeply (at offset"),
+], ids=["sum", "minus", "parentheses"])
+def test_analyze_refuses_an_expression_nested_too_deeply_at_setup(spec, message, capsys):
+    assert run(["analyze", spec, "--grid", "5", "--scan", "11"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"analyze: [setup] {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, window, extra, verdict", [
+    ("(x, -y)", "0,1e-4,0,1e-4", [], "Theorem B"),
+    ("(x, y)", "0,1e-7,0,1e-7", ["--grid", "5", "--scan", "11"], "Theorem A(a)"),
+], ids=["flip-y", "identity"])
+def test_analyze_finds_no_collision_for_an_injective_map_on_a_tiny_window(
+        spec, window, extra, verdict, tmp_path):
+    # the collision tolerance shrinks with the window, so that neighbouring
+    # scan nodes closer than 1e-6 are not taken for a collision
+    out = tmp_path / "tiny.json"
+    assert run(["analyze", spec, "--window", window, "--out", str(out)] + extra) == 0
+    report = json.loads(out.read_text())
+    assert verdict in report["theorem_verdict"]
+    diameter = float(window.split(",")[1]) * 2 ** 0.5
+    assert report["injectivity"]["collision_tol"] == pytest.approx(1e-6 * diameter)
+    assert report["injectivity"]["status"] == "NoCollisionFound"
+
+
+def test_analyze_still_finds_the_collision_of_a_map_constant_on_a_small_window(tmp_path):
+    # gallery C's h is constant on this window, so any two nodes collide
+    out = tmp_path / "c.json"
+    window = "-3.1,-2.9,-3.1,-2.9"
+    assert run(["analyze", "gallery:C", f"--window={window}", "--out", str(out)]) == 0
+    injectivity = json.loads(out.read_text())["injectivity"]
+    assert injectivity["collision_tol"] == pytest.approx(1e-6 * 0.2 * 2 ** 0.5)
+    assert injectivity["status"] == "Collision"

@@ -64,6 +64,13 @@ def test_trailing_garbage_rejected():
         parse("(x, y")
 
 
+def test_parentheses_nested_too_deeply_are_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("(" + "(" * 200 + "x" + ")" * 200 + ", y)")
+    assert "nested too deeply" in str(err.value)
+    assert 0 < err.value.position <= 200
+
+
 def test_division_by_zero_reports_point():
     m = parse("(1/x, y)")
     with pytest.raises(EvaluationError) as err:

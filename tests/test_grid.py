@@ -223,6 +223,36 @@ def test_kernel_identifiers_stay_interned():
                 "append"}, source
 
 
+def _kernel_identifiers(planar_map):
+    kernels = planar_map._kernels or planar_map._build_kernels()
+    return {name for kernel in kernels
+            for name in kernel.__code__.co_varnames + kernel.__code__.co_names
+            + kernel.__code__.co_freevars}
+
+
+def test_kernel_identifiers_of_a_map_with_many_literals_are_held():
+    # 40 distinct literals, more than any fixed pool of parameter names held
+    terms = " + ".join(f"{1 + i / 100!r}*x^{i % 5 + 1}" for i in range(40))
+    planar_map = parse(f"({terms}, -y)")
+    names = _kernel_identifiers(planar_map)
+    assert {f"c{i}" for i in range(40)} <= names
+    assert names - set(_KERNEL_NAMES) == set()
+
+
+def test_maps_of_a_compiled_shape_hold_no_new_identifier():
+    templates = ("(x + {a}*y^3 - {b}*y^5, -y)",
+                 "(sinh(x)*{a} + y/{b}, asinh(y - {a}*x^2))",
+                 "(abs(x)^3*{a} - sqrt(y*y + {b}), cos(x)*sin({a}*y))")
+    for a, b in ((0.25, 1.5), (0.75, 2.5)):
+        for template in templates:
+            parse(template.format(a=a, b=b))._build_kernels()
+    held = frozenset(_KERNEL_NAMES)
+    for a, b in ((0.125, 3.5), (0.625, 4.5)):
+        for template in templates:
+            assert _kernel_identifiers(parse(template.format(a=a, b=b))) <= held
+    assert set(_KERNEL_NAMES) == held
+
+
 # ----------------------------------------------------------------------
 # injectivity_scan on the grid path
 # ----------------------------------------------------------------------
