@@ -9,7 +9,6 @@ foliation of the punctured plane by topological rays.
 
 from planarinv import (
     GridSample,
-    default_leaf_parameters,
     diagonalize_involution,
     find_fixed_points,
     get,
@@ -23,8 +22,7 @@ def portrait(name: str, path: str) -> None:
     entry = get(name)
     h = standard_map(entry.map)
     fol = diagonalize_involution(h.linear_part)
-    leaves = trace_leaves(h, fol, default_leaf_parameters(h, fol, entry.window),
-                          entry.window)
+    leaves = trace_leaves(h, fol, entry.window)
     scan = find_fixed_points(GridSample(entry.map, entry.window))
     write_portrait(path, entry.window, leaves, scan.points,
                    title=f"invariant foliation of {name}")

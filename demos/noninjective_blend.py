@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""The counterexample entry: a smooth involution whose standard map folds.
+"""The counterexample entry: a smooth involution whose standard map collapses.
 
 The rotation blend agrees with -p far from two disks but rotates by a full
 half turn near them, so on the unit disk around (3, 3) it is the pure
 translation p -> p - (6, 6).  There its Jacobian is the identity, the
 sampled spectrum contains 1, and every linearization hypothesis fails.
-The standard map is constant on that disk, which the injectivity scan
+The standard map is constant on that disk (Dh = 0 there, and det Dh changes
+sign nowhere: a collapse, not a fold), which the injectivity scan
 demonstrates with an explicit witness pair, and the traced "foliation"
 visibly collapses there.
 """
@@ -20,7 +21,6 @@ from planarinv import (
     check_condition_A,
     standard_map,
     trace_leaves,
-    default_leaf_parameters,
 )
 from planarinv.svgplot import write_portrait
 
@@ -49,7 +49,7 @@ def main() -> None:
     print(f"injectivity scan: {cert.status}, witness pair {cert.witness_pair}")
 
     fol = diagonalize_involution(h.linear_part)
-    leaves = trace_leaves(h, fol, default_leaf_parameters(h, fol, window), window)
+    leaves = trace_leaves(h, fol, window)
     truncated = sum(1 for leaf in leaves if leaf.truncated)
     write_portrait("foliation_blend.svg", window, leaves, [],
                    title="degenerate foliation of the rotation blend")

@@ -13,8 +13,6 @@ from .foliation import (
     CanonicalFoliation,
     InversionError,
     Leaf,
-    canonical_parameter_range,
-    default_leaf_parameters,
     diagonalize_involution,
     invert_standard_map,
     leaf_invariance_check,

@@ -23,7 +23,6 @@ import time
 from .expr import EvaluationError, PlanarMap, parse
 from .foliation import (
     InversionError,
-    default_leaf_parameters,
     diagonalize_involution,
     leaf_invariance_check,
     trace_leaves,
@@ -385,8 +384,7 @@ def cmd_foliate(args) -> int:
         fol = diagonalize_involution(h.linear_part)
 
         phase = "trace"
-        parameters = default_leaf_parameters(h, fol, region, args.leaves)
-        leaves = trace_leaves(h, fol, parameters, region, args.step)
+        leaves = trace_leaves(h, fol, region, args.step, args.leaves)
         invariance = max(
             (leaf_invariance_check(planar_map, h, fol, leaf) for leaf in leaves),
             default=0.0,

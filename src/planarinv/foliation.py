@@ -13,9 +13,9 @@ The Newton step reads h and Dh as plain floats from
 ``StandardMap.evaluate_with_jacobian``.  Each inversion hands back those
 floats at its root, and the next inversion of the march, which starts
 there, reads them instead of evaluating h again; so does the leaf residual.
-:func:`trace_leaves` traces a family of leaves; for a vertical foliation it
-computes the window's eigen-coordinates once, and every leaf takes its
-starting node from that one grid.
+:func:`trace_leaves` traces the default family of leaves; for a vertical
+foliation it computes the window's eigen-coordinates once, and both the
+leaf parameters and every leaf's starting node come from that one grid.
 
 Radial leaves start at radius 1e-3, not 0: the origin does not belong to
 the radial foliation and the ray equation is undefined there.
@@ -323,20 +323,22 @@ def trace_leaf(
 def trace_leaves(
     h: StandardMap,
     fol: CanonicalFoliation,
-    parameters: list[float],
     region: Region,
     step: float = 1e-2,
+    count: int | None = None,
 ) -> list[Leaf]:
-    """:func:`trace_leaf` for every parameter, in order.
+    """Trace the default family: :func:`trace_leaf` at every parameter of
+    :func:`default_leaf_parameters`, in order.
 
-    A vertical foliation's leaves all start from the window node nearest
-    them, so the window's eigen-coordinates are computed once here and
-    shared instead of once per leaf.
+    A vertical foliation takes its parameters from the range of the first
+    eigen-coordinate of h over the window, and each leaf starts from the
+    window node nearest it; both read one grid of h, computed here once.
     """
     grid = None
     if fol.kind == VERTICAL:
         grid = _eigen_grid(h, fol.change_of_basis, region)
-    return [trace_leaf(h, fol, c, region, step, _grid=grid) for c in parameters]
+    return [trace_leaf(h, fol, c, region, step, _grid=grid)
+            for c in default_leaf_parameters(fol, grid, count)]
 
 
 def _window_gap(region: Region, p: tuple[float, float]) -> float:
@@ -384,32 +386,18 @@ def leaf_invariance_check(
     return worst
 
 
-def canonical_parameter_range(
-    h: StandardMap, fol: CanonicalFoliation, region: Region
-) -> tuple[float, float]:
-    """Leaf-parameter interval covering the window.
-
-    Radial leaves are parameterized by angle over [0, 2*pi); vertical
-    leaves by the range of the first eigen-coordinate of h over the grid.
-    """
-    if fol.kind == RADIAL:
-        return (0.0, 2.0 * math.pi)
-    firsts = [w[0] for w, _ in _eigen_grid(h, fol.change_of_basis, region)]
-    return (min(firsts), max(firsts))
-
-
 def default_leaf_parameters(
-    h: StandardMap,
-    fol: CanonicalFoliation,
-    region: Region,
-    count: int | None = None,
+    fol: CanonicalFoliation, grid: EigenGrid | None, count: int | None = None
 ) -> list[float]:
-    """Equispaced leaf parameters: 24 ray angles or 21 vertical constants."""
+    """Equispaced leaf parameters: 24 ray angles over [0, 2*pi), or 21
+    vertical constants spanning the first eigen-coordinates of the window
+    ``grid`` of :func:`trace_leaves` (None for a radial foliation)."""
     if fol.kind == RADIAL:
         count = 24 if count is None else count
         return [2.0 * math.pi * i / count for i in range(count)]
     count = 21 if count is None else count
-    lo, hi = canonical_parameter_range(h, fol, region)
+    firsts = [w[0] for w, _ in grid]
+    lo, hi = min(firsts), max(firsts)
     if count == 1:
         return [(lo + hi) / 2.0]
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from planarinv.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -360,6 +366,51 @@ def test_analyze_refuses_an_expression_nested_too_deeply_at_setup(spec, message,
     err = capsys.readouterr().err
     assert err.startswith(f"analyze: [setup] {message}")
     assert err.count("\n") == 1
+
+
+def _run_process(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "planarinv.cli"] + argv, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _recentered_sum(terms):
+    # fixes (1, 0), not the origin: recentering nests the trees two levels deeper
+    return "(-x + 2 + 0*(" + " + ".join(["x"] * terms) + "), -y)"
+
+
+_CHEAP = {"analyze": ["--grid", "5", "--scan", "11"],
+          "foliate": ["--grid", "5", "--leaves", "1", "--csv", "leaves.csv"]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "foliate"])
+def test_a_recentered_map_nested_too_deeply_exits_1_at_setup(command, tmp_path, capsys,
+                                                              monkeypatch):
+    # the deepest sum that compiles depends on the stack below main, so sweep
+    # across it: a recentered tree two levels too deep once failed in [verify]
+    monkeypatch.chdir(tmp_path)
+    outcomes = set()
+    for terms in range(450, 511):
+        status = run([command, _recentered_sum(terms)] + _CHEAP[command])
+        captured = capsys.readouterr()
+        if status == 1:
+            assert captured.out == "", terms
+            assert captured.err == \
+                f"{command}: [setup] expression nested too deeply to compile\n", terms
+        else:
+            assert status == 0, terms
+        outcomes.add(status)
+    assert outcomes == {0, 1}
+
+
+@pytest.mark.parametrize("command", ["analyze", "foliate"])
+def test_a_recentered_map_just_under_the_nesting_limit_runs(command, tmp_path):
+    # in a fresh process, as from the shell: pytest deepens the stack
+    proc = _run_process([command, _recentered_sum(480)] + _CHEAP[command], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "recentered" in proc.stdout
 
 
 @pytest.mark.parametrize("spec, window, extra, verdict", [

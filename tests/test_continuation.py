@@ -159,11 +159,6 @@ def _ref_trace_leaf(h, fol, parameter, region, grid, stats, step=1e-2,
     return Leaf(parameter, points, residuals, truncated)
 
 
-def _ref_trace_leaves(h, fol, parameters, region, step, stats):
-    grid = None if fol.kind == RADIAL else _eigen_grid(h, fol.change_of_basis, region)
-    return [_ref_trace_leaf(h, fol, c, region, grid, stats, step) for c in parameters]
-
-
 # ----------------------------------------------------------------------
 # cases
 # ----------------------------------------------------------------------
@@ -178,14 +173,21 @@ def _gallery_cases():
         yield f"{name}:0", entry.map, entry.window
 
 
-def _trace_both(planar_map, region, parameters=None, step=1e-2):
+def _trace_both(planar_map, region, parameter=None, step=1e-2):
+    """The library's leaves and the reference's: the default family from
+    ``trace_leaves``, or the one leaf of ``parameter`` from ``trace_leaf``."""
     h = standard_map(planar_map)
     fol = diagonalize_involution(h.linear_part)
-    if parameters is None:
-        parameters = default_leaf_parameters(h, fol, region)
+    grid = None if fol.kind == RADIAL else _eigen_grid(h, fol.change_of_basis, region)
+    if parameter is None:
+        parameters = default_leaf_parameters(fol, grid)
+        leaves = trace_leaves(h, fol, region, step)
+    else:
+        parameters = [parameter]
+        leaves = [trace_leaf(h, fol, parameter, region, step)]
     stats = {"failures": 0, "halvings": 0}
-    reference = _ref_trace_leaves(h, fol, parameters, region, step, stats)
-    return trace_leaves(h, fol, parameters, region, step), reference, stats
+    reference = [_ref_trace_leaf(h, fol, c, region, grid, stats, step) for c in parameters]
+    return leaves, reference, stats
 
 
 def test_gallery_leaves_match_the_reference_trace():
@@ -204,7 +206,7 @@ def test_non_exact_maps_match_the_reference_trace():
 def test_truncated_leaf_matches_the_reference_trace():
     # on the collapsed rotation blend C the plateau defeats every halving
     leaves, reference, stats = _trace_both(get("C").map, Region(-6, 6, -6, 6),
-                                           [math.pi / 4])
+                                           math.pi / 4)
     assert repr(leaves) == repr(reference)
     assert leaves[0].truncated and leaves[0].points
     assert stats["halvings"] == 11
@@ -236,7 +238,7 @@ def test_h_jacobian_is_never_taken_twice_in_a_row_at_one_point(monkeypatch):
         calls.clear()
         h = standard_map(planar_map)
         fol = diagonalize_involution(h.linear_part)
-        trace_leaves(h, fol, default_leaf_parameters(h, fol, window), window)
+        trace_leaves(h, fol, window)
         assert calls, name
         repeats = sum(1 for a, b in zip(calls, calls[1:]) if a == b)
         assert repeats == 0, name

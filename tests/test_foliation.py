@@ -8,7 +8,7 @@ from planarinv.foliation import (
     RADIAL,
     VERTICAL,
     InversionError,
-    canonical_parameter_range,
+    _eigen_grid,
     default_leaf_parameters,
     diagonalize_involution,
     invert_standard_map,
@@ -171,20 +171,22 @@ def test_distinct_leaves_stay_separated():
 
 def test_default_leaf_parameters():
     entry = get("A2")
-    h = standard_map(entry.map)
-    fol = diagonalize_involution(h.linear_part)
-    params = default_leaf_parameters(h, fol, entry.window)
+    fol = diagonalize_involution(standard_map(entry.map).linear_part)
+    params = default_leaf_parameters(fol, None)
     assert len(params) == 24
     assert params[0] == 0.0 and params[-1] < 2 * math.pi
 
     entry = get("A1")
     h = standard_map(entry.map)
     fol = diagonalize_involution(h.linear_part)
-    params = default_leaf_parameters(h, fol, entry.window)
+    grid = _eigen_grid(h, fol.change_of_basis, entry.window)
+    params = default_leaf_parameters(fol, grid)
     assert len(params) == 21
-    lo, hi = canonical_parameter_range(h, fol, entry.window)
+    firsts = [w[0] for w, _ in grid]
+    lo, hi = min(firsts), max(firsts)
     assert params[0] == lo and params[-1] == hi
     assert lo == pytest.approx(-67.5) and hi == pytest.approx(67.5)
+    assert default_leaf_parameters(fol, grid, 1) == [(lo + hi) / 2.0]
 
 
 def test_truncated_leaf_on_collapsed_map():

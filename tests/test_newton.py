@@ -7,7 +7,7 @@ chain gave: the references below are that code, with the inversion also
 returning the value and Jacobian of its last convergence check.  Results are compared by ``repr`` so that signed zeros count
 (a linear part with -0.0 entries can make ``Dphi(0) Dphi(p)`` hold a -0.0
 that ``I + ...`` turns into 0.0).  ``trace_leaves`` must equal tracing each
-leaf on its own.
+default leaf on its own.
 """
 
 import math
@@ -19,6 +19,7 @@ from matrices import value_and_jacobian
 from planarinv import foliation
 from planarinv.expr import EvaluationError, ExprNode, PlanarMap, parse
 from planarinv.foliation import (
+    VERTICAL,
     InversionError,
     default_leaf_parameters,
     diagonalize_involution,
@@ -219,8 +220,11 @@ def test_trace_leaves_equals_leaf_by_leaf_tracing():
         entry = get(name)
         h = standard_map(entry.map)
         fol = diagonalize_involution(h.linear_part)
-        params = default_leaf_parameters(h, fol, entry.window)
-        together = trace_leaves(h, fol, params, entry.window)
+        grid = None
+        if fol.kind == VERTICAL:
+            grid = foliation._eigen_grid(h, fol.change_of_basis, entry.window)
+        params = default_leaf_parameters(fol, grid)
+        together = trace_leaves(h, fol, entry.window)
         alone = [trace_leaf(h, fol, c, entry.window) for c in params]
         assert repr(together) == repr(alone), name
 
@@ -230,13 +234,22 @@ def test_trace_leaves_traces_through_module_trace_leaf(monkeypatch):
     h = standard_map(entry.map)
     fol = diagonalize_involution(h.linear_part)
     seen = []
+    families = []
     original = foliation.trace_leaf
+    original_parameters = foliation.default_leaf_parameters
 
     def counting(*args, **kwargs):
         seen.append(args[2])
         return original(*args, **kwargs)
 
+    def recording(*args, **kwargs):
+        families.append(original_parameters(*args, **kwargs))
+        return families[-1]
+
     monkeypatch.setattr(foliation, "trace_leaf", counting)
-    leaves = trace_leaves(h, fol, [-0.5, 0.0, 0.5], entry.window)
-    assert seen == [-0.5, 0.0, 0.5]
+    monkeypatch.setattr(foliation, "default_leaf_parameters", recording)
+    leaves = trace_leaves(h, fol, entry.window, count=3)
+    # one family, its parameters taken once, each leaf traced by name
+    assert len(families) == 1 and len(families[0]) == 3
+    assert seen == families[0]
     assert [leaf.parameter for leaf in leaves] == seen

@@ -29,7 +29,7 @@ from test_scan import _WINDOWS
 
 from planarinv import cli, foliation, gallery, involution, linearize, spectral
 from planarinv.expr import ExprNode, PlanarMap, parse
-from planarinv.foliation import Leaf, canonical_parameter_range, diagonalize_involution
+from planarinv.foliation import Leaf, diagonalize_involution
 from planarinv.involution import (
     ORIENTATION_PRESERVING,
     ORIENTATION_REVERSING,
@@ -644,6 +644,16 @@ def _ref_eigen_grid(h, s, region):
     return [(s.apply(h.evaluate(p)), p) for p in region.nodes()]
 
 
+def _parameters(h, fol, region):
+    return foliation.default_leaf_parameters(
+        fol, foliation._eigen_grid(h, fol.change_of_basis, region))
+
+
+def _ref_parameters(h, fol, region):
+    lo, hi = _ref_parameter_range(h, fol, region)
+    return [lo + i * (hi - lo) / 20 for i in range(21)]
+
+
 def _ref_parameter_range(h, fol, region):
     if fol.kind == foliation.RADIAL:
         return (0.0, 2.0 * math.pi)
@@ -667,8 +677,8 @@ def test_window_grid_of_h_matches_per_node_reference(monkeypatch):
         s = fol.change_of_basis
         assert _outcome(foliation._eigen_grid, h, s, region) == \
             _outcome(_ref_eigen_grid, h, s, region)
-        assert _outcome(canonical_parameter_range, h, fol, region) == \
-            _outcome(_ref_parameter_range, h, fol, region)
+        assert _outcome(_parameters, h, fol, region) == \
+            _outcome(_ref_parameters, h, fol, region)
     calls = {"grid": 0, "evaluate": 0}
     grid, evaluate = StandardMap.evaluate_grid, StandardMap.evaluate
 
@@ -682,9 +692,26 @@ def test_window_grid_of_h_matches_per_node_reference(monkeypatch):
 
     monkeypatch.setattr(StandardMap, "evaluate_grid", counting_grid)
     monkeypatch.setattr(StandardMap, "evaluate", counting_evaluate)
-    canonical_parameter_range(hs[2], fol, region)
-    foliation._eigen_grid(hs[2], fol.change_of_basis, region)
-    assert calls == {"grid": 2, "evaluate": 0}
+    # a family of leaves takes its parameters and its anchors from one grid
+    foliation.trace_leaves(hs[2], fol, region, count=3)
+    assert calls == {"grid": 1, "evaluate": 0}
+
+
+@pytest.mark.parametrize("spec, grids", [("gallery:B", 1), ("gallery:A2", 0)],
+                         ids=["vertical", "radial"])
+def test_foliate_evaluates_the_window_grid_of_h_at_most_once(spec, grids, monkeypatch,
+                                                              tmp_path, capsys):
+    calls = []
+    grid = StandardMap.evaluate_grid
+
+    def counting_grid(self, xs, ys):
+        calls.append(self)
+        return grid(self, xs, ys)
+
+    monkeypatch.setattr(StandardMap, "evaluate_grid", counting_grid)
+    assert cli.main(["foliate", spec, "--csv", str(tmp_path / "leaves.csv")]) == 0
+    assert "leaves traced:" in capsys.readouterr().out
+    assert len(calls) == grids
 
 
 def test_leaf_csv_bytes_are_csv_writer_bytes(tmp_path):
