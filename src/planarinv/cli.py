@@ -386,7 +386,7 @@ def cmd_foliate(args) -> int:
         phase = "trace"
         leaves = trace_leaves(h, fol, region, args.step, args.leaves)
         invariance = max(
-            (leaf_invariance_check(planar_map, h, fol, leaf) for leaf in leaves),
+            (leaf_invariance_check(h, fol, leaf) for leaf in leaves),
             default=0.0,
         )
 

@@ -13,6 +13,8 @@ The Newton step reads h and Dh as plain floats from
 ``StandardMap.evaluate_with_jacobian``.  Each inversion hands back those
 floats at its root, and the next inversion of the march, which starts
 there, reads them instead of evaluating h again; so does the leaf residual.
+The invariance check evaluates phi twice per leaf point, at q and at phi(q),
+and takes h(q) from phi(q) with ``StandardMap.from_value``.
 :func:`trace_leaves` traces the default family of leaves; for a vertical
 foliation it computes the window's eigen-coordinates once, and both the
 leaf parameters and every leaf's starting node come from that one grid.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import EvaluationError, PlanarMap
+from .expr import EvaluationError
 from .involution import Region
 from .linalg2 import IDENTITY, Mat2, is_linear_involution
 from .linearize import StandardMap
@@ -145,8 +147,10 @@ def invert_standard_map(
     cannot be evaluated at an iterate (a non-finite sample included), or
     when the iteration fails to converge, carrying the last iterate.
     """
-    p = (float(guess[0]), float(guess[1]))
+    px, py = p = (float(guess[0]), float(guess[1]))
+    tx, ty = target
     evaluate_with_jacobian = h.evaluate_with_jacobian
+    hypot = math.hypot
     e = guess_entries
     for _ in range(max_iter + 1):
         if e is None:
@@ -155,18 +159,22 @@ def invert_standard_map(
             except EvaluationError as exc:
                 raise InversionError(str(exc), p) from exc
         hx, hy, a11, a12, a21, a22 = e
-        rx, ry = target[0] - hx, target[1] - hy
-        if math.hypot(rx, ry) <= tol:
+        rx, ry = tx - hx, ty - hy
+        if hypot(rx, ry) <= tol:
             return p, e
         det = a11 * a22 - a12 * a21
-        scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
-        if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
-            raise InversionError("singular Jacobian during inversion", p)
-        nx = p[0] + (rx * a22 - a12 * ry) / det
-        ny = p[1] + (a11 * ry - a21 * rx) / det
-        if not (math.isfinite(nx) and math.isfinite(ny)):
+        # the bound is at least the singularity test's, as the sum of squares
+        # is at least scale*scale: only a det within it pays for that test
+        bound = 1e-14 * (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22 + 1e-30)
+        if -bound <= det <= bound:
+            scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
+            if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
+                raise InversionError("singular Jacobian during inversion", p)
+        nx = px + (rx * a22 - a12 * ry) / det
+        ny = py + (a11 * ry - a21 * rx) / det
+        if (nx - nx) + (ny - ny) != 0.0:  # x - x is 0.0 exactly when x is finite
             raise InversionError("inversion iterate became non-finite", p)
-        p = (nx, ny)
+        px, py = p = (nx, ny)
         e = None
     raise InversionError(f"no convergence after {max_iter} iterations", p)
 
@@ -242,9 +250,11 @@ def trace_leaf(
         s = fol.change_of_basis
         s_inv = s.inverse()
         s11, s12 = s.a11, s.a12
+        # S^-1 (c, t), with the products by c taken once
+        x0, y0, dx, dy = s_inv.a11 * c, s_inv.a21 * c, s_inv.a12, s_inv.a22
 
         def target_at(t: float) -> tuple[float, float]:
-            return s_inv.apply((c, t))
+            return (x0 + dx * t, y0 + dy * t)
 
         def residual_at(e: Entries) -> float:
             return abs(s11 * e[0] + s12 * e[1] - c)  # the first entry of S h(p), less c
@@ -258,6 +268,7 @@ def trace_leaf(
     except InversionError:
         return Leaf(parameter, [], [], truncated=True)
     p0_inside = region.contains(p0)
+    x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
 
     truncated = False
     branches: list[tuple[list[tuple[float, float]], list[float]]] = []
@@ -283,7 +294,7 @@ def trace_leaf(
                     break
                 step_cur *= 0.5
                 continue
-            inside = region.contains(p)
+            inside = x_min <= p[0] <= x_max and y_min <= p[1] <= y_max  # region.contains(p)
             if not entered:
                 # anchored just outside the window: walk the leaf until it
                 # enters, giving up once it stops approaching
@@ -358,31 +369,41 @@ def _angle_gap(a: float, b: float) -> float:
     return abs(d)
 
 
-def leaf_invariance_check(
-    planar_map: PlanarMap, h: StandardMap, fol: CanonicalFoliation, leaf: Leaf
-) -> float:
+def leaf_invariance_check(h: StandardMap, fol: CanonicalFoliation, leaf: Leaf) -> float:
     """Max residual of the invariance of the leaf under the involution.
 
     Vertical case: phi preserves each leaf, so the first eigen-coordinate
     of h is unchanged by composing with phi; the residual is the largest
     difference.  Radial case: h(phi(q)) is the antipode of h(q), so the
     residual is the angular distance between h(phi(q)) and -h(q),
-    skipping points whose image is within 1e-6 of the origin.
+    skipping points whose image is within 1e-6 of the origin.  The
+    involution is ``h.base``; h(q) comes from phi(q) by
+    :meth:`StandardMap.from_value`, so each point takes two evaluations
+    of phi, at q and at phi(q).
     """
     worst = 0.0
+    phi = h.base.evaluate
+    from_value = h.from_value
     if fol.kind == VERTICAL:
         s = fol.change_of_basis
+        s11, s12 = s.a11, s.a12
         for q in leaf.points:
-            w_q = s.apply(h.evaluate(q))
-            w_fq = s.apply(h.evaluate(planar_map.evaluate(q)))
-            worst = max(worst, abs(w_fq[0] - w_q[0]))
+            fq = phi(q)
+            hx, hy = from_value(q, fq)
+            gx, gy = h.evaluate(fq)
+            gap = abs((s11 * gx + s12 * gy) - (s11 * hx + s12 * hy))  # first entries of S h
+            if gap > worst:
+                worst = gap
         return worst
     for q in leaf.points:
-        hx, hy = h.evaluate(q)
+        fq = phi(q)
+        hx, hy = from_value(q, fq)
         if math.hypot(hx, hy) < 1e-6:
             continue
-        gx, gy = h.evaluate(planar_map.evaluate(q))
-        worst = max(worst, _angle_gap(math.atan2(gy, gx), math.atan2(-hy, -hx)))
+        gx, gy = h.evaluate(fq)
+        gap = _angle_gap(math.atan2(gy, gx), math.atan2(-hy, -hx))
+        if gap > worst:
+            worst = gap
     return worst
 
 

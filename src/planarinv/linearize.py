@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 
 from .expr import PlanarMap
@@ -50,18 +50,28 @@ class StandardMap:
     """Derived map h(p) = (p + Dphi(0) phi(p)) / 2 with its linear part.
 
     ``evaluate_with_jacobian`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2
-    from the base map's propagated Jacobian.
+    from the base map's propagated Jacobian.  ``entries`` holds the four
+    entries of ``linear_part``, read once here for the per-point methods.
     """
 
     base: PlanarMap
     linear_part: Mat2  # Dphi(0)
+    entries: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a = self.linear_part
+        object.__setattr__(self, "entries", (a.a11, a.a12, a.a21, a.a22))
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
-        fx, fy = self.base.evaluate(p)
-        a = self.linear_part
+        return self.from_value(p, self.base.evaluate(p))
+
+    def from_value(self, p: tuple[float, float], fp: tuple[float, float]) -> tuple[float, float]:
+        """h(p) from ``fp = phi(p)``: :meth:`evaluate` without the evaluation of phi."""
+        a11, a12, a21, a22 = self.entries
+        fx, fy = fp
         # halved term by term, so h stays finite where p + Dphi(0) phi(p) overflows
-        return (0.5 * p[0] + 0.5 * (a.a11 * fx + a.a12 * fy),
-                0.5 * p[1] + 0.5 * (a.a21 * fx + a.a22 * fy))
+        return (0.5 * p[0] + 0.5 * (a11 * fx + a12 * fy),
+                0.5 * p[1] + 0.5 * (a21 * fx + a22 * fy))
 
     def evaluate_grid(
         self, xs: list[float], ys: list[float]
@@ -73,11 +83,10 @@ class StandardMap:
         those of :meth:`evaluate`, and the exception that :meth:`evaluate`
         raises at that node (None if there is none).
         """
-        a = self.linear_part
         us: list[float] = []
         vs: list[float] = []
         try:
-            self.base.grid_kernel()(xs, ys, a.a11, a.a12, a.a21, a.a22, us, vs)
+            self.base.grid_kernel()(xs, ys, *self.entries, us, vs)
         except Exception:
             pass  # the node is evaluated again below, for evaluate's exception
         j = len(us)
@@ -99,8 +108,7 @@ class StandardMap:
         which turns a -0.0 into 0.0).
         """
         u, v, ux, uy, vx, vy = self.base.evaluate_with_jacobian(p)
-        a = self.linear_part
-        a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
+        a11, a12, a21, a22 = self.entries
         return (
             0.5 * p[0] + 0.5 * (a11 * u + a12 * v),
             0.5 * p[1] + 0.5 * (a21 * u + a22 * v),

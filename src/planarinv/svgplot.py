@@ -49,7 +49,8 @@ def write_portrait(
         if len(leaf.points) < 2:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(x)},{_fmt(flip - y)}" for x, y in leaf.points)
+        # _fmt inline: a polyline holds thousands of coordinates
+        coords = " ".join(f"{x:.6g},{flip - y:.6g}" for x, y in leaf.points)
         dash = ' stroke-dasharray="0.1,0.05"' if leaf.truncated else ""
         parts.append(
             f'  <polyline fill="none" stroke="{color}" '

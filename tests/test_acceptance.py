@@ -189,7 +189,7 @@ def test_criterion_07_foliation_regression():
         ok = ok and len(leaf.points) >= 1 and not leaf.truncated
         for x, y in leaf.points:
             worst_eq = max(worst_eq, abs(2 * x - y**3 - 2 * c))
-        worst_inv = max(worst_inv, leaf_invariance_check(entry.map, h, fol, leaf))
+        worst_inv = max(worst_inv, leaf_invariance_check(h, fol, leaf))
     ok = ok and worst_eq <= 1e-6 and worst_inv <= 1e-8
 
     entry = get("A2", 1)
@@ -199,7 +199,7 @@ def test_criterion_07_foliation_regression():
     worst_ray = 0.0
     for k in range(8):
         leaf = trace_leaf(h, fol, 2 * math.pi * k / 8, entry.window)
-        worst_ray = max(worst_ray, leaf_invariance_check(entry.map, h, fol, leaf))
+        worst_ray = max(worst_ray, leaf_invariance_check(h, fol, leaf))
     ok = ok and worst_ray <= 1e-8
     _report(7, f"foliation regression (leaf eq {worst_eq:.2e}, invariance "
                f"{worst_inv:.2e}, antipodal {worst_ray:.2e})", ok)

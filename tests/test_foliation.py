@@ -143,7 +143,7 @@ def test_leaf_invariance_vertical():
     h = standard_map(entry.map)
     fol = diagonalize_involution(h.linear_part)
     leaf = trace_leaf(h, fol, 0.5, entry.window)
-    assert leaf_invariance_check(entry.map, h, fol, leaf) <= 1e-8
+    assert leaf_invariance_check(h, fol, leaf) <= 1e-8
 
 
 def test_leaf_invariance_radial_antipodal():
@@ -152,7 +152,7 @@ def test_leaf_invariance_radial_antipodal():
     fol = diagonalize_involution(h.linear_part)
     for angle in (0.0, 0.7, 2.0, 4.5):
         leaf = trace_leaf(h, fol, angle, entry.window)
-        assert leaf_invariance_check(entry.map, h, fol, leaf) <= 1e-8
+        assert leaf_invariance_check(h, fol, leaf) <= 1e-8
 
 
 def test_distinct_leaves_stay_separated():
