@@ -271,7 +271,6 @@ def cmd_analyze(args) -> int:
                 "injectivity": None,
                 "spectrum_shift_deviation": None,
                 "foliation_kind": None,
-                "leaf_count": 0,
                 "timings_ms": timings,
             })
             _write_report(report, args.out)
@@ -320,7 +319,6 @@ def cmd_analyze(args) -> int:
             "injectivity": _ser_injectivity(cert, args.scan, tol, sep),
             "spectrum_shift_deviation": shift_deviation,
             "foliation_kind": foliation_kind,
-            "leaf_count": 0,
             "timings_ms": timings,
         })
         phase = "write"

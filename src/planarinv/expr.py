@@ -29,6 +29,10 @@ run some of them less often.  The powers of one base share a chain: each
 starts from the highest power of that base already computed, a prefix of
 its own left fold, so it repeats the same roundings.  The grid kernel runs
 each value line at the loop level that its dependence on x and y needs.
+
+Nothing here recurses: the parser keeps open parentheses on a list, and
+each walk over a tree keeps its own stack and visits a node shared by
+reference once.  No depth of nesting is refused, wherever the call is from.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 _FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
 
@@ -124,6 +128,10 @@ class _Parser:
         self.index += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        tok = self.tokens[self.index]
+        return tok.kind == "op" and tok.text in ops
+
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
         if tok.kind != "op" or tok.text != op:
@@ -142,60 +150,67 @@ class _Parser:
         return first, second
 
     def parse_expr(self) -> ExprNode:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = ExprNode("add" if op == "+" else "sub", (node, rhs))
-        return node
+        """One ``expr``, in one loop: the pending sum and product are
+        ``(left operand, operation)`` pairs, and each open parenthesis or
+        call saves the state around it on ``saved``."""
+        saved = []  # per open parenthesis: (opener, its minus signs, total, product)
+        total = product = None  # the pending sum and product
+        while True:
+            negations = 0
+            while self.at_op("-"):
+                self.advance()
+                negations += 1
+            tok = self.advance()
+            if (tok.kind == "name" and tok.text in _FUNCTIONS
+                    or tok.kind == "op" and tok.text == "("):
+                if tok.kind == "name":
+                    self.expect_op("(")
+                saved.append((tok.text, negations, total, product))
+                total = product = None
+                continue
+            node = self.parse_leaf(tok)
+            while True:  # node is an atom, after `negations` minus signs
+                for _ in range(negations):
+                    node = ExprNode("neg", (node,))
+                node = self.parse_exponent(node)
+                if product is not None:
+                    node = ExprNode(product[1], (product[0], node))
+                if self.at_op("*/"):
+                    product = node, "mul" if self.advance().text == "*" else "div"
+                    break
+                product = None
+                if total is not None:
+                    node = ExprNode(total[1], (total[0], node))
+                if self.at_op("+-"):
+                    total = node, "add" if self.advance().text == "+" else "sub"
+                    break
+                if not saved:
+                    return node
+                self.expect_op(")")  # the atom that the parenthesis opened ends here
+                opener, negations, total, product = saved.pop()
+                if opener != "(":
+                    node = ExprNode(opener, (node,))
 
-    def parse_term(self) -> ExprNode:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.parse_factor()
-            node = ExprNode("mul" if op == "*" else "div", (node, rhs))
-        return node
-
-    def parse_factor(self) -> ExprNode:
-        node = self.parse_unary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "-":
-                raise ParseError("exponent must be non-negative", tok.pos)
-            if tok.kind != "num" or not tok.text.isdigit():
-                raise ParseError("exponent must be an integer literal", tok.pos)
-            self.advance()
-            node = ExprNode("pow", (node,), exponent=int(tok.text))
-        return node
-
-    def parse_unary(self) -> ExprNode:
+    def parse_exponent(self, node: ExprNode) -> ExprNode:
+        if not self.at_op("^"):
+            return node
+        self.advance()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return ExprNode("neg", (self.parse_unary(),))
-        return self.parse_atom()
+            raise ParseError("exponent must be non-negative", tok.pos)
+        if tok.kind != "num" or not tok.text.isdigit():
+            raise ParseError("exponent must be an integer literal", tok.pos)
+        self.advance()
+        return ExprNode("pow", (node,), exponent=int(tok.text))
 
-    def parse_atom(self) -> ExprNode:
-        tok = self.advance()
+    @staticmethod
+    def parse_leaf(tok: _Token) -> ExprNode:
         if tok.kind == "num":
             return ExprNode("num", value=float(tok.text))
         if tok.kind == "name":
-            if tok.text == "x":
-                return ExprNode("x")
-            if tok.text == "y":
-                return ExprNode("y")
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return ExprNode(tok.text, (arg,))
+            if tok.text in ("x", "y"):
+                return ExprNode(tok.text)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
         raise ParseError(
             "expected a number, variable, function call, or parenthesized expression",
             tok.pos,
@@ -223,6 +238,24 @@ _UNROLLED_STEPS = 8
 _X, _Y = 1, 2  # the bits of a value's dependence on x and on y
 
 
+def _postorder(root: ExprNode, done: dict) -> Iterator[ExprNode]:
+    """The nodes under ``root`` whose ``id`` is not a key of ``done``, each
+    once, in the order a recursive walk finishes them (children first, left
+    to right).  The caller enters each node in ``done`` before the next."""
+    stack = [(root, False)]  # (node, its children are done)
+    push, pop = stack.append, stack.pop
+    while stack:
+        node, ready = pop()
+        if id(node) in done:
+            continue
+        if ready or not node.children:
+            yield node
+        else:
+            push((node, True))
+            for child in reversed(node.children):
+                push((child, False))
+
+
 class _KernelWriter:
     """Writes the value, Jacobian and grid kernels of one expression pair.
 
@@ -237,8 +270,11 @@ class _KernelWriter:
     kernel's, bit for bit.
 
     Subexpressions are numbered by operation and operand names, so each
-    distinct subtree is emitted once.  Literals are keyed by type and repr
-    rather than by ``==``, which would merge 0.0 with -0.0 and 1 with 1.0.
+    distinct subtree is emitted once, and a node met again by reference
+    takes its name from ``names`` without being walked again (the trees
+    outlive the writer, so no ``id`` is reused meanwhile).  Literals are
+    keyed by type and repr rather than by ``==``, which would merge 0.0
+    with -0.0 and 1 with 1.0.
     The value lines of each subexpression are kept as one block, tagged
     with the coordinates its value depends on, so that the grid kernel can
     run each block at the loop level it needs.
@@ -248,25 +284,31 @@ class _KernelWriter:
         self.literals: list = []
         self.literal_names: dict[tuple, str] = {}
         self.emitted: dict[tuple, tuple] = {}
+        self.names: dict[int, tuple] = {}  # id of each node walked -> its name
         self.value_blocks: list[tuple[int, list[str]]] = []
         self.jac_lines: list[str] = []
         self.depends: dict[str, int] = {"x": _X, "y": _Y}  # literals depend on neither
         self.powers: dict[str, dict[int, tuple]] = {}  # base -> exponent -> emitted power
 
-    def emit(self, node: ExprNode) -> tuple:
-        kind = node.kind
-        if kind == "x":
-            return "x", ("1.0", "0.0")  # the identity rows
-        if kind == "y":
-            return "y", ("0.0", "1.0")
-        if kind == "num":
-            return self._literal(node.value), None
-        args = tuple(self.emit(child) for child in node.children)
-        key = (kind, node.exponent) + args
-        named = self.emitted.get(key)
-        if named is None:
-            named = self.emitted[key] = self._operation(kind, node.exponent, args)
-        return named
+    def emit(self, root: ExprNode) -> tuple:
+        names = self.names
+        emitted = self.emitted
+        for node in _postorder(root, names):
+            kind = node.kind
+            if kind == "x":
+                named = "x", ("1.0", "0.0")  # the identity rows
+            elif kind == "y":
+                named = "y", ("0.0", "1.0")
+            elif kind == "num":
+                named = self._literal(node.value), None
+            else:
+                args = tuple([names[id(child)] for child in node.children])
+                key = (kind, node.exponent) + args
+                named = emitted.get(key)
+                if named is None:
+                    named = emitted[key] = self._operation(kind, node.exponent, args)
+            names[id(node)] = named
+        return names[id(root)]
 
     def _literal(self, value) -> str:
         key = (type(value), repr(value))
@@ -476,15 +518,12 @@ def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable,
     component and ``value``'s ``(u, v)`` wherever both succeed.  Both raise
     what the float operations raise, and the Jacobian kernel raises
     ZeroDivisionError for the derivative of sqrt at zero.  ``grid`` is
-    described at :meth:`PlanarMap.grid_kernel`.  A tree nested too deeply
-    for Python's recursion limit raises ValueError.
+    described at :meth:`PlanarMap.grid_kernel`.  The trees are walked
+    without recursion, each distinct node once, so any depth compiles.
     """
     writer = _KernelWriter()
-    try:
-        u = writer.emit(first)
-        v = writer.emit(second)
-    except RecursionError:
-        raise ValueError("expression nested too deeply to compile") from None
+    u = writer.emit(first)
+    v = writer.emit(second)
     namespace: dict = {}
     exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
     make = namespace["make"]
@@ -575,22 +614,24 @@ class PlanarMap:
 
 def parse(source: str) -> PlanarMap:
     """Parse a comma-separated expression pair like ``"(x - y^3, -y)"``."""
-    parser = _Parser(source)
-    try:
-        first, second = parser.parse_map()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek().pos) from None
+    first, second = _Parser(source).parse_map()
     return PlanarMap.from_expressions(first, second, source)
 
 
-def _substitute(node: ExprNode, x: ExprNode, y: ExprNode) -> ExprNode:
-    """``node`` with its ``x`` and ``y`` leaves replaced by the trees ``x`` and ``y``."""
-    if node.kind == "x":
-        return x
-    if node.kind == "y":
-        return y
-    children = tuple(_substitute(child, x, y) for child in node.children)
-    return ExprNode(node.kind, children, node.value, node.exponent)
+def _substitute(roots: tuple[ExprNode, ...], x: ExprNode, y: ExprNode) -> list[ExprNode]:
+    """The trees ``roots`` with their ``x`` and ``y`` leaves replaced by the
+    trees ``x`` and ``y``.  A node shared in ``roots`` is shared in the result."""
+    done: dict[int, ExprNode] = {}
+    for root in roots:
+        for node in _postorder(root, done):
+            if node.kind == "x":
+                done[id(node)] = x
+            elif node.kind == "y":
+                done[id(node)] = y
+            else:
+                children = tuple([done[id(child)] for child in node.children])
+                done[id(node)] = ExprNode(node.kind, children, node.value, node.exponent)
+    return [done[id(root)] for root in roots]
 
 
 def recentered(base: PlanarMap, center: tuple[float, float]) -> PlanarMap:
@@ -607,6 +648,6 @@ def recentered(base: PlanarMap, center: tuple[float, float]) -> PlanarMap:
     shift_y = ExprNode("num", value=cy)
     x = ExprNode("add", (ExprNode("x"), shift_x))
     y = ExprNode("add", (ExprNode("y"), shift_y))
-    first, second = (_substitute(tree, x, y) for tree in base.asts)
+    first, second = _substitute(base.asts, x, y)
     return PlanarMap.from_expressions(
         ExprNode("sub", (first, shift_x)), ExprNode("sub", (second, shift_y)), source)

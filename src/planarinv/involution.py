@@ -341,20 +341,17 @@ def fix_origin(planar_map: PlanarMap) -> tuple[PlanarMap, tuple[float, float] | 
 
     A map that fixes the origin is returned as it is, with offset None.
     Otherwise it is recentered at the root that :func:`polish_fixed_point`
-    reaches from the origin, and that root is the offset.  The recentered
-    map is compiled here, as ``linear_part`` compiles the given one, so a
-    recentered tree nested too deeply raises ValueError here too.  If Newton
-    reaches no root, the map is returned as it is, with None, and the later
-    phases report what is wrong with it.
+    reaches from the origin, and that root is the offset; the recentered
+    trees share subtrees where the given ones do.  If Newton reaches no
+    root, the map is returned as it is, with None, and the later phases
+    report what is wrong with it.
     """
     try:
         linear_part(planar_map)
     except BasePointError:
         root = polish_fixed_point(planar_map, (0.0, 0.0))
         if root is not None:
-            shifted = recentered(planar_map, root)
-            shifted.grid_kernel()  # compiles all three kernels, evaluates nothing
-            return shifted, root
+            return recentered(planar_map, root), root
     except EvaluationError:
         pass  # Newton from the origin fails on the same error
     return planar_map, None

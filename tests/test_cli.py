@@ -356,16 +356,18 @@ def test_analyze_names_a_finite_image_where_p_plus_the_image_overflows(capsys):
     assert "(inf, inf)" not in err
 
 
-@pytest.mark.parametrize("spec, message", [
-    ("(" + " + ".join(["x"] * 600) + ", y)", "expression nested too deeply to compile"),
-    ("(" + "-" * 600 + "x, y)", "expression nested too deeply to compile"),
-    ("(" + "(" * 200 + "x" + ")" * 200 + ", y)", "expression nested too deeply (at offset"),
-], ids=["sum", "minus", "parentheses"])
-def test_analyze_refuses_an_expression_nested_too_deeply_at_setup(spec, message, capsys):
-    assert run(["analyze", spec, "--grid", "5", "--scan", "11"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"analyze: [setup] {message}")
-    assert err.count("\n") == 1
+@pytest.mark.parametrize("spec, passed", [
+    ("(" + " + ".join(["x"] * 600) + ", y)", False),
+    ("(" + " + ".join(["x"] * 2000) + ", y)", False),
+    ("(" + "-" * 600 + "x, y)", True),
+    ("(" + "(" * 200 + "x" + ")" * 200 + ", y)", True),
+], ids=["sum", "sum-2000", "minus", "parentheses"])
+def test_analyze_accepts_an_expression_nested_deeply(spec, passed, tmp_path, capsys):
+    # each is deeper than a recursive parser or compiler could go from here
+    out = tmp_path / "deep.json"
+    assert run(["analyze", spec, "--grid", "5", "--scan", "11", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["involution"]["passed"] is passed
 
 
 def _run_process(argv, cwd):
@@ -386,31 +388,41 @@ _CHEAP = {"analyze": ["--grid", "5", "--scan", "11"],
 
 
 @pytest.mark.parametrize("command", ["analyze", "foliate"])
-def test_a_recentered_map_nested_too_deeply_exits_1_at_setup(command, tmp_path, capsys,
-                                                              monkeypatch):
-    # the deepest sum that compiles depends on the stack below main, so sweep
-    # across it: a recentered tree two levels too deep once failed in [verify]
+def test_a_2000_term_recentered_sum_runs(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    outcomes = set()
-    for terms in range(450, 511):
-        status = run([command, _recentered_sum(terms)] + _CHEAP[command])
-        captured = capsys.readouterr()
-        if status == 1:
-            assert captured.out == "", terms
-            assert captured.err == \
-                f"{command}: [setup] expression nested too deeply to compile\n", terms
-        else:
-            assert status == 0, terms
-        outcomes.add(status)
-    assert outcomes == {0, 1}
+    assert run([command, _recentered_sum(2000)] + _CHEAP[command]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "recentered" in captured.out
 
 
 @pytest.mark.parametrize("command", ["analyze", "foliate"])
 def test_a_recentered_map_just_under_the_nesting_limit_runs(command, tmp_path):
-    # in a fresh process, as from the shell: pytest deepens the stack
+    # 480 terms sat just under the limit a recursive compiler once had; in a
+    # fresh process, as from the shell, since pytest deepens the stack
     proc = _run_process([command, _recentered_sum(480)] + _CHEAP[command], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "recentered" in proc.stdout
+
+
+def _at_depth(frames, call):
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+def test_an_outcome_does_not_depend_on_the_stack_under_main(tmp_path, capsys):
+    # 450 terms is near the depth a recursive compiler could reach under pytest
+    out = tmp_path / "r.json"
+    argv = ["analyze", _recentered_sum(450)] + _CHEAP["analyze"] + ["--out", str(out)]
+    outcomes = []
+    for frames in (0, 300):
+        out.unlink(missing_ok=True)
+        status = _at_depth(frames, lambda: run(argv))
+        report = json.loads(out.read_text()) if out.exists() else None
+        if report is not None:
+            del report["timings_ms"]
+        outcomes.append((status, capsys.readouterr().err, report))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2]["recentered_at"] == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("spec, window, extra, verdict", [

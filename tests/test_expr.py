@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,58 @@ def test_trailing_garbage_rejected():
         parse("(x, y")
 
 
-def test_parentheses_nested_too_deeply_are_a_parse_error():
-    with pytest.raises(ParseError) as err:
-        parse("(" + "(" * 200 + "x" + ")" * 200 + ", y)")
-    assert "nested too deeply" in str(err.value)
-    assert 0 < err.value.position <= 200
+def test_parentheses_and_calls_nest_to_any_depth():
+    m = parse("(" + "(" * 20000 + "x" + ")" * 20000 + ", "
+              + "abs(" * 5000 + "-y" + ")" * 5000 + ")")
+    assert m.asts[0] == ExprNode("x")
+    node, calls = m.asts[1], 0
+    while node.kind == "abs":
+        node, calls = node.children[0], calls + 1
+    assert calls == 5000 and node == ExprNode("neg", (ExprNode("y"),))
+    assert m.evaluate((1.5, 2.0)) == (1.5, 2.0)
+    with pytest.raises(ParseError) as err:  # one parenthesis left open
+        parse("(" + "(" * 20000 + "x" + ")" * 19999 + ", y)")
+    assert str(err.value) == "expected ')' (at offset 40001)"  # at the comma
+
+
+def _distinct_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def test_a_deep_shared_dag_compiles_and_recenters_once_per_distinct_node():
+    # two 40-level DAGs whose trees would have 2^40 leaves:
+    # d <- (d + d)*0.5 from x, and e <- e*e*0.5 + y from y
+    x, y, half = ExprNode("x"), ExprNode("y"), ExprNode("num", value=0.5)
+    d, e = x, y
+    for _ in range(40):
+        d = ExprNode("mul", (ExprNode("add", (d, d)), half))
+        e = ExprNode("add", (ExprNode("mul", (ExprNode("mul", (e, e)), half)), y))
+    m = PlanarMap.from_expressions(d, e, "doubling")
+    start = time.perf_counter()
+    value, jacobian, _ = compile_pair(d, e)
+    shifted = recentered(m, (0.25, -0.5))
+    shifted.evaluate((0.0, 0.0))  # compiles the recentered trees
+    assert time.perf_counter() - start < 0.5
+    assert _distinct_nodes(shifted.asts[0]) == _distinct_nodes(d) + 3
+    assert _distinct_nodes(shifted.asts[1]) == _distinct_nodes(e) + 3
+
+    def reference(px, py):
+        u, v = px, py
+        for _ in range(40):
+            u, v = (u + u) * 0.5, v * v * 0.5 + py
+        return u, v
+
+    for px, py in [(0.3, 0.2), (-1.7, -0.9), (1e300, 0.5), (0.0, -1.0)]:
+        assert value(px, py) == reference(px, py)
+        assert jacobian(px, py)[:4] == reference(px, py) + (1.0, 0.0)
+        sx, sy = reference(px + 0.25, py + -0.5)
+        assert shifted.evaluate((px, py)) == (sx - 0.25, sy - -0.5)
 
 
 def test_division_by_zero_reports_point():
