@@ -15,6 +15,7 @@ and exit nonzero.  Reports are deterministic apart from the timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .foliation import (
     leaf_invariance_check,
     trace_leaves,
 )
-from .gallery import GalleryEntry, get as gallery_get, list_entries
+from .gallery import get as gallery_get, list_entries
 from .involution import (
     ORIENTATION_PRESERVING,
     FixedPointScan,
@@ -86,31 +87,19 @@ def _check_flags(args) -> None:
         raise ValueError(f"bad --leaves {leaves!r}: expected at least 1")
 
 
-def _resolve_map(args) -> tuple[PlanarMap, str, GalleryEntry | None, tuple[float, float] | None]:
-    """The map, its source, its gallery entry (or None) and the fixed point
-    that was moved to the origin (or None).  A map that does not fix the
-    origin is recentered, so every window and point is in its coordinates."""
+def _load(args) -> tuple[PlanarMap, str, tuple[float, float] | None, Region]:
+    """Check the flags, then return the map, its source, the fixed point that
+    was moved to the origin (or None) and the window.  A map that does not fix
+    the origin is recentered, so every window and point is in its coordinates."""
+    _check_flags(args)
     spec = args.map_spec
     if spec.startswith("gallery:"):
-        return _gallery_map(spec[len("gallery:"):])
-    planar_map, offset = fix_origin(parse(spec))
-    return planar_map, spec, None, offset
-
-
-def _gallery_map(text: str) -> tuple[PlanarMap, str, GalleryEntry, tuple[float, float] | None]:
-    name, n = _parse_gallery_spec(text)
-    entry = gallery_get(name, n)
-    return entry.map, _canonical_source(entry), entry, entry.recentered_at
-
-
-def _canonical_source(entry: GalleryEntry) -> str:
-    if entry.n is None:
-        return f"gallery:{entry.name}"
-    return f"gallery:{entry.name}:{entry.n}"
-
-
-def _resolve_window(args, entry: GalleryEntry | None) -> Region:
-    grid = args.grid
+        entry = gallery_get(*_parse_gallery_spec(spec[len("gallery:"):]))
+        planar_map, offset, window = entry.map, entry.recentered_at, entry.window
+        source = f"gallery:{entry.name}" + ("" if entry.n is None else f":{entry.n}")
+    else:
+        planar_map, offset = fix_origin(parse(spec))
+        source, window = spec, Region(-5.0, 5.0, -5.0, 5.0)
     if args.window is not None:
         try:
             vals = [float(v) for v in args.window.split(",")]
@@ -118,10 +107,8 @@ def _resolve_window(args, entry: GalleryEntry | None) -> Region:
             raise ValueError(f"bad --window {args.window!r}: expected XMIN,XMAX,YMIN,YMAX") from None
         if len(vals) != 4:
             raise ValueError(f"bad --window {args.window!r}: expected four comma-separated numbers")
-        return Region(vals[0], vals[1], vals[2], vals[3], grid)
-    if entry is not None:
-        return entry.window.with_grid(grid)
-    return Region(-5.0, 5.0, -5.0, 5.0, grid)
+        window = Region(*vals)
+    return planar_map, source, offset, window.with_grid(args.grid)
 
 
 # ----------------------------------------------------------------------
@@ -161,16 +148,6 @@ def _ser_condition(cond: ConditionVerdict) -> dict:
         "holds_on_window": cond.holds_on_window,
         "margin": margin if math.isfinite(margin) else None,
         "witness": _ser_sample(cond.witness),
-    }
-
-
-def _ser_region(region: Region) -> dict:
-    return {
-        "x_min": region.x_min,
-        "x_max": region.x_max,
-        "y_min": region.y_min,
-        "y_max": region.y_max,
-        "grid_n": region.grid_n,
     }
 
 
@@ -228,15 +205,13 @@ def cmd_analyze(args) -> int:
 
     phase = "setup"
     try:
-        _check_flags(args)
-        planar_map, source, entry, offset = _resolve_map(args)
-        region = _resolve_window(args, entry)
+        planar_map, source, offset, region = _load(args)
     except _PHASE_ERRORS as exc:
         return _fail("analyze", phase, exc)
 
     report = {
         "map_source": source,
-        "window": _ser_region(region),
+        "window": dataclasses.asdict(region),
         "flags": {
             "grid": region.grid_n,
             "tol": args.tol,
@@ -245,6 +220,11 @@ def cmd_analyze(args) -> int:
     }
     if offset is not None:
         report["recentered_at"] = _ser_point(offset)
+    # each phase fills its own field in place; one that does not run leaves None
+    report.update(dict.fromkeys((
+        "involution", "orientation", "fixed_points", "conditions", "theorem_verdict",
+        "linearizable_on_window", "injectivity", "spectrum_shift_deviation",
+        "foliation_kind")))
 
     try:
         phase = "verify"
@@ -258,69 +238,54 @@ def cmd_analyze(args) -> int:
         }
         if not check.passed:
             # not an involution: later phases are meaningless, report honestly
-            report.update({
-                "orientation": None,
-                "fixed_points": None,
-                "conditions": [],
-                "theorem_verdict": (
-                    "not an involution on the window "
-                    f"(max residual {check.max_residual:.3e} at "
-                    f"({check.worst_point[0]:g}, {check.worst_point[1]:g}))"
-                ),
-                "linearizable_on_window": False,
-                "injectivity": None,
-                "spectrum_shift_deviation": None,
-                "foliation_kind": None,
-                "timings_ms": timings,
-            })
-            _write_report(report, args.out)
-            return 0
+            report["conditions"] = []
+            report["theorem_verdict"] = (
+                "not an involution on the window "
+                f"(max residual {check.max_residual:.3e} at "
+                f"({check.worst_point[0]:g}, {check.worst_point[1]:g}))"
+            )
+            report["linearizable_on_window"] = False
+        else:
+            phase = "fixed-points"
+            scan = timed(phase, lambda: find_fixed_points(sample, args.tol))
+            report["fixed_points"] = _ser_fixed_points(scan)
 
-        phase = "fixed-points"
-        scan = timed(phase, lambda: find_fixed_points(sample, args.tol))
-
-        phase = "spectrum"
-        assessment = timed(phase, lambda: theorem_verdict(sample))
-
-        phase = "injectivity"
-        h = standard_map(planar_map)
-
-        # the last reader of the sample runs before the scan, whose grids are
-        # the largest allocation, so that the sample is freed first
-        phase = "spectrum-shift"
-        shift_deviation = None
-        if (assessment.orientation.kind == ORIENTATION_PRESERVING
-                and (h.linear_part - MINUS_IDENTITY).max_abs() <= 1e-9):
-            shift_deviation = timed(phase, lambda: spectrum_shift_check(sample))
-        del sample
-
-        phase = "injectivity"
-        # a window narrower than 1 scales the collision tolerance with it, as
-        # it does the separation, so that neighbouring nodes are no collision
-        tol, sep = 1e-6 * min(1.0, region.diameter), 1e-3 * region.diameter
-        cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, tol, sep))
-
-        phase = "foliation-kind"
-        try:
-            foliation_kind = diagonalize_involution(h.linear_part).kind
-        except ValueError:
-            foliation_kind = None  # identity linear part
-
-        report.update({
-            "orientation": {
+            phase = "spectrum"
+            assessment = timed(phase, lambda: theorem_verdict(sample))
+            report["orientation"] = {
                 "kind": assessment.orientation.kind,
                 "min_abs_det": assessment.orientation.min_abs_det,
-            },
-            "base_point": [0.0, 0.0],  # the map fixes the origin since setup
-            "fixed_points": _ser_fixed_points(scan),
-            "conditions": [_ser_condition(c) for c in assessment.conditions],
-            "theorem_verdict": assessment.verdict,
-            "linearizable_on_window": assessment.linearizable_on_window,
-            "injectivity": _ser_injectivity(cert, args.scan, tol, sep),
-            "spectrum_shift_deviation": shift_deviation,
-            "foliation_kind": foliation_kind,
-            "timings_ms": timings,
-        })
+            }
+            report["conditions"] = [_ser_condition(c) for c in assessment.conditions]
+            report["theorem_verdict"] = assessment.verdict
+            report["linearizable_on_window"] = assessment.linearizable_on_window
+
+            phase = "injectivity"
+            h = standard_map(planar_map)
+
+            # the last reader of the sample runs before the scan, whose grids
+            # are the largest allocation, so that the sample is freed first
+            phase = "spectrum-shift"
+            if (assessment.orientation.kind == ORIENTATION_PRESERVING
+                    and (h.linear_part - MINUS_IDENTITY).max_abs() <= 1e-9):
+                report["spectrum_shift_deviation"] = timed(
+                    phase, lambda: spectrum_shift_check(sample))
+            del sample
+
+            phase = "injectivity"
+            # a window narrower than 1 scales the collision tolerance with it,
+            # as it does the separation, so that neighbouring nodes are no collision
+            tol, sep = 1e-6 * min(1.0, region.diameter), 1e-3 * region.diameter
+            cert = timed(phase, lambda: injectivity_scan(h, region, args.scan, tol, sep))
+            report["injectivity"] = _ser_injectivity(cert, args.scan, tol, sep)
+
+            phase = "foliation-kind"
+            try:
+                report["foliation_kind"] = diagonalize_involution(h.linear_part).kind
+            except ValueError:
+                pass  # identity linear part
+
+        report["timings_ms"] = timings
         phase = "write"
         _write_report(report, args.out)
     except _PHASE_ERRORS as exc:
@@ -339,9 +304,7 @@ def cmd_foliate(args) -> int:
 
     phase = "setup"
     try:
-        _check_flags(args)
-        planar_map, source, entry, offset = _resolve_map(args)
-        region = _resolve_window(args, entry)
+        planar_map, source, offset, region = _load(args)
     except _PHASE_ERRORS as exc:
         return _fail("foliate", phase, exc)
     # the window, the leaves and the CSV are in the recentered coordinates

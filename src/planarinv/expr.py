@@ -68,9 +68,10 @@ class EvaluationError(ArithmeticError):
         self.point = point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExprNode:
-    """One node of a parsed expression tree."""
+    """One node of a parsed expression tree.  Equality and hash go by
+    identity, as every walk keys nodes by ``id``, so no method recurses."""
 
     kind: str
     children: tuple["ExprNode", ...] = ()

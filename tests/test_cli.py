@@ -56,6 +56,22 @@ def test_analyze_non_involution_reports_and_exits_zero(tmp_path):
     assert "not an involution" in report["theorem_verdict"]
 
 
+def test_analyze_lists_the_same_keys_whether_or_not_the_map_is_an_involution(tmp_path):
+    keys = []
+    for spec in ("(x + 1, y)", "gallery:A1"):
+        out = tmp_path / "report.json"
+        assert run(["analyze", spec, "--grid", "9", "--scan", "21", "--out", str(out)]) == 0
+        keys.append(list(json.loads(out.read_text())))
+    assert keys[0] == keys[1]
+    assert "base_point" not in keys[0]
+
+
+def test_analyze_tags_a_failed_write_of_a_non_involution_report(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["analyze", "(x + 1, y)", "--grid", "9", "--scan", "21", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("analyze: [write] ")
+
+
 def test_analyze_rejects_bad_flags(capsys):
     assert run(["analyze", "(x - , y)"]) == 1
     assert "analyze:" in capsys.readouterr().err
@@ -154,7 +170,6 @@ def test_analyze_recenters_a_map_that_fixes_another_point(tmp_path):
     report = json.loads(out.read_text())
     assert report["map_source"] == "(-x + 2, -y)"
     assert report["recentered_at"] == [1.0, 0.0]
-    assert report["base_point"] == [0.0, 0.0]
     assert report["theorem_verdict"].startswith("Theorem A(c)")
     assert report["injectivity"]["status"] == "NoCollisionFound"
     # in the recentered coordinates the one fixed point is the origin

@@ -69,11 +69,12 @@ def test_trailing_garbage_rejected():
 def test_parentheses_and_calls_nest_to_any_depth():
     m = parse("(" + "(" * 20000 + "x" + ")" * 20000 + ", "
               + "abs(" * 5000 + "-y" + ")" * 5000 + ")")
-    assert m.asts[0] == ExprNode("x")
+    assert (m.asts[0].kind, m.asts[0].children) == ("x", ())
     node, calls = m.asts[1], 0
     while node.kind == "abs":
         node, calls = node.children[0], calls + 1
-    assert calls == 5000 and node == ExprNode("neg", (ExprNode("y"),))
+    (leaf,) = node.children
+    assert calls == 5000 and node.kind == "neg" and (leaf.kind, leaf.children) == ("y", ())
     assert m.evaluate((1.5, 2.0)) == (1.5, 2.0)
     with pytest.raises(ParseError) as err:  # one parenthesis left open
         parse("(" + "(" * 20000 + "x" + ")" * 19999 + ", y)")
@@ -118,6 +119,22 @@ def test_a_deep_shared_dag_compiles_and_recenters_once_per_distinct_node():
         assert jacobian(px, py)[:4] == reference(px, py) + (1.0, 0.0)
         sx, sy = reference(px + 0.25, py + -0.5)
         assert shifted.evaluate((px, py)) == (sx - 0.25, sy - -0.5)
+
+
+def test_node_equality_hash_and_repr_go_by_identity_at_any_depth():
+    # a 2,000-term sum nests 2,000 deep; a 40-level doubling DAG has 2^40 paths
+    total = parse("(" + " + ".join(["x"] * 2000) + ", y)")
+    d, half = ExprNode("x"), ExprNode("num", value=0.5)
+    for _ in range(40):
+        d = ExprNode("mul", (ExprNode("add", (d, d)), half))
+    twin = parse(total.source)
+    start = time.perf_counter()
+    for node, same in [(total.asts[0], twin.asts[0]), (d, ExprNode("mul", d.children))]:
+        assert node == node and hash(node) == hash(node)
+        assert node != same  # the same structure is another node
+        assert repr(node).startswith("<planarinv.expr.ExprNode object at ")
+    assert total == total and hash(total) == hash(total) and total != twin
+    assert time.perf_counter() - start < 0.1
 
 
 def test_division_by_zero_reports_point():
