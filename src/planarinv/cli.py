@@ -22,12 +22,7 @@ import sys
 import time
 
 from .expr import EvaluationError, PlanarMap, parse
-from .foliation import (
-    InversionError,
-    diagonalize_involution,
-    leaf_invariance_check,
-    trace_leaves,
-)
+from .foliation import InversionError, diagonalize_involution, trace_leaves
 from .gallery import get as gallery_get, list_entries
 from .involution import (
     ORIENTATION_PRESERVING,
@@ -346,10 +341,7 @@ def cmd_foliate(args) -> int:
 
         phase = "trace"
         leaves = trace_leaves(h, fol, region, args.step, args.leaves)
-        invariance = max(
-            (leaf_invariance_check(h, fol, leaf) for leaf in leaves),
-            default=0.0,
-        )
+        invariance = max((leaf.invariance for leaf in leaves), default=0.0)
 
         phase = "fixed-points"
         points = []

@@ -23,6 +23,9 @@ that keeps the value and both partials of every subexpression in float
 locals, with the chain rule applied operation by operation; and a grid
 kernel, which runs the value lines over a whole grid of nodes and keeps
 the standard map's values there (see :meth:`PlanarMap.grid_kernel`).
+:func:`compile_standard` writes the same lines into the standard map's
+point kernels, in their own ``exec`` when h is first evaluated at a point:
+one call checks phi as :class:`PlanarMap` does and returns h, or h, Dh, phi(p).
 
 The kernels take the same float operations as a walk over the tree, but
 run some of them less often.  The powers of one base share a chain: each
@@ -40,6 +43,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from types import CodeType
 from typing import Callable, Iterator, NamedTuple
 
 _FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
@@ -225,8 +230,8 @@ _SSA_NAME = re.compile(r"\b(t\d+(?:_[a-z])?)\b")
 # live object refers to is deleted again, so each map would insert and
 # delete its names in the interpreter's table of interned strings; that
 # churn fills the table with deleted slots until it grows, which raised
-# peak memory by about 1 MB.  compile_pair adds the names of every kernel
-# it compiles.  Each kernel numbers its temporaries and literals from t0
+# peak memory by about 1 MB.  _compile adds the names of every kernel it
+# compiles.  Each kernel numbers its temporaries and literals from t0
 # and c0, so the set grows with the largest kernel compiled, not with the
 # number of maps.
 _KERNEL_NAMES: set[str] = set()
@@ -489,25 +494,75 @@ class _KernelWriter:
         lines += [f"    for {column} in {columns}:"] + [f"        {line}" for line in node]
         return lines
 
+    def _make(self, body: list[str], params: list[str]) -> str:
+        literals = [f"c{i}" for i in range(len(self.literals))]
+        names = ["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"] + literals + params
+        return "\n".join([f"def make({', '.join(names)}):"]
+                         + [f"    {line}" for line in body] + [""])
+
+    def _outputs(self, first: tuple, second: tuple) -> list[tuple[str, str, str]]:
+        """The value and partials of u and v, a constant as float() of it."""
+        return [(f"float({value})", "0.0", "0.0") if partials is None else (value,) + partials
+                for value, partials in (first, second)]
+
     def source(self, first: tuple, second: tuple) -> str:
-        jac_out = []
-        for value, partials in (first, second):
-            jac_out.append((f"float({value})", "0.0", "0.0") if partials is None
-                           else (value,) + partials)
-        (u, ux, uy), (v, vx, vy) = jac_out
-        params = ", ".join(["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"]
-                           + [f"c{i}" for i in range(len(self.literals))])
+        (u, ux, uy), (v, vx, vy) = self._outputs(first, second)
         value_lines = [line for _, lines in self.value_blocks for line in lines]
-        return "\n".join(
-            [f"def make({params}):", "    def value(x, y):"]
-            + [f"        {line}" for line in value_lines]
-            + [f"        return {first[0]}, {second[0]}", "    def jacobian(x, y):"]
-            + [f"        {line}" for line in self.jac_lines]
-            + [f"        return {u}, {v}, {ux}, {uy}, {vx}, {vy}"]
-            + ["    def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
-            + [f"        {line}" for line in self._grid_lines(first, second)]
-            + ["    return value, jacobian, grid", ""]
-        )
+        return self._make(
+            ["def value(x, y):"] + [f"    {line}" for line in value_lines]
+            + [f"    return {first[0]}, {second[0]}", "def jacobian(x, y):"]
+            + [f"    {line}" for line in self.jac_lines]
+            + [f"    return {u}, {v}, {ux}, {uy}, {vx}, {vy}",
+               "def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
+            + [f"    {line}" for line in self._grid_lines(first, second)]
+            + ["return value, jacobian, grid"], [])
+
+    def standard_source(self, first: tuple, second: tuple) -> str:
+        """The kernels of :func:`compile_standard`: PlanarMap's value or
+        Jacobian lines, ``try``, float() and finiteness test, then h and Dh."""
+        (fu, ux, uy), (fv, vx, vy) = self._outputs(first, second)
+        outputs = f"u = {fu}; v = {fv}"
+        h = "0.5 * x + 0.5 * (a11 * u + a12 * v), 0.5 * y + 0.5 * (a21 * u + a22 * v)"
+        dh = ", ".join(f"0.5 * ({one} + (a{i}1 * {du} + a{i}2 * {dv}))" for i, one, du, dv in (
+            (1, "1.0", ux, vx), (1, "0.0", uy, vy), (2, "0.0", ux, vx), (2, "1.0", uy, vy)))
+
+        def kernel(name, lines, after, checked, message, result):
+            return ([f"def {name}(p):", "    try:", "        x = float(p[0]); y = float(p[1])"]
+                    + [f"        {line}" for line in lines]
+                    + [f"    {line}" for line in _CATCH + after]
+                    + [f"    if not 0.0 * {checked} == 0.0:",
+                       f"        raise EvaluationError('{message}', (p[0], p[1]))",
+                       f"    return {result}"])
+
+        value_lines = [line for _, lines in self.value_blocks for line in lines]
+        return self._make(
+            kernel("h_value", value_lines, [outputs], "u * v", "non-finite map value", h)
+            + kernel("h_jacobian", self.jac_lines + [outputs], [],
+                     f"u * v * {ux} * {uy} * {vx} * {vy}",
+                     "non-finite map value or derivative", f"{h}, {dh}, u, v")
+            + ["return h_value, h_jacobian"], ["a11", "a12", "a21", "a22"])
+
+
+# PlanarMap.evaluate's handling of a failed float operation, for a kernel of p
+_CATCH = ["except ZeroDivisionError as exc:",
+          "    raise EvaluationError(str(exc) or 'division by zero', (p[0], p[1])) from exc",
+          "except (ValueError, OverflowError) as exc:",
+          "    raise EvaluationError(str(exc), (p[0], p[1])) from exc"]
+
+
+def _compile(first: ExprNode, second: ExprNode, source: Callable) -> Callable:
+    """``make`` of ``source(writer, u, v)``, bound to the math functions and literals."""
+    writer = _KernelWriter()
+    u = writer.emit(first)
+    v = writer.emit(second)
+    codes = [compile(source(writer, u, v), "<planarinv kernel>", "exec")]
+    for code in codes:
+        _KERNEL_NAMES.update(code.co_varnames, code.co_freevars, code.co_cellvars, code.co_names)
+        codes.extend(const for const in code.co_consts if isinstance(const, CodeType))
+    namespace = {"EvaluationError": EvaluationError}
+    exec(codes[0], namespace)
+    return partial(namespace["make"], math.sinh, math.cosh, math.asinh, math.sqrt, math.sin,
+                   math.cos, *writer.literals)
 
 
 def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable, Callable]:
@@ -522,17 +577,17 @@ def compile_pair(first: ExprNode, second: ExprNode) -> tuple[Callable, Callable,
     described at :meth:`PlanarMap.grid_kernel`.  The trees are walked
     without recursion, each distinct node once, so any depth compiles.
     """
-    writer = _KernelWriter()
-    u = writer.emit(first)
-    v = writer.emit(second)
-    namespace: dict = {}
-    exec(compile(writer.source(u, v), "<planarinv kernel>", "exec"), namespace)
-    make = namespace["make"]
-    kernels = make(math.sinh, math.cosh, math.asinh, math.sqrt, math.sin, math.cos,
-                   *writer.literals)
-    for code in [make.__code__] + [kernel.__code__ for kernel in kernels]:
-        _KERNEL_NAMES.update(code.co_varnames, code.co_freevars, code.co_names)
-    return kernels
+    return _compile(first, second, _KernelWriter.source)()
+
+
+def compile_standard(first: ExprNode, second: ExprNode) -> Callable:
+    """Compile the point kernels of the pair's standard maps, in their own
+    ``exec``: ``bind(a11, a12, a21, a22)`` returns ``(h_value, h_jacobian)``
+    for the linear part ``A``.  They run :meth:`PlanarMap.evaluate` and
+    :meth:`PlanarMap.evaluate_with_jacobian`, errors included, and return
+    h(p), or h(p), the entries of ``(I + A Dphi(p)).scale(0.5)`` and phi(p),
+    with the float operations of :class:`planarinv.linearize.StandardMap`."""
+    return _compile(first, second, _KernelWriter.standard_source)
 
 
 @dataclass(frozen=True)
@@ -577,6 +632,11 @@ class PlanarMap:
         that node.  A column whose pass raises stops row 0 at that column.
         """
         return (self._kernels or self._build_kernels())[2]
+
+    @cached_property
+    def standard_kernels(self) -> Callable:
+        """:func:`compile_standard` of the two trees, compiled on first use."""
+        return compile_standard(*self.asts)
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
         kernel = (self._kernels or self._build_kernels())[0]

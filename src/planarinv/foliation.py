@@ -9,12 +9,12 @@ polyline by marching along the canonical leaf in the target plane and
 pulling every target point back through a Newton inversion of h, seeded
 with the previous preimage (predictor-corrector continuation).
 
-The Newton step reads h and Dh as plain floats from
+The Newton step reads h, Dh and phi as plain floats from
 ``StandardMap.evaluate_with_jacobian``.  Each inversion hands back those
 floats at its root, and the next inversion of the march, which starts
-there, reads them instead of evaluating h again; so does the leaf residual.
-The invariance check evaluates phi twice per leaf point, at q and at phi(q),
-and takes h(q) from phi(q) with ``StandardMap.from_value``.
+there, reads them instead of evaluating h again; so do the leaf residual
+and the invariance check, which adds one evaluation of h, at phi(q), per
+leaf point.  :func:`leaf_invariance_check` is that check on its own.
 :func:`trace_leaves` traces the default family of leaves; for a vertical
 foliation it computes the window's eigen-coordinates once, and both the
 leaf parameters and every leaf's starting node come from that one grid.
@@ -26,7 +26,7 @@ the radial foliation and the ray equation is undefined there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .expr import EvaluationError
 from .involution import Region
@@ -66,13 +66,15 @@ class Leaf:
     The parameter is the ray angle (radial) or the constant first
     eigen-coordinate c of S h (vertical).  ``point_residuals`` holds the
     leaf-equation residual at each polyline point; ``truncated`` marks a
-    trace cut short by an inversion failure.
+    trace cut short by an inversion failure.  ``invariance`` is the
+    :func:`leaf_invariance_check` of a traced leaf, kept out of ``repr`` and ``==``.
     """
 
     parameter: float
     points: list[tuple[float, float]]
     point_residuals: list[float]
     truncated: bool = False
+    invariance: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def residual(self) -> float:
@@ -125,7 +127,7 @@ def _kernel_direction(m: Mat2) -> tuple[float, float]:
     return (vx, vy)
 
 
-Entries = tuple[float, float, float, float, float, float]
+Entries = tuple[float, float, float, float, float, float, float, float]
 
 
 def invert_standard_map(
@@ -139,7 +141,7 @@ def invert_standard_map(
     """Newton-solve h(p) = target starting from ``guess``.
 
     Returns the root and ``h.evaluate_with_jacobian`` there, the floats
-    ``(hx, hy, h11, h12, h21, h22)`` of its convergence check.  A caller
+    ``(hx, hy, h11, h12, h21, h22, u, v)`` of its convergence check.  A caller
     that holds those entries at ``guess`` passes them as ``guess_entries``,
     and the first iteration reads them instead of evaluating h.
 
@@ -158,7 +160,7 @@ def invert_standard_map(
                 e = evaluate_with_jacobian(p)
             except EvaluationError as exc:
                 raise InversionError(str(exc), p) from exc
-        hx, hy, a11, a12, a21, a22 = e
+        hx, hy, a11, a12, a21, a22, _, _ = e  # phi(p) last
         rx, ry = tx - hx, ty - hy
         if hypot(rx, ry) <= tol:
             return p, e
@@ -230,8 +232,10 @@ def trace_leaf(
     target plane and is halved (up to 10 times) when an inversion fails;
     the trace stops once the preimage leaves the window, keeping the exit
     point, or is truncated at 20000 points.  Inversions take the defaults
-    of :func:`invert_standard_map`.
+    of :func:`invert_standard_map`.  ``invariance`` takes each point's gap
+    of :func:`leaf_invariance_check` from its inversion and h(phi(q)).
     """
+    h_evaluate = h.evaluate
     if fol.kind == RADIAL:
         angle = float(parameter)
         ca, sa = math.cos(angle), math.sin(angle)
@@ -241,6 +245,12 @@ def trace_leaf(
 
         def residual_at(e: Entries) -> float:
             return _angle_gap(math.atan2(e[1], e[0]), angle)
+
+        def invariance_at(e: Entries) -> float:
+            if math.hypot(e[0], e[1]) < 1e-6:
+                return 0.0
+            gx, gy = h_evaluate(e[6:])
+            return _angle_gap(math.atan2(gy, gx), math.atan2(-e[1], -e[0]))
 
         t0 = _RADIAL_START_RADIUS
         guess0 = target_at(t0)
@@ -259,6 +269,10 @@ def trace_leaf(
         def residual_at(e: Entries) -> float:
             return abs(s11 * e[0] + s12 * e[1] - c)  # the first entry of S h(p), less c
 
+        def invariance_at(e: Entries) -> float:
+            gx, gy = h_evaluate(e[6:])
+            return abs((s11 * gx + s12 * gy) - (s11 * e[0] + s12 * e[1]))
+
         grid = _eigen_grid(h, s, region) if _grid is None else _grid
         t0, guess0 = _vertical_anchor(grid, c)
         directions = (1.0, -1.0)
@@ -269,6 +283,7 @@ def trace_leaf(
         return Leaf(parameter, [], [], truncated=True)
     p0_inside = region.contains(p0)
     x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
+    invariance = invariance_at(e0) if p0_inside else 0.0
 
     truncated = False
     branches: list[tuple[list[tuple[float, float]], list[float]]] = []
@@ -295,24 +310,21 @@ def trace_leaf(
                 step_cur *= 0.5
                 continue
             inside = x_min <= p[0] <= x_max and y_min <= p[1] <= y_max  # region.contains(p)
-            if not entered:
-                # anchored just outside the window: walk the leaf until it
-                # enters, giving up once it stops approaching
-                if inside:
-                    entered = True
-                    pts.append(p)
-                    residuals.append(residual_at(e))
-                else:
-                    gap = _window_gap(region, p)
-                    approach_stalls = approach_stalls + 1 if gap >= last_gap else 0
-                    last_gap = gap
-                    pre_steps += 1
-                    if approach_stalls > 25 or pre_steps > 2000:
-                        break
-            else:
+            if entered or inside:
+                entered = True
                 pts.append(p)
                 residuals.append(residual_at(e))
+                invariance = max(invariance, invariance_at(e))
                 if not inside:
+                    break
+            else:
+                # anchored just outside the window: walk the leaf until it
+                # enters, giving up once it stops approaching
+                gap = _window_gap(region, p)
+                approach_stalls = approach_stalls + 1 if gap >= last_gap else 0
+                last_gap = gap
+                pre_steps += 1
+                if approach_stalls > 25 or pre_steps > 2000:
                     break
             t = t_next
             p_prev, e_prev = p, e
@@ -328,7 +340,7 @@ def trace_leaf(
         back_points, back_residuals = branches[1]
         points = back_points[::-1] + points
         residuals = back_residuals[::-1] + residuals
-    return Leaf(parameter, points, residuals, truncated)
+    return Leaf(parameter, points, residuals, truncated, invariance)
 
 
 def trace_leaves(

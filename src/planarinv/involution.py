@@ -63,10 +63,10 @@ class Region:
     grid_n: int = 41
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("window bounds must satisfy x_min < x_max and y_min < y_max")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
             raise ValueError("window bounds must be finite")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError("window bounds must satisfy x_min < x_max and y_min < y_max")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
 

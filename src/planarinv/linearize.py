@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, islice, repeat
 
 from .expr import PlanarMap
@@ -51,7 +52,8 @@ class StandardMap:
 
     ``evaluate_with_jacobian`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2
     from the base map's propagated Jacobian.  ``entries`` holds the four
-    entries of ``linear_part``, read once here for the per-point methods.
+    entries of ``linear_part``, to which the per-point methods bind the base
+    map's point kernels once (see :func:`planarinv.expr.compile_standard`).
     """
 
     base: PlanarMap
@@ -62,8 +64,12 @@ class StandardMap:
         a = self.linear_part
         object.__setattr__(self, "entries", (a.a11, a.a12, a.a21, a.a22))
 
+    @cached_property
+    def _kernels(self) -> tuple:  # (h_value, h_jacobian)
+        return self.base.standard_kernels(*self.entries)
+
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
-        return self.from_value(p, self.base.evaluate(p))
+        return self._kernels[0](p)  # phi(p), then from_value's operations
 
     def from_value(self, p: tuple[float, float], fp: tuple[float, float]) -> tuple[float, float]:
         """h(p) from ``fp = phi(p)``: :meth:`evaluate` without the evaluation of phi."""
@@ -100,23 +106,13 @@ class StandardMap:
         raise RuntimeError(f"the grid kernel stopped at node {j}, where evaluate succeeds")
 
     def evaluate_with_jacobian(self, p: tuple[float, float]) -> tuple[float, ...]:
-        """h(p) and Dh(p) as the floats ``(hx, hy, h11, h12, h21, h22)``.
+        """h(p), Dh(p) and phi(p) as the floats ``(hx, hy, h11, h12, h21, h22, u, v)``.
 
-        ``(hx, hy)`` takes :meth:`evaluate`'s operations.  Each entry of Dh
-        takes the operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)`` in
-        :class:`Mat2` arithmetic, in the same order (``0.0 +`` included,
-        which turns a -0.0 into 0.0).
-        """
-        u, v, ux, uy, vx, vy = self.base.evaluate_with_jacobian(p)
-        a11, a12, a21, a22 = self.entries
-        return (
-            0.5 * p[0] + 0.5 * (a11 * u + a12 * v),
-            0.5 * p[1] + 0.5 * (a21 * u + a22 * v),
-            0.5 * (1.0 + (a11 * ux + a12 * vx)),
-            0.5 * (0.0 + (a11 * uy + a12 * vy)),
-            0.5 * (0.0 + (a21 * ux + a22 * vx)),
-            0.5 * (1.0 + (a21 * uy + a22 * vy)),
-        )
+        ``(hx, hy)`` takes :meth:`evaluate`'s operations and ``(u, v)`` is
+        ``self.base.evaluate(p)``, bit for bit.  Each entry of Dh takes the
+        operations of ``(I + Dphi(0) Dphi(p)).scale(0.5)`` in :class:`Mat2`
+        arithmetic, in order (``0.0 +`` turns a -0.0 into 0.0)."""
+        return self._kernels[1](p)
 
 
 @dataclass(frozen=True)

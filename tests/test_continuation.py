@@ -46,9 +46,11 @@ def _ref_invert(h, target, guess, tol, max_iter, stats):
     p = (float(guess[0]), float(guess[1]))
     for _ in range(max_iter + 1):
         try:
-            hx, hy, a11, a12, a21, a22 = h.evaluate_with_jacobian(p)
+            e = h.evaluate_with_jacobian(p)
         except EvaluationError as exc:
             raise InversionError(str(exc), p) from exc
+        assert repr(e[6:]) == repr(h.base.evaluate(p))  # phi(p), bit for bit
+        hx, hy, a11, a12, a21, a22 = e[:6]
         rx, ry = target[0] - hx, target[1] - hy
         if math.hypot(rx, ry) <= tol:
             return p

@@ -1,10 +1,13 @@
 """``leaf_invariance_check`` against the check it replaced.
 
 The check now evaluates phi twice per leaf point: at q, taking h(q) from
-phi(q) with ``StandardMap.from_value``, and at phi(q).  The reference below
-is the earlier check, which evaluated phi three times per point (inside
-h(q), for phi(q), and inside h(phi(q))): the residuals must come out the
-same, compared by ``repr`` so that every float counts bit for bit.
+phi(q) with ``StandardMap.from_value``, and at phi(q), inside
+``StandardMap.evaluate``.  The reference below is the earlier check, which
+evaluated phi three times per point (inside h(q), for phi(q), and inside
+h(phi(q))): the residuals must come out the same, compared by ``repr`` so
+that every float counts bit for bit.  ``trace_leaf`` takes the same check
+during its march, from the h(q) and phi(q) of each inversion, and keeps it
+as ``Leaf.invariance``, which must equal the check on the finished leaf.
 """
 
 import math
@@ -19,7 +22,7 @@ from planarinv.foliation import (
 )
 from planarinv.gallery import get
 from planarinv.involution import Region
-from planarinv.linearize import standard_map
+from planarinv.linearize import StandardMap, standard_map
 from test_continuation import _NON_EXACT, _SMALL
 
 # not an involution: phi(phi(q)) != q, so the residuals are far from 0
@@ -107,20 +110,66 @@ def test_residuals_of_a_map_that_is_no_involution_match_the_reference_check():
 # ----------------------------------------------------------------------
 
 def test_phi_is_evaluated_twice_per_leaf_point(monkeypatch):
+    # once by PlanarMap.evaluate at q, once inside StandardMap.evaluate at phi(q)
     calls = []
-    original = PlanarMap.evaluate
+    original, original_h = PlanarMap.evaluate, StandardMap.evaluate
 
     def counting(self, p):
-        calls.append(p)
+        calls.append(("phi", p))
         return original(self, p)
+
+    def counting_h(self, p):
+        calls.append(("h", p))
+        return original_h(self, p)
 
     for name, planar_map, window in _gallery_cases():
         h, fol, leaves = _leaves(planar_map, window)
         monkeypatch.setattr(PlanarMap, "evaluate", counting)
+        monkeypatch.setattr(StandardMap, "evaluate", counting_h)
         for leaf in leaves:
             calls.clear()
             leaf_invariance_check(h, fol, leaf)
+            images = [original(planar_map, q) for q in leaf.points]
             assert len(calls) == 2 * len(leaf.points), name
-            # at q, then at phi(q)
-            assert calls[::2] == leaf.points, name
-        monkeypatch.setattr(PlanarMap, "evaluate", original)
+            # at q, then h at phi(q)
+            assert calls[::2] == [("phi", q) for q in leaf.points], name
+            assert calls[1::2] == [("h", fq) for fq in images], name
+        monkeypatch.undo()
+
+
+# ----------------------------------------------------------------------
+# the check that the march takes
+# ----------------------------------------------------------------------
+
+def test_the_march_keeps_the_check_of_each_leaf():
+    cases = list(_gallery_cases())
+    cases += [(source, parse(source), _SMALL) for source in _NON_EXACT]
+    cases.append((_NOT_INVOLUTION, parse(_NOT_INVOLUTION), _NOT_INVOLUTION_WINDOW))
+    for name, planar_map, window in cases:
+        h, fol, leaves = _leaves(planar_map, window)
+        assert leaves, name
+        for i, leaf in enumerate(leaves):
+            assert repr(leaf.invariance) == repr(leaf_invariance_check(h, fol, leaf)), (name, i)
+    # the map that is no involution keeps residuals far from 0
+    assert min(leaf.invariance for leaf in leaves) > 1e-5
+
+
+def test_trace_leaves_evaluates_no_planar_map(monkeypatch):
+    # h, Dh and phi(q) come from StandardMap's kernels, not PlanarMap's methods
+    calls = []
+
+    def counting(name, original):
+        def wrapped(self, p):
+            calls.append(name)
+            return original(self, p)
+        return wrapped
+
+    for name, planar_map, window in _gallery_cases():
+        h = standard_map(planar_map)
+        fol = diagonalize_involution(h.linear_part)
+        for method in ("evaluate", "evaluate_with_jacobian"):
+            monkeypatch.setattr(PlanarMap, method, counting(method, getattr(PlanarMap, method)))
+        leaves = trace_leaves(h, fol, window)
+        monkeypatch.undo()
+        assert leaves and any(leaf.points for leaf in leaves), name
+        assert calls == [], name

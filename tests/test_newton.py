@@ -4,9 +4,11 @@
 Jacobian entries, and ``invert_standard_map`` runs on those floats and
 returns them at its root.  Both must give, bit for bit, what the ``Mat2``
 chain gave: the references below are that code, with the inversion also
-returning the value and Jacobian of its last convergence check.  Results are compared by ``repr`` so that signed zeros count
-(a linear part with -0.0 entries can make ``Dphi(0) Dphi(p)`` hold a -0.0
-that ``I + ...`` turns into 0.0).  ``trace_leaves`` must equal tracing each
+returning the value and Jacobian of its last convergence check.  The two
+entries after h and Dh must be ``h.base.evaluate(p)``, bit for bit.
+Results are compared by ``repr`` so that signed zeros count (a linear part
+with -0.0 entries can make ``Dphi(0) Dphi(p)`` hold a -0.0 that ``I + ...``
+turns into 0.0).  ``trace_leaves`` must equal tracing each
 default leaf on its own.
 """
 
@@ -60,7 +62,7 @@ def _ref_invert(h, target, guess, tol=1e-10, max_iter=50):
             raise InversionError(str(exc), p) from exc
         rx, ry = target[0] - value[0], target[1] - value[1]
         if math.hypot(rx, ry) <= tol:
-            return p, _entries((value, dh))
+            return p, _entries((value, dh)) + h.base.evaluate(p)
         det = dh.det
         scale = dh.max_abs()
         if abs(det) <= 1e-14 * max(scale * scale, 1e-30):
@@ -85,6 +87,11 @@ def _outcome(fn, *args):
 def _entries(value_and_matrix):
     (hx, hy), m = value_and_matrix
     return (hx, hy, m.a11, m.a12, m.a21, m.a22)
+
+
+def _ref_entries(h, p):
+    """h and Dh by the Mat2 chain, then phi(p) from ``h.base.evaluate``."""
+    return _entries(_ref_evaluate_with_jacobian(h, p)) + h.base.evaluate(p)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +136,7 @@ def _expression_map(first, second):
 
 def _assert_value_parity(h, p):
     assert _outcome(h.evaluate, p) == _outcome(_ref_evaluate, h, p)
-    ref = _outcome(lambda q: _entries(_ref_evaluate_with_jacobian(h, q)), p)
+    ref = _outcome(_ref_entries, h, p)
     assert _outcome(h.evaluate_with_jacobian, p) == ref
 
 
@@ -157,7 +164,7 @@ def test_off_diagonal_negative_zero_becomes_positive():
     # over the identity, Dphi(0) Dphi(p) has -0.0 off the diagonal; I + ... clears it
     h = StandardMap(parse("(x, y)"), linear)
     entries = h.evaluate_with_jacobian((1.0, 2.0))
-    assert repr(entries) == repr(_entries(_ref_evaluate_with_jacobian(h, (1.0, 2.0))))
+    assert repr(entries) == repr(_ref_entries(h, (1.0, 2.0)))
     assert repr(entries[3:5]) == "(0.0, 0.0)"
 
 

@@ -692,9 +692,10 @@ def test_window_grid_of_h_matches_per_node_reference(monkeypatch):
 
     monkeypatch.setattr(StandardMap, "evaluate_grid", counting_grid)
     monkeypatch.setattr(StandardMap, "evaluate", counting_evaluate)
-    # a family of leaves takes its parameters and its anchors from one grid
-    foliation.trace_leaves(hs[2], fol, region, count=3)
-    assert calls == {"grid": 1, "evaluate": 0}
+    # a family of leaves takes its parameters and its anchors from one grid,
+    # and the march's invariance check evaluates h once per point, at phi(q)
+    leaves = foliation.trace_leaves(hs[2], fol, region, count=3)
+    assert calls == {"grid": 1, "evaluate": sum(len(leaf.points) for leaf in leaves)}
 
 
 @pytest.mark.parametrize("spec, grids", [("gallery:B", 1), ("gallery:A2", 0)],
