@@ -31,7 +31,8 @@ The kernels take the same float operations as a walk over the tree, but
 run some of them less often.  The powers of one base share a chain: each
 starts from the highest power of that base already computed, a prefix of
 its own left fold, so it repeats the same roundings.  The grid kernel runs
-each value line at the loop level that its dependence on x and y needs.
+each value line, and each operation of the standard map, at the loop level
+that its dependence on x and y needs.
 
 Nothing here recurses: the parser keeps open parentheses on a list, and
 each walk over a tree keeps its own stack and visits a node shared by
@@ -44,6 +45,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import count
 from types import CodeType
 from typing import Callable, Iterator, NamedTuple
 
@@ -223,7 +225,7 @@ class _Parser:
         )
 
 
-_SSA_NAME = re.compile(r"\b(t\d+(?:_[a-z])?)\b")
+_GRID_NAME = re.compile(r"\b(x|t\d+)\b")  # the names that a grid kernel's node may read
 
 # The identifiers of generated kernels, held interned for the life of the
 # process.  Compiling interns every identifier, and an interned name that no
@@ -457,41 +459,51 @@ class _KernelWriter:
         return [f"for _ in range({count}):", f"    {body}"]
 
     def _grid_lines(self, first: tuple, second: tuple) -> list[str]:
-        """The grid kernel's body: each value block at the loop level that
-        its dependence on x and y needs (see :meth:`PlanarMap.grid_kernel`),
-        then at each node PlanarMap.evaluate's float() and finiteness test
-        and StandardMap.evaluate's operations."""
+        """The grid kernel's body: each value block, then each operation of
+        StandardMap.evaluate after PlanarMap.evaluate's float() of a
+        constant component, at the loop level that its dependence on x and
+        y needs (see :meth:`PlanarMap.grid_kernel`)."""
         levels: dict[int, list[str]] = {0: [], _X: [], _Y: [], _X | _Y: []}
         for depends, lines in self.value_blocks:
             levels[depends].extend(lines)
+        depends = dict(self.depends)
+        temporaries = (f"t{k}" for k in count(len(self.emitted)))  # past every emitted name
+
+        def place(expression: str, level: int) -> str:
+            """A name for ``expression`` at ``level``, or the expression itself at a node."""
+            if level == _X | _Y:
+                return f"({expression})"
+            name = next(temporaries)
+            depends[name] = level
+            levels[level].append(f"{name} = {expression}")
+            return name
+
         components = []
         for name, (value, partials) in (("u", first), ("v", second)):
             if partials is None:
                 levels[0].append(f"{name} = float({value})")
-                components.append(name)
-            else:
-                components.append(value)
-        u, v = components
-        node = levels[_X | _Y] + [
-            f"if not 0.0 * {u} * {v} == 0.0:",
-            "    return",
-            f"append_u(0.5 * x + 0.5 * (a11 * {u} + a12 * {v}))",
-            f"append_v(0.5 * y + 0.5 * (a21 * {u} + a22 * {v}))"]
+                value = name
+            components.append((value, depends.get(value, 0)))
+        (u, du), (v, dv) = components
+        node = levels[_X | _Y]
+        for coord, a1, a2, append in (("x", "a11", "a12", "append_u"),
+                                      ("y", "a21", "a22", "append_v")):
+            half = place(f"0.5 * {coord}", depends[coord])
+            image = place(f"0.5 * ({place(f'{a1} * {u}', du)} + {place(f'{a2} * {v}', dv)})",
+                          du | dv)
+            node.append(f"{append}({half} + {image})")
+        # the column pass is never empty, as 0.5*x is there; whatever it raises
+        # ends the grid at that column of row 0, as evaluate_grid catches any
+        # exception and evaluates that node again
+        carried = [name for name in dict.fromkeys(_GRID_NAME.findall("\n".join(node)))
+                   if depends[name] == _X]
+        column = ", ".join(carried)
         lines = ["append_u, append_v = us.append, vs.append"] + levels[0]
-        column, columns = "x", "xs"
-        if levels[_X]:
-            carried = [name for name in dict.fromkeys(_SSA_NAME.findall("\n".join(node)))
-                       if self.depends[name] == _X]
-            column, columns = ", ".join(["x"] + carried), "cols"
-            # whatever a column raises ends the grid at that column of row 0,
-            # as evaluate_grid catches any exception and evaluates that node again
-            lines += ["cols = []", "try:", "    for x in xs:"]
-            lines += [f"        {line}" for line in levels[_X]]
-            lines += [f"        cols.append(({column}))",
-                      "except Exception:",
-                      "    ys = ys[:1]"]
+        lines += ["cols = []", "try:", "    for x in xs:"]
+        lines += [f"        {line}" for line in levels[_X]]
+        lines += [f"        cols.append(({column}))", "except Exception:", "    ys = ys[:1]"]
         lines += ["for y in ys:"] + [f"    {line}" for line in levels[_Y]]
-        lines += [f"    for {column} in {columns}:"] + [f"        {line}" for line in node]
+        lines += [f"    for {column} in cols:"] + [f"        {line}" for line in node]
         return lines
 
     def _make(self, body: list[str], params: list[str]) -> str:
@@ -617,19 +629,24 @@ class PlanarMap:
         evaluates the standard map of linear part ``[[a11, a12], [a21, a22]]``
         at the nodes ``(x, y)``, ``y`` outer and ``x`` inner.
 
-        At each node it takes the operations of :meth:`evaluate` and then
-        appends ``0.5*x + 0.5*(a11*u + a12*v)`` to ``us`` and
-        ``0.5*y + 0.5*(a21*u + a22*v)`` to ``vs``.  The operations of a
-        value that depends on neither coordinate run once per call, those
-        of a value that depends on ``x`` alone once per column, in a pass
-        before the rows, and those of a value that depends on ``y`` alone
-        once per row; only the rest run at every node.  Float operations
+        At each node it takes the operations of :meth:`evaluate` but its
+        finiteness test, and appends ``0.5*x + 0.5*(a11*u + a12*v)`` to ``us``
+        and ``0.5*y + 0.5*(a21*u + a22*v)`` to ``vs``.  Each operation, of
+        the map and of h alike, runs at the loop level that its dependence
+        on the coordinates needs: one that depends on neither once per call,
+        one that depends on ``x`` alone once per column, in a pass before
+        the rows (``0.5*x`` among them), and one that depends on ``y`` alone
+        once per row (``0.5*y``, and ``a12*v`` and ``a22*v`` where ``v`` depends
+        on ``y`` alone); only the rest run at every node.  Float operations
         have no state, so each node still gets :meth:`evaluate`'s floats.
 
-        The kernel stops at the first node, in row-major order, where
-        :meth:`evaluate` fails: it returns there, or lets the map's
-        exception propagate unwrapped, and either way the lists end before
-        that node.  A column whose pass raises stops row 0 at that column.
+        The kernel does not stop where phi is not finite: it appends h's
+        values there, which are then not finite either.  It stops at the
+        first node, in row-major order, where an operation raises, and lets
+        the map's exception propagate unwrapped, with the lists ending
+        before that node; a column whose pass raises stops row 0 at that
+        column.  :meth:`planarinv.linearize.StandardMap.evaluate_grid` finds
+        the first node where :meth:`evaluate` fails from these lists.
         """
         return (self._kernels or self._build_kernels())[2]
 

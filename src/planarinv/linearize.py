@@ -40,6 +40,7 @@ COLLISION = "Collision"
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 _SLACK = 2.0**-40
 _UNDERFLOW = 16 * 2.0**-1074
+_ROUND_UP = 1.0 + 2.0**-50
 
 
 class NotApplicableError(ValueError):
@@ -88,6 +89,18 @@ class StandardMap:
         before the first node where :meth:`evaluate` fails, bit for bit
         those of :meth:`evaluate`, and the exception that :meth:`evaluate`
         raises at that node (None if there is none).
+
+        The grid kernel runs on past a node where phi is not finite, and
+        stops only where an operation raises.  A non-finite phi(p) makes
+        both components of h non-finite, whatever the linear part is, so
+        when neither ``sum(us)`` nor ``sum(vs)`` is finite each node where
+        neither component is finite is evaluated again, in node order, with
+        ``self.base.evaluate``; the lists end at the first that raises.
+        Where h overflows at a finite phi(p), that call returns and the
+        node's values stay.  Where the
+        kernel raised, the node it stopped at is evaluated the same way.
+        ``self.base.evaluate`` raises what :meth:`evaluate` raises, and
+        needs none of h's point kernels.
         """
         us: list[float] = []
         vs: list[float] = []
@@ -95,15 +108,22 @@ class StandardMap:
             self.base.grid_kernel()(xs, ys, *self.entries, us, vs)
         except Exception:
             pass  # the node is evaluated again below, for evaluate's exception
-        j = len(us)
-        if j == len(xs) * len(ys):
-            return us, vs, None
-        n = len(xs)
-        try:
-            self.evaluate((xs[j % n], ys[j // n]))
-        except Exception as exc:
-            return us, vs, exc
-        raise RuntimeError(f"the grid kernel stopped at node {j}, where evaluate succeeds")
+        n, stopped = len(xs), len(us)
+        isfinite = math.isfinite
+        suspects = [] if isfinite(sum(us)) or isfinite(sum(vs)) else [
+            j for j, (u, v) in enumerate(zip(us, vs)) if not (isfinite(u) or isfinite(v))]
+        if stopped < n * len(ys):
+            suspects.append(stopped)
+        for j in suspects:
+            try:
+                self.base.evaluate((xs[j % n], ys[j // n]))
+            except Exception as exc:
+                del us[j:], vs[j:]
+                return us, vs, exc
+        if stopped < n * len(ys):
+            raise RuntimeError(f"the grid kernel stopped at node {stopped}, "
+                               "where evaluate succeeds")
+        return us, vs, None
 
     def evaluate_with_jacobian(self, p: tuple[float, float]) -> tuple[float, ...]:
         """h(p), Dh(p) and phi(p) as the floats ``(hx, hy, h11, h12, h21, h22, u, v)``.
@@ -169,20 +189,34 @@ def injectivity_scan(
     only where they are compared or reported.
 
     Only "crowded" nodes, whose cell is shared with or touches another
-    node's cell, can collide.  A node is a candidate when its projection
-    ``u + ALPHA*v`` is within ``delta`` of a neighbour's in sorted order.
-    Images in touching cells differ by less than ``2*cell`` per coordinate,
-    so their projections, and any sorted between them, by less than
-    ``2*cell*(1 + ALPHA)``.  ``delta`` adds ``_SLACK*(1 + ALPHA)*(M + cell)
-    + _UNDERFLOW`` with ``M = max(|u|, |v|)``, far above the rounding of
-    ``u/cell`` and of the projections (``4 * 2^-52 * (1 + ALPHA) * M``), so
-    every crowded node is a candidate.  Only candidates get cells and are
-    compared pairwise, in node order, which keeps the witness.  A
-    non-candidate's cell is its own and candidates share cells only with
-    candidates, so the first ``j`` nodes hold ``j - c + k`` distinct cells
-    when ``c`` of them are candidates in ``k`` cells.  When a projection or
-    ``M/cell`` is not finite, every node is a candidate, and the scan ends
-    at the first node whose cell cannot be computed.
+    node's cell, can collide.  A node is a first-stage candidate when its
+    projection ``u + ALPHA*v`` is within ``delta`` of a neighbour's in
+    sorted order.  Images in touching cells differ by less than ``2*cell``
+    per coordinate, so their projections, and any sorted between them, by
+    less than ``2*cell*(1 + ALPHA)``.  ``delta`` adds ``_SLACK*(1 + ALPHA)*(M
+    + cell) + _UNDERFLOW``, far above the rounding of ``u/cell`` and of the
+    projections (``4 * 2^-52 * (1 + ALPHA) * max(|u|, |v|)``), so every
+    crowded node is a candidate.  ``M`` bounds ``max(|u|, |v|)`` from above
+    without a pass over ``us``: ``|u| <= |u + ALPHA*v| + ALPHA*|v|``, so ``M``
+    is the larger of ``max(|v|)`` and ``(P + ALPHA*max(|v|))*(1 + 2^-50)``,
+    with ``P`` the larger end of the sorted projections in absolute value;
+    the factor covers the roundings, and a larger ``M`` only widens
+    ``delta``.  Where the smallest sorted gap exceeds ``delta``, that one
+    pass over the gaps shows that no node is a candidate.  The candidates
+    are then filtered again by the orthogonal projection ``v - ALPHA*u``,
+    sorted among the candidates alone, with the same ``delta``: both nodes
+    of a crowded pair are first-stage candidates, so their projections and
+    those sorted between them are there, and no crowded node is dropped.  Only the
+    remaining candidates get cells and are compared pairwise, in node
+    order, which keeps the witness.  A non-candidate is not crowded, so its
+    cell is its own, and candidates share cells only with candidates: the
+    first ``j`` nodes hold ``j - c + k`` distinct cells when ``c`` of them
+    are candidates in ``k`` cells, whichever superset of the crowded nodes
+    the candidates are, as each extra candidate brings its own cell.  When
+    a projection or ``M/cell`` is not finite, every node is a candidate, and
+    the scan ends at the first node whose cell cannot be computed; where
+    only an orthogonal projection is not finite, the second filter is
+    skipped.
     """
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
@@ -204,16 +238,19 @@ def injectivity_scan(
         raise error
     n = len(us)
     proj = list(map(operator.add, us, map(operator.mul, vs, repeat(ALPHA))))
-    bound = max(max(us), -min(us), max(vs), -min(vs))  # M, once no image is NaN
-    if math.isfinite(sum(proj)) and bound / cell < math.inf:
+    candidates = range(n)
+    if math.isfinite(sum(proj)):  # then every u and v is finite
         s = sorted(proj)
-        delta = (1.0 + ALPHA) * ((2.0 + _SLACK) * cell + _SLACK * bound) + _UNDERFLOW
-        close = list(map(operator.le, map(operator.sub, islice(s, 1, None), s), repeat(delta)))
-        near = set(compress(s, close))
-        near.update(compress(islice(s, 1, None), close))
-        candidates = list(compress(range(n), map(near.__contains__, proj))) if near else []
-    else:
-        candidates = range(n)
+        top = max(max(vs), -min(vs))
+        bound = max(top, (max(s[-1], -s[0]) + ALPHA * top) * _ROUND_UP)  # at least M
+        if bound / cell < math.inf:
+            delta = (1.0 + ALPHA) * ((2.0 + _SLACK) * cell + _SLACK * bound) + _UNDERFLOW
+            near = _near_in_sorted_order(s, delta)
+            candidates = list(compress(range(n), map(near.__contains__, proj))) if near else []
+            across = [vs[j] - ALPHA * us[j] for j in candidates]
+            if math.isfinite(sum(across)):
+                near = _near_in_sorted_order(sorted(across), delta)
+                candidates = list(compress(candidates, map(near.__contains__, across)))
     buckets: dict[tuple[int, int], list[int]] = {}
     for c, j in enumerate(candidates):
         px, py = xs[j % scan_n], ys[j // scan_n]
@@ -241,6 +278,16 @@ def injectivity_scan(
     if error is not None:
         raise error
     return InjectivityCertificate(NO_COLLISION_FOUND, None, n - len(candidates) + len(buckets))
+
+
+def _near_in_sorted_order(s: list[float], delta: float) -> set[float]:
+    """The values of the sorted list ``s`` that lie within ``delta`` of a neighbour."""
+    if min(map(operator.sub, islice(s, 1, None), s), default=math.inf) > delta:
+        return set()
+    close = list(map(operator.le, map(operator.sub, islice(s, 1, None), s), repeat(delta)))
+    near = set(compress(s, close))
+    near.update(compress(islice(s, 1, None), close))
+    return near
 
 
 def _evaluate_nodes(h, xs: list[float], ys: list[float]) -> tuple[list, list, Exception | None]:

@@ -26,7 +26,7 @@ from test_scan import (
     _reference_scan,
 )
 
-from planarinv import gallery, linearize
+from planarinv import expr, gallery, linearize
 from planarinv.expr import _KERNEL_NAMES, EvaluationError, ExprNode, PlanarMap, parse
 from planarinv.involution import (
     GridSample,
@@ -181,6 +181,43 @@ def test_hoisted_grid_takes_each_component_at_its_level():
                 _assert_grid_parity(StandardMap(parse(f"({u}, {v})"), linear), xs, ys)
 
 
+def test_evaluate_grid_finds_the_first_failure_past_non_finite_nodes():
+    # the grid kernel runs on past a node where phi is not finite, so
+    # evaluate_grid must find the first failing node from the lists; each
+    # case is checked under linear parts other than the identity, where h's
+    # own operations run at the level of u and v
+    xs = [2.0, 1.0, -0.5, 0.0, 0.5]
+    ys = [1.0, 0.5, -2.0]
+    cases = {
+        "(x, -y)": None,  # u on x alone, v on y alone
+        "(x, y)": None,
+        "(2, y)": None,  # a constant u
+        "(1/x, y)": 3,  # fails at a column-level value, in row 0
+        "(x, 1/(y - 0.5))": 5,  # fails at a row-level value, at the start of row 1
+        "(x, 1/(x*y + 1))": 14,  # fails at a node-level value
+        "(1e308*x*y, y)": 0,  # non-finite at a node-level value
+        "(1e308*x*y, 1/(x*y - 1))": 0,  # non-finite at node 0, raises at node 1
+        "(1/(x*y + 1), x*y*y/4*1e308)": 10,  # non-finite at node 10, raises at node 14
+        "(1/(x*y - 1), x*y*y/4*1e308)": 1,  # raises at node 1, non-finite at node 10
+    }
+    linears = (Mat2(1.0, 1.0, 0.0, 1.0), Mat2(2.0, 0.5, -0.0, -1.0), MINUS_IDENTITY, FLIP_Y)
+    for source, failure in cases.items():
+        for linear in linears:
+            h = StandardMap(parse(source), linear)
+            error = _assert_grid_parity(h, xs, ys)[2]
+            assert _first_failure(h, xs, ys) == failure, (source, linear)
+            assert (error is None) is (failure is None), (source, linear)
+    # h overflows to inf at a finite phi: the value stays, with no error
+    h = StandardMap(parse("(1e308*x, 1e308*y)"), Mat2(1.0, 1.0, 0.0, 1.0))
+    us, _, error = _assert_grid_parity(h, [1.0, 1.5], [-1.0, 1.0])
+    assert error is None and us == repr([0.5, 2.5e307, math.inf, math.inf])
+    # and where both components overflow at a finite phi
+    h = StandardMap(parse("(1e308*x, 1e308*y)"), Mat2(1.0, 1.0, 1.0, 1.0))
+    us, vs, error = _assert_grid_parity(h, [1.0, 1.5], [-1.0, 1.0])
+    assert error is None and us == repr([0.5, 2.5e307, math.inf, math.inf])
+    assert vs == repr([-0.5, 2.5e307, math.inf, math.inf])
+
+
 def test_evaluate_grid_converts_constant_components_with_float():
     # a literal that is a number but not a float: evaluate converts the
     # component with float(), so 0.0 * u never meets the Decimal itself
@@ -290,26 +327,29 @@ def test_unwrapped_scan_matches_reference_on_every_gallery_entry():
 
 
 def test_scan_evaluates_the_grid_once(monkeypatch):
-    calls = {"grid": 0, "evaluate": 0}
+    calls = {"grid": 0, "evaluate": 0, "base_evaluate": 0, "compile_standard": 0}
     grid, evaluate = StandardMap.evaluate_grid, StandardMap.evaluate
+    base_evaluate, compile_standard = PlanarMap.evaluate, expr.compile_standard
 
-    def counting_grid(self, xs, ys):
-        calls["grid"] += 1
-        return grid(self, xs, ys)
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
 
-    def counting_evaluate(self, p):
-        calls["evaluate"] += 1
-        return evaluate(self, p)
-
-    monkeypatch.setattr(linearize.StandardMap, "evaluate_grid", counting_grid)
-    monkeypatch.setattr(linearize.StandardMap, "evaluate", counting_evaluate)
+    monkeypatch.setattr(linearize.StandardMap, "evaluate_grid", counting("grid", grid))
+    monkeypatch.setattr(linearize.StandardMap, "evaluate", counting("evaluate", evaluate))
+    monkeypatch.setattr(PlanarMap, "evaluate", counting("base_evaluate", base_evaluate))
+    monkeypatch.setattr(expr, "compile_standard",
+                        counting("compile_standard", compile_standard))
     injectivity_scan(standard_map(gallery.get("B").map), gallery.get("B").window, 51)
-    assert calls == {"grid": 1, "evaluate": 0}
-    # a failing node is evaluated once more, for its exception
+    assert calls == {"grid": 1, "evaluate": 0, "base_evaluate": 0, "compile_standard": 0}
+    # a failing node is evaluated once more by the base map, for its exception,
+    # and no point kernel of h is compiled for it
     h = StandardMap(parse("(1/(x - 0.5), y)"), IDENTITY)
     assert _outcome(injectivity_scan, h, Region(0, 1, 0, 1), 5, 1e-6, None)[:2] == \
         ("raised", EvaluationError)
-    assert calls == {"grid": 2, "evaluate": 1}
+    assert calls == {"grid": 2, "evaluate": 0, "base_evaluate": 1, "compile_standard": 0}
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from treewalk import evaluate_node, jacobian_entries
 
 from planarinv import gallery
-from planarinv.expr import ExprNode, compile_pair, parse
+from planarinv.expr import ExprNode, PlanarMap, compile_pair, parse
+from planarinv.linalg2 import Mat2
+from planarinv.linearize import StandardMap
 
 _BINARY = ("add", "sub", "mul", "div")
 _UNARY = ("neg", "sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
@@ -122,12 +124,10 @@ _POWER_AXIS = st.lists(_POWER_COORDS, min_size=1, max_size=5)
 
 
 def _grid_outcome(first, second, xs, ys, linear):
-    """The grid kernel's lists, which end before the first failing node."""
-    us, vs = [], []
-    try:
-        compile_pair(first, second)[2](xs, ys, *linear, us, vs)
-    except (ArithmeticError, ValueError):
-        pass
+    """The lists of StandardMap.evaluate_grid, which end before the first
+    failing node, from the map's grid kernel."""
+    h = StandardMap(PlanarMap.from_expressions(first, second, "grid"), Mat2(*linear))
+    us, vs, _ = h.evaluate_grid(xs, ys)
     return repr(us), repr(vs)
 
 

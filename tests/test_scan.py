@@ -163,6 +163,10 @@ def _as_h(planar_map, use_standard):
 @example(parse("(0, 0)"), False, Region(-1, 1, -1, 1), 11, 1e-6, 0.01, set())
 @example(parse("(1e300*x, y)"), True, Region(-1, 1, -1, 1), 5, 1e-6, None, set())
 @example(parse("(abs(x), abs(y))"), False, Region(-1, 1, -1, 1), 9, 0.3, 0.5, {40})
+# the orthogonal projection must keep the crowded nodes: a fold, and a
+# collapse of every row to one image
+@example(parse("(x^2, y)"), False, Region(-1, 1, -1, 1), 9, 1e-6, None, set())
+@example(parse("(0*x, y)"), False, Region(-1, 1, -1, 1), 9, 1e-6, 0.5, set())
 def test_scan_matches_reference(planar_map, use_standard, region, scan_n, collision_tol,
                                 separation_min, raise_at):
     _assert_parity(_as_h(planar_map, use_standard), region, scan_n, collision_tol,
