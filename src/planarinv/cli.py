@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -75,8 +76,10 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, 1.0)  # --step is foliate's only
         if not 0.0 < value < math.inf:
             raise ValueError(f"bad --{flag} {value!r}: expected a finite number > 0")
-    if getattr(args, "scan", 2) < 2:
-        raise ValueError(f"bad --scan {args.scan!r}: expected at least 2")
+    for flag in ("grid", "scan"):
+        value = getattr(args, flag, 2)  # --scan is analyze's only
+        if value < 2:
+            raise ValueError(f"bad --{flag} {value!r}: expected at least 2")
     leaves = getattr(args, "leaves", None)
     if leaves is not None and leaves < 1:
         raise ValueError(f"bad --leaves {leaves!r}: expected at least 1")
@@ -200,7 +203,8 @@ def cmd_analyze(args) -> int:
 
     phase = "setup"
     try:
-        planar_map, source, offset, region = _load(args)
+        # an expression map's kernels compile here, as fix_origin evaluates it at 0
+        planar_map, source, offset, region = timed(phase, lambda: _load(args))
     except _PHASE_ERRORS as exc:
         return _fail("analyze", phase, exc)
 
@@ -427,7 +431,10 @@ def _add_map_args(sub: argparse.ArgumentParser) -> None:
                      help="involution / fixed-point tolerance > 0 (default 1e-9)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built at the first call and shared by every
+    later ``main`` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="planarinv",
         description="Analyze planar involutions: verification, spectral conditions, "

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,6 +9,7 @@ import sys
 
 import pytest
 
+from planarinv import cli
 from planarinv.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -162,6 +165,18 @@ def test_analyze_rejects_a_scan_under_two_at_setup(scan, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"analyze: [setup] bad --scan {int(scan)!r}: expected at least 2\n"
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", ["analyze", "foliate"])
+def test_analyze_and_foliate_reject_a_grid_under_two_at_setup(command, grid, tmp_path, capsys):
+    leaves = tmp_path / "leaves.csv"
+    extra = ["--csv", str(leaves)] if command == "foliate" else []
+    assert run([command, "gallery:A1", "--grid", grid] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: [setup] bad --grid {int(grid)!r}: expected at least 2\n"
+    assert not leaves.exists()
 
 
 def test_analyze_recenters_a_map_that_fixes_another_point(tmp_path):
@@ -484,3 +499,63 @@ def test_analyze_still_finds_the_collision_of_a_map_constant_on_a_small_window(t
     injectivity = json.loads(out.read_text())["injectivity"]
     assert injectivity["collision_tol"] == pytest.approx(1e-6 * 0.2 * 2 ** 0.5)
     assert injectivity["status"] == "Collision"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    out = tmp_path / "r.json"
+    analyze = ["analyze", "(x + 2*y^3, -y)", "--window", "-3,2,-2,1", "--grid", "9",
+               "--scan", "21", "--out", str(out)]
+    reports = []
+    assert run(analyze) == 0
+    reports.append(json.loads(out.read_text()))
+    with pytest.raises(SystemExit) as excinfo:
+        run(["analyze", "gallery:B", "--eps", "0.1"])
+    assert excinfo.value.code == 2
+    assert run(["foliate", "gallery:A1", "--grid", "9", "--leaves", "2",
+                "--csv", str(tmp_path / "a1.csv")]) == 0
+    assert run(["gallery", "show", "A3"]) == 0
+    out.unlink()
+    assert run(analyze) == 0
+    reports.append(json.loads(out.read_text()))
+    for report in reports:
+        del report["timings_ms"]
+    assert reports[0] == reports[1]
+    assert reports[0]["window"]["x_min"] == -3.0 and reports[0]["flags"]["scan"] == 21
+    # the parser and its three sub-parsers, each built once for the five calls
+    assert built == ["planarinv", "planarinv analyze", "planarinv foliate",
+                     "planarinv gallery"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import planarinv.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+# the order of README's timings_ms paragraph
+_PHASES = ["setup", "sample", "verify", "fixed-points", "spectrum", "spectrum-shift",
+           "injectivity"]
+
+
+@pytest.mark.parametrize("spec, phases", [
+    ("gallery:A2:1", _PHASES),  # Dphi(0) = -I: the spectrum-shift check runs
+    ("(x + 0.2*y^3, -y)", [p for p in _PHASES if p != "spectrum-shift"]),
+    ("(x + 1, y)", _PHASES[:3]),  # not an involution: no later phase runs
+])
+def test_timings_start_with_setup_and_follow_the_phases(spec, phases, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["analyze", spec, "--grid", "9", "--scan", "21", "--out", str(out)]) == 0
+    timings = json.loads(out.read_text())["timings_ms"]
+    assert list(timings) == phases
+    assert all(math.isfinite(ms) and ms >= 0.0 for ms in timings.values())
