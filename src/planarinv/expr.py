@@ -16,23 +16,23 @@ is evaluated by repeated multiplication from the left (no branch cuts).
 
 A :class:`PlanarMap` carries a pair of expression trees, from :func:`parse`
 or built directly as :class:`ExprNode` trees (which may share subtrees).
-It is evaluated by straight-line Python functions generated from the trees
-on the map's first evaluation.  :func:`compile_pair` builds all three from
-one ``exec``: a float-only value kernel; a forward-mode Jacobian kernel
-that keeps the value and both partials of every subexpression in float
-locals, with the chain rule applied operation by operation; and a grid
-kernel, which runs the value lines over a whole grid of nodes and keeps
-the standard map's values there (see :meth:`PlanarMap.grid_kernel`).
-:func:`compile_standard` writes the same lines into the standard map's
-point kernels, in their own ``exec`` when h is first evaluated at a point:
+It runs as straight-line Python functions generated from the trees: one
+walk lists each distinct operation once, with its operands and its
+dependence on x and y, and four emitters print that list.  On the map's
+first evaluation :func:`compile_pair` builds three from one ``exec``: a
+float-only value kernel; a forward-mode Jacobian kernel that keeps the
+value and both partials of every operation in float locals, with the chain
+rule applied operation by operation; and a grid kernel of the standard map
+h (see :meth:`PlanarMap.grid_kernel`).  :func:`compile_standard` builds h's
+point kernels in their own ``exec``, when h is first evaluated at a point:
 one call checks phi as :class:`PlanarMap` does and returns h, or h, Dh, phi(p).
 
 The kernels take the same float operations as a walk over the tree, but
 run some of them less often.  The powers of one base share a chain: each
 starts from the highest power of that base already computed, a prefix of
 its own left fold, so it repeats the same roundings.  The grid kernel runs
-each value line, and each operation of the standard map, at the loop level
-that its dependence on x and y needs.
+each operation, of the map and of the standard map alike, at the loop
+level that its dependence on x and y needs.
 
 Nothing here recurses: the parser keeps open parentheses on a list, and
 each walk over a tree keeps its own stack and visits a node shared by
@@ -46,6 +46,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
+from numbers import Number
 from types import CodeType
 from typing import Callable, Iterator, NamedTuple
 
@@ -92,6 +93,13 @@ class ExprNode:
             raise ValueError(f"{self.kind} node takes {_ARITY[self.kind]} children")
         if self.kind == "pow" and (not isinstance(self.exponent, int) or self.exponent < 0):
             raise ValueError("pow exponent must be a non-negative integer")
+        if self.kind != "pow" and self.exponent is not None:
+            raise ValueError(f"{self.kind} node takes no exponent")
+        if self.kind == "num" and (not isinstance(self.value, Number)
+                                   or isinstance(self.value, complex)):
+            raise ValueError("num value must be a real number")
+        if self.kind != "num" and self.value is not None:
+            raise ValueError(f"{self.kind} node takes no value")
 
 
 class _Token(NamedTuple):
@@ -225,8 +233,6 @@ class _Parser:
         )
 
 
-_GRID_NAME = re.compile(r"\b(x|t\d+)\b")  # the names that a grid kernel's node may read
-
 # The identifiers of generated kernels, held interned for the life of the
 # process.  Compiling interns every identifier, and an interned name that no
 # live object refers to is deleted again, so each map would insert and
@@ -264,58 +270,75 @@ def _postorder(root: ExprNode, done: dict) -> Iterator[ExprNode]:
                 push((child, False))
 
 
+# The derivative of each unary function that the Jacobian kernel computes
+# before the function's own value, of the operand ``{a}``
+_DERIVATIVES = {"sinh": "_cosh({a})", "cosh": "_sinh({a})", "sin": "_cos({a})",
+                "cos": "-_sin({a})", "asinh": "1.0 / _sqrt(1.0 + {a} * {a})",
+                "abs": "1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0)"}  # sign(0) is 0
+
+
+def _repeat(count: int, body: str) -> list[str]:
+    return [body] if count == 1 else [f"for _ in range({count}):", f"    {body}"]
+
+
+def _power_step(t: str, a: str, da: tuple, s: str, sx: str, sy: str) -> str:
+    """One multiplication by the base ``a`` of the power ``t`` and its
+    partials, from ``s`` and its partials."""
+    return (f"{t}, {t}_x, {t}_y = {s} * {a}, {sx} * {a} + {s} * {da[0]}, "
+            f"{sy} * {a} + {s} * {da[1]}")
+
+
 class _KernelWriter:
-    """Writes the value, Jacobian and grid kernels of one expression pair.
+    """The operation list of one expression pair, and the emitters that
+    print it as kernels.
 
-    Every emitted subexpression is named by a tuple ``(value, partials)``:
-    ``value`` is the Python expression holding its value (a temporary, a
-    literal's parameter, ``x`` or ``y``) and ``partials`` names its d/dx and
-    d/dy in the Jacobian kernel, or is None for a constant (a subtree free of
-    x and y, or a zeroth power), which the Jacobian kernel computes with the
-    value kernel's float operations.  Every other node applies the chain
-    rule of its operation, taking its own value from the float operation (a
-    quotient rounded once), so the Jacobian kernel's values are the value
-    kernel's, bit for bit.
+    :meth:`emit` appends each distinct operation to ``ops`` once, as a
+    record ``(name, kind, exponent, args, start, depends)``: ``name =
+    kind(*args)`` is ``t<n>``, of operands named ``t<n>``, ``c<n>`` (a
+    literal's parameter), ``x`` or ``y``; ``exponent`` is a power's, and
+    ``depends`` the bits of the coordinates that the value depends on, 0
+    for a constant.  Powers are repeated multiplication from the left,
+    ``a^k = ((a*a)*a)...``.  A power of a varying base has ``start``, the
+    name and exponent of the highest power of that base already listed, a
+    prefix of its own left fold, and multiplies on from there, so it takes
+    the roundings that the whole fold takes.  Any other power is a
+    constant, ``exponent`` products from 1.0, with ``start`` None.
 
-    Subexpressions are numbered by operation and operand names, so each
-    distinct subtree is emitted once, and a node met again by reference
+    Operations are keyed by kind, exponent and operand names, so each
+    distinct subtree is listed once, and a node met again by reference
     takes its name from ``names`` without being walked again (the trees
     outlive the writer, so no ``id`` is reused meanwhile).  Literals are
     keyed by type and repr rather than by ``==``, which would merge 0.0
-    with -0.0 and 1 with 1.0.
-    The value lines of each subexpression are kept as one block, tagged
-    with the coordinates its value depends on, so that the grid kernel can
-    run each block at the loop level it needs.
+    with -0.0 and 1 with 1.0.  Every key takes a number, even the first
+    power of a varying base, which lists nothing and is named by its base.
+    The emitters, :meth:`source` and :meth:`standard_source`, read the
+    records only.
     """
 
     def __init__(self):
         self.literals: list = []
         self.literal_names: dict[tuple, str] = {}
-        self.emitted: dict[tuple, tuple] = {}
-        self.names: dict[int, tuple] = {}  # id of each node walked -> its name
-        self.value_blocks: list[tuple[int, list[str]]] = []
-        self.jac_lines: list[str] = []
+        self.emitted: dict[tuple, str] = {}  # key of each distinct operation -> its name
+        self.names: dict[int, str] = {}  # id of each node walked -> its name
+        self.ops: list[tuple] = []
         self.depends: dict[str, int] = {"x": _X, "y": _Y}  # literals depend on neither
-        self.powers: dict[str, dict[int, tuple]] = {}  # base -> exponent -> emitted power
+        self.powers: dict[str, dict[int, str]] = {}  # varying base -> exponent -> power
 
-    def emit(self, root: ExprNode) -> tuple:
-        names = self.names
-        emitted = self.emitted
+    def emit(self, root: ExprNode) -> str:
+        names, emitted = self.names, self.emitted
         for node in _postorder(root, names):
             kind = node.kind
-            if kind == "x":
-                named = "x", ("1.0", "0.0")  # the identity rows
-            elif kind == "y":
-                named = "y", ("0.0", "1.0")
+            if kind == "x" or kind == "y":
+                name = kind
             elif kind == "num":
-                named = self._literal(node.value), None
+                name = self._literal(node.value)
             else:
                 args = tuple([names[id(child)] for child in node.children])
                 key = (kind, node.exponent) + args
-                named = emitted.get(key)
-                if named is None:
-                    named = emitted[key] = self._operation(kind, node.exponent, args)
-            names[id(node)] = named
+                name = emitted.get(key)
+                if name is None:
+                    name = emitted[key] = self._operation(kind, node.exponent, args)
+            names[id(node)] = name
         return names[id(root)]
 
     def _literal(self, value) -> str:
@@ -326,148 +349,133 @@ class _KernelWriter:
             self.literals.append(value)  # by reference: repr(1e999) is "inf"
         return name
 
-    def _value(self, t: str, depends: int, lines: list[str]) -> None:
-        self.depends[t] = depends
-        self.value_blocks.append((depends, lines))
-
-    def _operation(self, kind: str, exponent: int | None, args: tuple) -> tuple:
+    def _operation(self, kind: str, exponent: int | None, args: tuple) -> str:
+        """The name of a new operation, listed with its record."""
         t = f"t{len(self.emitted)}"
+        depends = 0
+        for arg in args:
+            depends |= self.depends.get(arg, 0)
+        start = None
         if kind == "pow":
-            return self._power(t, args[0], exponent)
-        a, da = args[0]
-        depends = self.depends.get(a, 0)
-        if kind in _INFIX:
-            b, db = args[1]
-            depends |= self.depends.get(b, 0)
-            line = f"{t} = {a} {_INFIX[kind]} {b}"
-        elif kind == "neg":
-            line = f"{t} = -{a}"
-        elif kind == "abs":
-            line = f"{t} = abs({a})"
-        else:
-            line = f"{t} = _{kind}({a})"
-        self._value(t, depends, [line])
-        if da is None and (kind not in _INFIX or db is None):
-            self.jac_lines.append(line)  # plain float arithmetic, as on values
-            return t, None
-        jac = self.jac_lines
-        tx, ty = f"{t}_x", f"{t}_y"
-        if kind in ("add", "sub"):
-            jac.append(line)
-            if da is not None and db is not None:
-                op = _INFIX[kind]
-                jac.append(f"{tx} = {da[0]} {op} {db[0]}; {ty} = {da[1]} {op} {db[1]}")
-            elif da is not None:
-                return t, da  # varying +- constant keeps the partials
-            elif kind == "add":
-                return t, db
-            else:
-                jac.append(f"{tx} = -{db[0]}; {ty} = -{db[1]}")
-        elif kind == "mul":
-            jac.append(line)
-            if da is not None and db is not None:
-                jac.append(f"{tx} = {da[0]} * {b} + {a} * {db[0]}; "
-                           f"{ty} = {da[1]} * {b} + {a} * {db[1]}")
-            elif da is not None:
-                jac.append(f"{tx} = {da[0]} * {b}; {ty} = {da[1]} * {b}")
-            else:
-                jac.append(f"{tx} = {db[0]} * {a}; {ty} = {db[1]} * {a}")
-        elif kind == "div":
-            jac.append(f"if {b} == 0.0: raise ZeroDivisionError('division by zero')")
-            if db is None:  # varying / constant
-                jac.append(f"{t}_i = 1.0 / {b}; {line}")
-                jac.append(f"{tx} = {da[0]} * {t}_i; {ty} = {da[1]} * {t}_i")
-            elif da is None:  # constant / varying
-                jac.append(f"{t} = {a} / {b}; {t}_s = -{t} / {b}")
-                jac.append(f"{tx} = {t}_s * {db[0]}; {ty} = {t}_s * {db[1]}")
-            else:
-                jac.append(f"{t}_i = 1.0 / {b}; {line}")
-                jac.append(f"{tx} = ({da[0]} - {t} * {db[0]}) * {t}_i; "
-                           f"{ty} = ({da[1]} - {t} * {db[1]}) * {t}_i")
-        elif kind == "neg":
-            jac.append(f"{line}; {tx} = -{da[0]}; {ty} = -{da[1]}")
-        else:
-            if kind == "sinh":
-                jac.append(f"{t}_d = _cosh({a}); {line}")
-            elif kind == "cosh":
-                jac.append(f"{t}_d = _sinh({a}); {line}")
-            elif kind == "asinh":
-                jac.append(f"{t}_d = 1.0 / _sqrt(1.0 + {a} * {a}); {line}")
-            elif kind == "sin":
-                jac.append(f"{t}_d = _cos({a}); {line}")
-            elif kind == "cos":
-                jac.append(f"{t}_d = -_sin({a}); {line}")
-            elif kind == "sqrt":
-                jac.append(line)
-                jac.append(f"if {t} == 0.0: raise ZeroDivisionError('derivative of sqrt at zero')")
-                jac.append(f"{t}_d = 0.5 / {t}")
-            else:  # abs, with sign(0) taken as 0
-                jac.append(f"{t}_d = 1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0); {line}")
-            jac.append(f"{tx} = {t}_d * {da[0]}; {ty} = {t}_d * {da[1]}")
-        return t, (tx, ty)
-
-    def _power(self, t: str, arg: tuple, exponent: int) -> tuple:
-        """Repeated multiplication from the left, ``a^k = ((a*a)*a)...``.
-
-        A varying base keeps a chain of its emitted powers: ``a^k`` starts
-        from the highest ``a^j`` below it, a prefix of the same left fold,
-        and multiplies by the base for the ``k - j`` missing steps only, so
-        it takes the roundings that the whole fold takes.  In the Jacobian
-        kernel each step of the ``(t, tx, ty)`` tuple is replayed from the
-        prefix's three names.
-        """
-        a, da = arg
-        if exponent == 0:
-            line = f"{t} = 1.0"  # the empty product, a constant even for a varying base
-            self._value(t, 0, [line])
-            self.jac_lines.append(line)
-            return t, None
-        if da is None:
-            # a constant base may be an int literal: repeat the products exactly
-            lines = [f"{t} = 1.0"] + self._repeat(exponent, f"{t} = {t} * {a}")
-            self._value(t, 0, lines)
-            self.jac_lines.extend(lines)
-            return t, None
-        if exponent == 1:
-            return arg  # 1.0 * v is v, bit for bit, with its partials
-        chain = self.powers.setdefault(a, {1: arg})
-        start = max(k for k in chain if k < exponent)
-        p, (px, py) = chain[start]
-        steps = exponent - start
-        tx, ty = f"{t}_x", f"{t}_y"
-
-        def step(s, sx, sy):
-            return (f"{t}, {tx}, {ty} = {s} * {a}, {sx} * {a} + {s} * {da[0]}, "
-                    f"{sy} * {a} + {s} * {da[1]}")
-
-        if steps <= _UNROLLED_STEPS:  # Python groups a * b * c from the left
-            self._value(t, self.depends[a], [f"{t} = {p}" + f" * {a}" * steps])
-            self.jac_lines.append(step(p, px, py))
-            self.jac_lines.extend([step(t, tx, ty)] * (steps - 1))
-        else:
-            self._value(t, self.depends[a],
-                        [f"{t} = {p}"] + self._repeat(steps, f"{t} = {t} * {a}"))
-            self.jac_lines.append(f"{t}, {tx}, {ty} = {p}, {px}, {py}")
-            self.jac_lines.extend(self._repeat(steps, step(t, tx, ty)))
-        chain[exponent] = t, (tx, ty)
-        return chain[exponent]
+            if exponent == 0:
+                depends = 0  # the empty product, a constant even for a varying base
+            elif depends:
+                if exponent == 1:
+                    return args[0]  # 1.0 * v is v, bit for bit, with its partials
+                chain = self.powers.setdefault(args[0], {1: args[0]})
+                prefix = max(k for k in chain if k < exponent)
+                start = chain[prefix], prefix
+                chain[exponent] = t
+        self.depends[t] = depends
+        self.ops.append((t, kind, exponent, args, start, depends))
+        return t
 
     @staticmethod
-    def _repeat(count: int, body: str) -> list[str]:
-        if count == 1:
-            return [body]
-        return [f"for _ in range({count}):", f"    {body}"]
+    def _value_lines(op: tuple) -> list[str]:
+        """The float operations that compute ``op``'s value."""
+        t, kind, exponent, args, start, _ = op
+        a = args[0]
+        if kind in _INFIX:
+            return [f"{t} = {a} {_INFIX[kind]} {args[1]}"]
+        if kind == "neg":
+            return [f"{t} = -{a}"]
+        if kind != "pow":  # abs is the builtin, the other functions are parameters
+            return [f"{t} = {'' if kind == 'abs' else '_'}{kind}({a})"]
+        if start is None:  # a constant base may be an int literal: repeat the products exactly
+            return [f"{t} = 1.0"] + (_repeat(exponent, f"{t} = {t} * {a}") if exponent else [])
+        p, steps = start[0], exponent - start[1]
+        if steps <= _UNROLLED_STEPS:  # Python groups a * b * c from the left
+            return [f"{t} = {p}" + f" * {a}" * steps]
+        return [f"{t} = {p}"] + _repeat(steps, f"{t} = {t} * {a}")
 
-    def _grid_lines(self, first: tuple, second: tuple) -> list[str]:
-        """The grid kernel's body: each value block, then each operation of
-        StandardMap.evaluate after PlanarMap.evaluate's float() of a
-        constant component, at the loop level that its dependence on x and
-        y needs (see :meth:`PlanarMap.grid_kernel`)."""
+    def _jacobian_lines(self, values: list[list[str]], first: str, second: str) -> tuple:
+        """The Jacobian kernel's body, from each operation's ``values``
+        lines, and the value and partials of u and v, a constant as float()
+        of it.
+
+        A constant takes the value kernel's float operations.  Every other
+        operation applies its chain rule, taking its own value from the
+        float operation (a quotient rounded once), so the Jacobian kernel's
+        values are the value kernel's, bit for bit.  A varying value plus or
+        minus a constant keeps its partials' names.  A power replays each
+        step of the ``(t, tx, ty)`` tuple from its prefix's three names.
+        """
+        partials = {"x": ("1.0", "0.0"), "y": ("0.0", "1.0")}  # the identity rows
+        lines: list[str] = []
+        for (t, kind, exponent, args, start, depends), value in zip(self.ops, values):
+            if not depends:
+                lines += value  # plain float arithmetic, as on values
+                continue
+            a, line, da = args[0], value[0], partials.get(args[0])
+            tx, ty = f"{t}_x", f"{t}_y"
+            if kind in _INFIX:
+                b, db = args[1], partials.get(args[1])
+                if kind == "div":
+                    lines.append(f"if {b} == 0.0: raise ZeroDivisionError('division by zero')")
+                    if db is None:  # varying / constant
+                        lines.append(f"{t}_i = 1.0 / {b}; {line}")
+                        lines.append(f"{tx} = {da[0]} * {t}_i; {ty} = {da[1]} * {t}_i")
+                    elif da is None:  # constant / varying
+                        lines.append(f"{line}; {t}_s = -{t} / {b}")
+                        lines.append(f"{tx} = {t}_s * {db[0]}; {ty} = {t}_s * {db[1]}")
+                    else:
+                        lines.append(f"{t}_i = 1.0 / {b}; {line}")
+                        lines.append(f"{tx} = ({da[0]} - {t} * {db[0]}) * {t}_i; "
+                                     f"{ty} = ({da[1]} - {t} * {db[1]}) * {t}_i")
+                elif kind == "mul":
+                    lines.append(line)
+                    if da is not None and db is not None:
+                        lines.append(f"{tx} = {da[0]} * {b} + {a} * {db[0]}; "
+                                     f"{ty} = {da[1]} * {b} + {a} * {db[1]}")
+                    elif da is not None:
+                        lines.append(f"{tx} = {da[0]} * {b}; {ty} = {da[1]} * {b}")
+                    else:
+                        lines.append(f"{tx} = {db[0]} * {a}; {ty} = {db[1]} * {a}")
+                else:
+                    lines.append(line)
+                    if da is not None and db is not None:
+                        op = _INFIX[kind]
+                        lines.append(f"{tx} = {da[0]} {op} {db[0]}; {ty} = {da[1]} {op} {db[1]}")
+                    elif da is not None or kind == "add":
+                        partials[t] = da or db  # varying +- constant keeps the partials
+                        continue
+                    else:
+                        lines.append(f"{tx} = -{db[0]}; {ty} = -{db[1]}")
+            elif kind == "neg":
+                lines.append(f"{line}; {tx} = -{da[0]}; {ty} = -{da[1]}")
+            elif kind == "pow":
+                p, steps = start[0], exponent - start[1]
+                again = _power_step(t, a, da, t, tx, ty)
+                if steps <= _UNROLLED_STEPS:
+                    lines.append(_power_step(t, a, da, p, *partials[p]))
+                    lines.extend([again] * (steps - 1))
+                else:
+                    lines.append(f"{t}, {tx}, {ty} = {p}, {partials[p][0]}, {partials[p][1]}")
+                    lines.extend(_repeat(steps, again))
+            else:
+                if kind == "sqrt":
+                    lines += [line, f"if {t} == 0.0: raise ZeroDivisionError("
+                              "'derivative of sqrt at zero')", f"{t}_d = 0.5 / {t}"]
+                else:
+                    lines.append(f"{t}_d = {_DERIVATIVES[kind].format(a=a)}; {line}")
+                lines.append(f"{tx} = {t}_d * {da[0]}; {ty} = {t}_d * {da[1]}")
+            partials[t] = tx, ty
+        return lines, [(value,) + partials[value] if value in partials
+                       else (f"float({value})", "0.0", "0.0") for value in (first, second)]
+
+    def _grid_lines(self, values: list[list[str]], first: str, second: str) -> list[str]:
+        """The grid kernel's body: each operation's ``values`` lines, then
+        each operation of StandardMap.evaluate after PlanarMap.evaluate's
+        float() of a constant component, at the loop level that its
+        dependence on x and y needs (see :meth:`PlanarMap.grid_kernel`)."""
         levels: dict[int, list[str]] = {0: [], _X: [], _Y: [], _X | _Y: []}
-        for depends, lines in self.value_blocks:
-            levels[depends].extend(lines)
+        reads = []  # the names that a node reads, in the order its lines read them
+        for (_, _, _, args, start, depends), value in zip(self.ops, values):
+            levels[depends] += value
+            if depends == _X | _Y:
+                reads += (start[0], args[0]) if start else args
         depends = dict(self.depends)
-        temporaries = (f"t{k}" for k in count(len(self.emitted)))  # past every emitted name
+        temporaries = (f"t{k}" for k in count(len(self.emitted)))  # past every listed name
 
         def place(expression: str, level: int) -> str:
             """A name for ``expression`` at ``level``, or the expression itself at a node."""
@@ -479,8 +487,8 @@ class _KernelWriter:
             return name
 
         components = []
-        for name, (value, partials) in (("u", first), ("v", second)):
-            if partials is None:
+        for name, value in (("u", first), ("v", second)):
+            if not depends.get(value, 0):
                 levels[0].append(f"{name} = float({value})")
                 value = name
             components.append((value, depends.get(value, 0)))
@@ -489,15 +497,14 @@ class _KernelWriter:
         for coord, a1, a2, append in (("x", "a11", "a12", "append_u"),
                                       ("y", "a21", "a22", "append_v")):
             half = place(f"0.5 * {coord}", depends[coord])
-            image = place(f"0.5 * ({place(f'{a1} * {u}', du)} + {place(f'{a2} * {v}', dv)})",
-                          du | dv)
+            terms = place(f"{a1} * {u}", du), place(f"{a2} * {v}", dv)
+            image = place(f"0.5 * ({terms[0]} + {terms[1]})", du | dv)
             node.append(f"{append}({half} + {image})")
+            reads += (half,) + (terms if du | dv == _X | _Y else (image,))
         # the column pass is never empty, as 0.5*x is there; whatever it raises
         # ends the grid at that column of row 0, as evaluate_grid catches any
         # exception and evaluates that node again
-        carried = [name for name in dict.fromkeys(_GRID_NAME.findall("\n".join(node)))
-                   if depends[name] == _X]
-        column = ", ".join(carried)
+        column = ", ".join([name for name in dict.fromkeys(reads) if depends.get(name) == _X])
         lines = ["append_u, append_v = us.append, vs.append"] + levels[0]
         lines += ["cols = []", "try:", "    for x in xs:"]
         lines += [f"        {line}" for line in levels[_X]]
@@ -506,53 +513,49 @@ class _KernelWriter:
         lines += [f"    for {column} in cols:"] + [f"        {line}" for line in node]
         return lines
 
-    def _make(self, body: list[str], params: list[str]) -> str:
+    def _make(self, indented_body: list[str], params: list[str]) -> str:
         literals = [f"c{i}" for i in range(len(self.literals))]
         names = ["_sinh", "_cosh", "_asinh", "_sqrt", "_sin", "_cos"] + literals + params
-        return "\n".join([f"def make({', '.join(names)}):"]
-                         + [f"    {line}" for line in body] + [""])
+        return "\n".join([f"def make({', '.join(names)}):"] + indented_body + [""])
 
-    def _outputs(self, first: tuple, second: tuple) -> list[tuple[str, str, str]]:
-        """The value and partials of u and v, a constant as float() of it."""
-        return [(f"float({value})", "0.0", "0.0") if partials is None else (value,) + partials
-                for value, partials in (first, second)]
-
-    def source(self, first: tuple, second: tuple) -> str:
-        (u, ux, uy), (v, vx, vy) = self._outputs(first, second)
-        value_lines = [line for _, lines in self.value_blocks for line in lines]
+    def source(self, first: str, second: str) -> str:
+        values = list(map(self._value_lines, self.ops))
+        jacobian, ((u, ux, uy), (v, vx, vy)) = self._jacobian_lines(values, first, second)
         return self._make(
-            ["def value(x, y):"] + [f"    {line}" for line in value_lines]
-            + [f"    return {first[0]}, {second[0]}", "def jacobian(x, y):"]
-            + [f"    {line}" for line in self.jac_lines]
-            + [f"    return {u}, {v}, {ux}, {uy}, {vx}, {vy}",
-               "def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
-            + [f"    {line}" for line in self._grid_lines(first, second)]
-            + ["return value, jacobian, grid"], [])
+            ["    def value(x, y):"] + [f"        {line}" for value in values for line in value]
+            + [f"        return {first}, {second}", "    def jacobian(x, y):"]
+            + [f"        {line}" for line in jacobian]
+            + [f"        return {u}, {v}, {ux}, {uy}, {vx}, {vy}",
+               "    def grid(xs, ys, a11, a12, a21, a22, us, vs):"]
+            + [f"        {line}" for line in self._grid_lines(values, first, second)]
+            + ["    return value, jacobian, grid"], [])
 
-    def standard_source(self, first: tuple, second: tuple) -> str:
+    def standard_source(self, first: str, second: str) -> str:
         """The kernels of :func:`compile_standard`: PlanarMap's value or
         Jacobian lines, ``try``, float() and finiteness test, then h and Dh."""
-        (fu, ux, uy), (fv, vx, vy) = self._outputs(first, second)
+        values = list(map(self._value_lines, self.ops))
+        jacobian, ((fu, ux, uy), (fv, vx, vy)) = self._jacobian_lines(values, first, second)
         outputs = f"u = {fu}; v = {fv}"
         h = "0.5 * x + 0.5 * (a11 * u + a12 * v), 0.5 * y + 0.5 * (a21 * u + a22 * v)"
         dh = ", ".join(f"0.5 * ({one} + (a{i}1 * {du} + a{i}2 * {dv}))" for i, one, du, dv in (
             (1, "1.0", ux, vx), (1, "0.0", uy, vy), (2, "0.0", ux, vx), (2, "1.0", uy, vy)))
 
         def kernel(name, lines, after, checked, message, result):
-            return ([f"def {name}(p):", "    try:", "        x = float(p[0]); y = float(p[1])"]
-                    + [f"        {line}" for line in lines]
-                    + [f"    {line}" for line in _CATCH + after]
-                    + [f"    if not 0.0 * {checked} == 0.0:",
-                       f"        raise EvaluationError('{message}', (p[0], p[1]))",
-                       f"    return {result}"])
+            return ([f"    def {name}(p):", "        try:",
+                     "            x = float(p[0]); y = float(p[1])"]
+                    + [f"            {line}" for line in lines]
+                    + [f"        {line}" for line in _CATCH + after]
+                    + [f"        if not 0.0 * {checked} == 0.0:",
+                       f"            raise EvaluationError('{message}', (p[0], p[1]))",
+                       f"        return {result}"])
 
-        value_lines = [line for _, lines in self.value_blocks for line in lines]
+        value_lines = [line for value in values for line in value]
         return self._make(
             kernel("h_value", value_lines, [outputs], "u * v", "non-finite map value", h)
-            + kernel("h_jacobian", self.jac_lines + [outputs], [],
+            + kernel("h_jacobian", jacobian + [outputs], [],
                      f"u * v * {ux} * {uy} * {vx} * {vy}",
                      "non-finite map value or derivative", f"{h}, {dh}, u, v")
-            + ["return h_value, h_jacobian"], ["a11", "a12", "a21", "a22"])
+            + ["    return h_value, h_jacobian"], ["a11", "a12", "a21", "a22"])
 
 
 # PlanarMap.evaluate's handling of a failed float operation, for a kernel of p
@@ -611,18 +614,15 @@ class PlanarMap:
 
     source: str
     asts: tuple[ExprNode, ExprNode] = field(repr=False)
-    # (value, jacobian, grid) kernels, built on the first evaluation
-    _kernels: tuple[Callable, Callable, Callable] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_expressions(cls, first: ExprNode, second: ExprNode, source: str) -> "PlanarMap":
         return cls(source, (first, second))
 
-    def _build_kernels(self) -> tuple[Callable, Callable, Callable]:
-        kernels = compile_pair(*self.asts)
-        object.__setattr__(self, "_kernels", kernels)
-        return kernels
+    @cached_property
+    def _kernels(self) -> tuple[Callable, Callable, Callable]:
+        """The (value, jacobian, grid) kernels, compiled on first use."""
+        return compile_pair(*self.asts)
 
     def grid_kernel(self) -> Callable:
         """The kernel ``grid(xs, ys, a11, a12, a21, a22, us, vs)``, which
@@ -648,7 +648,7 @@ class PlanarMap:
         column.  :meth:`planarinv.linearize.StandardMap.evaluate_grid` finds
         the first node where :meth:`evaluate` fails from these lists.
         """
-        return (self._kernels or self._build_kernels())[2]
+        return self._kernels[2]
 
     @cached_property
     def standard_kernels(self) -> Callable:
@@ -656,7 +656,7 @@ class PlanarMap:
         return compile_standard(*self.asts)
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
-        kernel = (self._kernels or self._build_kernels())[0]
+        kernel = self._kernels[0]
         try:
             u, v = kernel(float(p[0]), float(p[1]))
         except ZeroDivisionError as exc:
@@ -677,7 +677,7 @@ class PlanarMap:
         :meth:`evaluate`'s value: every line of the Jacobian kernel computes
         its value with the float operation, a quotient included.
         """
-        kernel = (self._kernels or self._build_kernels())[1]
+        kernel = self._kernels[1]
         try:
             entries = kernel(float(p[0]), float(p[1]))
         except ZeroDivisionError as exc:

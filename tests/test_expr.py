@@ -205,6 +205,22 @@ def test_unary_minus_binds_before_power():
     assert m.evaluate((0.0, 3.0))[0] == 9.0
 
 
+def test_nodes_refuse_a_value_or_exponent_that_their_kind_does_not_take():
+    x = ExprNode("x")
+    bad = [("num", (), None, None), ("num", (), "a", None), ("num", (), 1j, None),
+           ("x", (), 3.0, None), ("add", (x, x), 0.0, None), ("num", (), 1.0, 2),
+           ("neg", (x,), None, 1), ("pow", (x,), 1.0, 2)]
+    for kind, children, value, exponent in bad:
+        with pytest.raises(ValueError):
+            ExprNode(kind, children, value, exponent)
+    # int and float literals are accepted, and a constant component comes out a float
+    for value in (2, 0, -0.0):
+        m = PlanarMap.from_expressions(ExprNode("num", value=value), ExprNode("y"), "s")
+        assert repr(m.evaluate((1.0, 2.0))) == repr((float(value), 2.0))
+    with pytest.raises(EvaluationError):
+        PlanarMap.from_expressions(ExprNode("num", value=1e999), x, "s").evaluate((1.0, 2.0))
+
+
 def test_native_and_expression_maps_share_the_contract():
     # the same map parsed and built from trees: y*y*y against y^3
     expr_map = parse("(x - y^3, -y)")

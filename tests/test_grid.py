@@ -16,6 +16,7 @@ from decimal import Decimal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from matrices import value_and_jacobian
+from test_kernels import TRAPS, dag_pairs
 from test_scan import (
     _LEAVES,
     _MAPS,
@@ -58,8 +59,12 @@ _GRID_TREES = st.recursive(
     ),
     max_leaves=8,
 )
-_GRID_MAPS = _MAPS | st.builds(
-    lambda a, b: PlanarMap.from_expressions(a, b, "random"), _GRID_TREES, _GRID_TREES)
+_GRID_MAPS = st.one_of(
+    _MAPS,
+    st.builds(lambda a, b: PlanarMap.from_expressions(a, b, "random"), _GRID_TREES, _GRID_TREES),
+    dag_pairs(_GRID_LEAVES, ("neg", "sinh", "sqrt", "abs"), st.integers(0, 12)).map(
+        lambda pair: PlanarMap.from_expressions(*pair, "dag")),
+)
 _ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
 _LINEAR = st.one_of(
     st.sampled_from([IDENTITY, MINUS_IDENTITY, FLIP_Y, Mat2(-1.0, -0.0, -0.0, -1.0)]),
@@ -102,6 +107,9 @@ def _assert_grid_parity(h, xs, ys):
 @given(_GRID_MAPS, _LINEAR, _AXIS, _AXIS)
 @example(parse("(2, -y)"), MINUS_IDENTITY, [0.0, -0.0, 1.0], [-0.0, 3.0])
 @example(parse("(x + 0*y^999, -y)"), FLIP_Y, [3.0, 4.0], [3.0, 5.0])
+@example(PlanarMap.from_expressions(*TRAPS[0], "trap"), FLIP_Y, [0.5, -0.0, 2.0], [-1.5, 3.0])
+@example(PlanarMap.from_expressions(*TRAPS[1], "trap"), Mat2(0.5, -1.0, 2.0, -0.0),
+         [0.5, 2.0], [-1.0000001, -0.0, 1e30])
 def test_evaluate_grid_matches_evaluate(planar_map, linear, xs, ys):
     _assert_grid_parity(StandardMap(planar_map, linear), xs, ys)
 
@@ -250,7 +258,7 @@ def test_kernel_identifiers_stay_interned():
     # lives as long as the interpreter (one-letter names, builtins, list.append)
     for source in ("(x - y^3 + 2, sinh(y)/x)", "(1, abs(asinh(x)) + sqrt(y))"):
         planar_map = parse(source)
-        kernels = planar_map._kernels or planar_map._build_kernels()
+        kernels = planar_map._kernels
         assert len(kernels) == 3
         for kernel in kernels:
             code = kernel.__code__
@@ -261,7 +269,7 @@ def test_kernel_identifiers_stay_interned():
 
 
 def _kernel_identifiers(planar_map):
-    kernels = planar_map._kernels or planar_map._build_kernels()
+    kernels = planar_map._kernels
     return {name for kernel in kernels
             for name in kernel.__code__.co_varnames + kernel.__code__.co_names
             + kernel.__code__.co_freevars}
@@ -282,7 +290,7 @@ def test_maps_of_a_compiled_shape_hold_no_new_identifier():
                  "(abs(x)^3*{a} - sqrt(y*y + {b}), cos(x)*sin({a}*y))")
     for a, b in ((0.25, 1.5), (0.75, 2.5)):
         for template in templates:
-            parse(template.format(a=a, b=b))._build_kernels()
+            parse(template.format(a=a, b=b))._kernels
     held = frozenset(_KERNEL_NAMES)
     for a, b in ((0.125, 3.5), (0.625, 4.5)):
         for template in templates:

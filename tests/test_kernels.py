@@ -40,6 +40,40 @@ _TREES = st.recursive(
     ),
     max_leaves=14,
 )
+
+
+@st.composite
+def dag_pairs(draw, leaves, unary=_UNARY, exponents=st.integers(0, 13)):
+    """Two trees over one pool of nodes: each new node takes its children
+    from the nodes drawn before it, so that internal nodes are shared by
+    reference within each tree and across the two."""
+    pool = [ExprNode("x"), ExprNode("y"), draw(leaves)]
+    for _ in range(draw(st.integers(1, 12))):
+        child = st.sampled_from(tuple(pool))
+        shape = draw(st.sampled_from(("binary", "unary", "pow")))
+        if shape == "binary":
+            node = ExprNode(draw(st.sampled_from(_BINARY)), (draw(child), draw(child)))
+        elif shape == "unary":
+            node = ExprNode(draw(st.sampled_from(unary)), (draw(child),))
+        else:
+            node = ExprNode("pow", (draw(child),), exponent=draw(exponents))
+        pool.append(node)
+    return draw(st.sampled_from(pool[-3:])), draw(st.sampled_from(pool))
+
+
+def _shared_chain():
+    """y^3 in one component and y^13 in the other, on one shared y: the
+    second power runs on from the first, in a loop of ten steps."""
+    x, y = ExprNode("x"), ExprNode("y")
+    return (ExprNode("add", (x, ExprNode("pow", (y,), exponent=3))),
+            ExprNode("sub", (ExprNode("pow", (y,), exponent=13), y)))
+
+
+# trees whose kernels are easy to print wrongly: a first power takes a name
+# but no line, a zeroth power of a varying base and a power of a constant
+# base are constants, and a run longer than _UNROLLED_STEPS is a loop
+TRAPS = [parse("(x^1 + y, (x + y)^0 + 2^3)").asts, _shared_chain()]
+
 _COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-8, 400.0]),
     st.floats(-10.0, 10.0),
@@ -65,11 +99,14 @@ def _assert_parity(first, second, points):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_TREES, _TREES, st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
-@example(ExprNode("num", value=2.0), ExprNode("y"), [(0.0, 0.0)])
-@example(ExprNode("num", value=float("1e999")), ExprNode("num", value=-0.0), [(1.0, -1.0)])
-def test_kernels_match_tree_walk(first, second, points):
-    _assert_parity(first, second, points)
+@given(st.tuples(_TREES, _TREES) | dag_pairs(_LEAVES),
+       st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+@example((ExprNode("num", value=2.0), ExprNode("y")), [(0.0, 0.0)])
+@example((ExprNode("num", value=float("1e999")), ExprNode("num", value=-0.0)), [(1.0, -1.0)])
+@example(TRAPS[0], [(0.5, -1.5), (-0.0, 3.0)])
+@example(TRAPS[1], [(0.5, -1.0000001), (2.0, -0.0), (1.0, 1e30)])
+def test_kernels_match_tree_walk(pair, points):
+    _assert_parity(*pair, points)
 
 
 def test_kernels_match_on_literal_edge_cases():

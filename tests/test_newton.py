@@ -17,6 +17,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from matrices import value_and_jacobian
+from test_kernels import TRAPS, dag_pairs
 
 from planarinv import foliation
 from planarinv.expr import EvaluationError, ExprNode, PlanarMap, parse
@@ -141,10 +142,14 @@ def _assert_value_parity(h, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_TREES, _TREES, _LINEAR, st.lists(_POINT, min_size=1, max_size=5))
-@example(ExprNode("x"), ExprNode("y"), Mat2(-1.0, -0.0, -0.0, -1.0), [(1.0, 2.0)])
-def test_standard_map_values_match_mat2_chain(first, second, linear, points):
-    h = StandardMap(_expression_map(first, second), linear)
+@given(st.tuples(_TREES, _TREES) | dag_pairs(_LITERALS.map(lambda v: ExprNode("num", value=v)),
+                                             ("neg", "sinh", "asinh", "sqrt", "abs")),
+       _LINEAR, st.lists(_POINT, min_size=1, max_size=5))
+@example((ExprNode("x"), ExprNode("y")), Mat2(-1.0, -0.0, -0.0, -1.0), [(1.0, 2.0)])
+@example(TRAPS[0], FLIP_Y, [(0.5, -1.5), (-0.0, 3.0)])
+@example(TRAPS[1], Mat2(0.5, -1.0, 2.0, -0.0), [(0.5, -1.0000001), (2.0, -0.0)])
+def test_standard_map_values_match_mat2_chain(pair, linear, points):
+    h = StandardMap(_expression_map(*pair), linear)
     for p in points:
         _assert_value_parity(h, p)
 
