@@ -15,7 +15,6 @@ and exit nonzero.  Reports are deterministic apart from the timing fields.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -210,7 +209,8 @@ def cmd_analyze(args) -> int:
 
     report = {
         "map_source": source,
-        "window": dataclasses.asdict(region),
+        "window": {"x_min": region.x_min, "x_max": region.x_max,
+                   "y_min": region.y_min, "y_max": region.y_max, "grid_n": region.grid_n},
         "flags": {
             "grid": region.grid_n,
             "tol": args.tol,

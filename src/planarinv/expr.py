@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
 from numbers import Number
@@ -76,30 +75,30 @@ class EvaluationError(ArithmeticError):
         self.point = point
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ExprNode:
     """One node of a parsed expression tree.  Equality and hash go by
     identity, as every walk keys nodes by ``id``, so no method recurses."""
 
-    kind: str
-    children: tuple["ExprNode", ...] = ()
-    value: float | None = None
-    exponent: int | None = None
+    __slots__ = ("kind", "children", "value", "exponent")
 
-    def __post_init__(self):
-        if self.kind not in _ARITY:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if len(self.children) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} node takes {_ARITY[self.kind]} children")
-        if self.kind == "pow" and (not isinstance(self.exponent, int) or self.exponent < 0):
+    def __init__(self, kind: str, children: tuple["ExprNode", ...] = (),
+                 value: float | None = None, exponent: int | None = None):
+        if kind not in _ARITY:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if len(children) != _ARITY[kind]:
+            raise ValueError(f"{kind} node takes {_ARITY[kind]} children")
+        if kind == "pow" and (not isinstance(exponent, int) or exponent < 0):
             raise ValueError("pow exponent must be a non-negative integer")
-        if self.kind != "pow" and self.exponent is not None:
-            raise ValueError(f"{self.kind} node takes no exponent")
-        if self.kind == "num" and (not isinstance(self.value, Number)
-                                   or isinstance(self.value, complex)):
+        if kind != "pow" and exponent is not None:
+            raise ValueError(f"{kind} node takes no exponent")
+        if kind == "num" and (not isinstance(value, Number) or isinstance(value, complex)):
             raise ValueError("num value must be a real number")
-        if self.kind != "num" and self.value is not None:
-            raise ValueError(f"{self.kind} node takes no value")
+        if kind != "num" and value is not None:
+            raise ValueError(f"{kind} node takes no value")
+        self.kind = kind
+        self.children = children
+        self.value = value
+        self.exponent = exponent
 
 
 class _Token(NamedTuple):
@@ -346,7 +345,9 @@ class _KernelWriter:
         name = self.literal_names.get(key)
         if name is None:
             name = self.literal_names[key] = f"c{len(self.literals)}"
-            self.literals.append(value)  # by reference: repr(1e999) is "inf"
+            # an int or float by reference (repr(1e999) is "inf"), any other
+            # real number as its float, which every operation takes
+            self.literals.append(value if isinstance(value, (int, float)) else float(value))
         return name
 
     def _operation(self, kind: str, exponent: int | None, args: tuple) -> str:
@@ -605,15 +606,27 @@ def compile_standard(first: ExprNode, second: ExprNode) -> Callable:
     return _compile(first, second, _KernelWriter.standard_source)
 
 
-@dataclass(frozen=True)
 class PlanarMap:
     """A differentiable map of the plane, given by the expression trees of
     its two components.  Construct with :func:`parse`, or with
-    :meth:`from_expressions` from trees built directly.
+    :meth:`from_expressions` from trees built directly.  ``repr`` shows the
+    source alone, and ``==`` compares the trees by identity.
     """
 
-    source: str
-    asts: tuple[ExprNode, ExprNode] = field(repr=False)
+    def __init__(self, source: str, asts: tuple[ExprNode, ExprNode]):
+        self.source = source
+        self.asts = asts
+
+    def __repr__(self) -> str:
+        return f"PlanarMap(source={self.source!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.asts) == (other.source, other.asts)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.asts))
 
     @classmethod
     def from_expressions(cls, first: ExprNode, second: ExprNode, source: str) -> "PlanarMap":

@@ -26,7 +26,7 @@ the radial foliation and the ray equation is undefined there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .expr import EvaluationError
 from .involution import Region
@@ -47,8 +47,7 @@ class InversionError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-@dataclass(frozen=True)
-class CanonicalFoliation:
+class CanonicalFoliation(NamedTuple):
     """Canonical foliation of the linear part, with change of basis S.
 
     S maps eigen-coordinates in: S @ Dphi(0) @ S^{-1} is diag(-1, -1) in
@@ -59,7 +58,6 @@ class CanonicalFoliation:
     change_of_basis: Mat2
 
 
-@dataclass(frozen=True)
 class Leaf:
     """Polyline sample of one leaf, tagged with its parameter.
 
@@ -70,11 +68,31 @@ class Leaf:
     :func:`leaf_invariance_check` of a traced leaf, kept out of ``repr`` and ``==``.
     """
 
-    parameter: float
-    points: list[tuple[float, float]]
-    point_residuals: list[float]
-    truncated: bool = False
-    invariance: float = field(default=0.0, repr=False, compare=False)
+    __slots__ = ("parameter", "points", "point_residuals", "truncated", "invariance")
+
+    def __init__(self, parameter: float, points: list[tuple[float, float]],
+                 point_residuals: list[float], truncated: bool = False,
+                 invariance: float = 0.0):
+        self.parameter = parameter
+        self.points = points
+        self.point_residuals = point_residuals
+        self.truncated = truncated
+        self.invariance = invariance
+
+    def _key(self) -> tuple:
+        return (self.parameter, self.points, self.point_residuals, self.truncated)
+
+    def __repr__(self) -> str:
+        return ("Leaf(parameter={!r}, points={!r}, point_residuals={!r}, truncated={!r})"
+                .format(*self._key()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:  # a TypeError for the lists that tracing builds
+        return hash(self._key())
 
     @property
     def residual(self) -> float:

@@ -22,8 +22,7 @@ existence examples: only maps with evaluable formulas are listed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import ExprNode, PlanarMap, parse
 from .involution import Region, fix_origin
@@ -32,8 +31,7 @@ _NAMES = ("A1", "A2", "A3", "A4", "B", "C", "identity", "minus-identity", "flip-
 _PARAMETRIC = ("A1", "A2", "A3", "A4")
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
+class GalleryEntry(NamedTuple):
     name: str
     n: int | None
     map: PlanarMap

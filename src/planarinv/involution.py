@@ -24,9 +24,9 @@ origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import sub
+from typing import NamedTuple
 
 from .expr import EvaluationError, PlanarMap, recentered
 from .linalg2 import IDENTITY, Mat2, power_of_two_scaled, solve_min_norm
@@ -52,23 +52,39 @@ class BasePointError(ValueError):
     """The map does not fix the origin, so Dphi(0) is no linear part."""
 
 
-@dataclass(frozen=True)
 class Region:
     """Axis-aligned sampling window with a uniform grid."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    grid_n: int = 41
+    __slots__ = ("x_min", "x_max", "y_min", "y_max", "grid_n")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+    def __init__(self, x_min: float, x_max: float, y_min: float, y_max: float,
+                 grid_n: int = 41):
+        if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
             raise ValueError("window bounds must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (x_min < x_max and y_min < y_max):
             raise ValueError("window bounds must satisfy x_min < x_max and y_min < y_max")
-        if self.grid_n < 2:
+        if grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        self.x_min = x_min
+        self.x_max = x_max
+        self.y_min = y_min
+        self.y_max = y_max
+        self.grid_n = grid_n
+
+    def _key(self) -> tuple:
+        return (self.x_min, self.x_max, self.y_min, self.y_max, self.grid_n)
+
+    def __repr__(self) -> str:
+        return ("Region(x_min={!r}, x_max={!r}, y_min={!r}, y_max={!r}, grid_n={!r})"
+                .format(*self._key()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def width(self) -> float:
@@ -127,28 +143,24 @@ class GridSample:
         self.u, self.v, self.ux, self.uy, self.vx, self.vy = map(list, zip(*rows))
 
 
-@dataclass(frozen=True)
-class InvolutionCheck:
+class InvolutionCheck(NamedTuple):
     max_residual: float
     passed: bool
     worst_point: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class OrientationClass:
+class OrientationClass(NamedTuple):
     kind: str  # ORIENTATION_PRESERVING or ORIENTATION_REVERSING
     min_abs_det: float
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     location: tuple[float, float]
     classification: str
     jacobian: Mat2
 
 
-@dataclass(frozen=True)
-class FixedPointScan:
+class FixedPointScan(NamedTuple):
     """The fixed points found in the window, plus scan diagnostics.
 
     ``kind`` is the fixed set of an involution with linear part Dphi(0): a

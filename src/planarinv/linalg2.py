@@ -12,7 +12,7 @@ determinant, and eigenvalues are reported as witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SingularMatrixError(ValueError):
@@ -23,12 +23,28 @@ class SingularMatrixError(ValueError):
         self.det = det
 
 
-@dataclass(frozen=True)
 class Mat2:
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+    """The matrix ``[[a11, a12], [a21, a22]]``; it has no ``*`` (see :meth:`scale`)."""
+
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: float, a12: float, a21: float, a22: float):
+        self.a11 = a11
+        self.a12 = a12
+        self.a21 = a21
+        self.a22 = a22
+
+    def __repr__(self) -> str:
+        return f"Mat2(a11={self.a11!r}, a12={self.a12!r}, a21={self.a21!r}, a22={self.a22!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.a11, self.a12, self.a21, self.a22)
+                == (other.a11, other.a12, other.a21, other.a22))
+
+    def __hash__(self) -> int:
+        return hash((self.a11, self.a12, self.a21, self.a22))
 
     @property
     def trace(self) -> float:
@@ -79,8 +95,7 @@ IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 MINUS_IDENTITY = Mat2(-1.0, 0.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Ordered eigenvalue pair of a Mat2.
 
     Real roots come with ``lambda1 <= lambda2``, and a conjugate pair with

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
+from typing import NamedTuple
 
 from .expr import PlanarMap
 from .involution import GridSample, Region, linear_part
@@ -47,23 +47,31 @@ class NotApplicableError(ValueError):
     """An operation's structural precondition does not hold for this map."""
 
 
-@dataclass(frozen=True)
 class StandardMap:
     """Derived map h(p) = (p + Dphi(0) phi(p)) / 2 with its linear part.
 
     ``evaluate_with_jacobian`` computes Dh(p) = (I + Dphi(0) Dphi(p)) / 2
     from the base map's propagated Jacobian.  ``entries`` holds the four
     entries of ``linear_part``, to which the per-point methods bind the base
-    map's point kernels once (see :func:`planarinv.expr.compile_standard`).
+    map's point kernels once (see :func:`planarinv.expr.compile_standard`);
+    it stays out of ``repr`` and ``==``.
     """
 
-    base: PlanarMap
-    linear_part: Mat2  # Dphi(0)
-    entries: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    def __init__(self, base: PlanarMap, linear_part: Mat2):  # linear_part is Dphi(0)
+        self.base = base
+        self.linear_part = linear_part
+        self.entries = (linear_part.a11, linear_part.a12, linear_part.a21, linear_part.a22)
 
-    def __post_init__(self) -> None:
-        a = self.linear_part
-        object.__setattr__(self, "entries", (a.a11, a.a12, a.a21, a.a22))
+    def __repr__(self) -> str:
+        return f"StandardMap(base={self.base!r}, linear_part={self.linear_part!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.linear_part) == (other.base, other.linear_part)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.linear_part))
 
     @cached_property
     def _kernels(self) -> tuple:  # (h_value, h_jacobian)
@@ -135,8 +143,7 @@ class StandardMap:
         return self._kernels[1](p)
 
 
-@dataclass(frozen=True)
-class InjectivityCertificate:
+class InjectivityCertificate(NamedTuple):
     status: str  # NO_COLLISION_FOUND or COLLISION
     witness_pair: tuple[tuple[float, float], tuple[float, float]] | None
     cells_checked: int
@@ -345,8 +352,7 @@ def spectrum_shift_check(sample: GridSample) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class JacobianBounds:
+class JacobianBounds(NamedTuple):
     min_trace: float
     min_det: float
 

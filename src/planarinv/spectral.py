@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .involution import (
     ORIENTATION_PRESERVING,
@@ -46,23 +46,20 @@ COND_A_REAL = "A-c"
 COND_B_TRACE = "B-trace"
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
+class SpectrumSample(NamedTuple):
     point: tuple[float, float]
     spectrum: Spectrum
     trace_product: float  # Trace(Dphi(0) @ Dphi(point))
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     condition: str
     holds_on_window: bool
     witness: SpectrumSample | None  # violating sample, present iff the condition fails
     margin: float
 
 
-@dataclass(frozen=True)
-class TheoremAChecks:
+class TheoremAChecks(NamedTuple):
     a: ConditionVerdict
     b: ConditionVerdict
     c: ConditionVerdict
@@ -71,8 +68,7 @@ class TheoremAChecks:
         return [self.a, self.b, self.c]
 
 
-@dataclass(frozen=True)
-class SpectralAssessment:
+class SpectralAssessment(NamedTuple):
     orientation: OrientationClass
     conditions: list[ConditionVerdict]
     verdict: str

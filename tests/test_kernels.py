@@ -7,6 +7,7 @@ infinities and NaNs all count.
 """
 
 import math
+from decimal import Decimal
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,23 @@ def test_literals_equal_under_eq_stay_distinct():
     _assert_parity(ExprNode("neg", (two,)), ExprNode("neg", (int_two,)), [(1.0, 1.0)])
     _assert_parity(ExprNode("pow", (int_two,), exponent=1),
                    ExprNode("div", (int_two, ExprNode("num", value=0))), [(1.0, 1.0)])
+
+
+def test_a_decimal_literal_runs_as_its_float_in_every_kernel():
+    # a real literal other than an int or a float enters the kernels as its
+    # float, so Decimal("2.5") + x is 2.5 + x bit for bit, errors included
+    points = [(1.0, 2.0), (-2.5, -0.0), (1e308, 3.0), (-math.inf, 0.5)]
+    xs, ys = [-2.5, 0.0, 1e308], [2.0, -0.0]
+    outcomes = []
+    for literal in (Decimal("2.5"), 2.5):
+        first = ExprNode("add", (ExprNode("num", value=literal), ExprNode("x")))
+        planar_map = PlanarMap.from_expressions(first, ExprNode("y"), "literal")
+        h = StandardMap(planar_map, Mat2(-1.0, 0.5, 0.0, 1.0))
+        outcomes.append([_outcome(fn, p) for p in points for fn in (
+            planar_map.evaluate, planar_map.evaluate_with_jacobian, h.evaluate,
+            h.evaluate_with_jacobian)] + [_outcome(lambda: h.evaluate_grid(xs, ys)[:2])])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ("ok", "(3.5, 2.0)")
 
 
 def test_kernels_match_on_every_gallery_expression():

@@ -386,8 +386,8 @@ def test_phases_match_per_node_reference_on_every_gallery_entry():
 
 
 def test_phases_match_on_a_decimal_constant_component():
-    # the constant component is a Decimal that evaluate and the Jacobian
-    # kernel turn into a float; mixed with x it raises TypeError everywhere
+    # a Decimal literal enters the kernels as its float, alone in a
+    # component and mixed with x alike
     constant = ExprNode("num", value=Decimal("2.5"))
     region = Region(-1, 1, -1, 1, 4)
     _assert_phases_match(PlanarMap.from_expressions(constant, ExprNode("y"), "decimal"), region)
