@@ -91,8 +91,13 @@ class ExprNode:
             raise ValueError("pow exponent must be a non-negative integer")
         if kind != "pow" and exponent is not None:
             raise ValueError(f"{kind} node takes no exponent")
-        if kind == "num" and (not isinstance(value, Number) or isinstance(value, complex)):
-            raise ValueError("num value must be a real number")
+        if kind == "num" and not isinstance(value, (int, float)):
+            if not isinstance(value, Number) or isinstance(value, complex):
+                raise ValueError("num value must be a real number")
+            try:  # the kernels take any other literal as its float
+                float(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"num value {value!r} has no float: {exc}") from None
         if kind != "num" and value is not None:
             raise ValueError(f"{kind} node takes no value")
         self.kind = kind
@@ -534,26 +539,28 @@ class _KernelWriter:
     def standard_source(self, first: str, second: str) -> str:
         """The kernels of :func:`compile_standard`: PlanarMap's value or
         Jacobian lines, ``try``, float() and finiteness test, then h and Dh."""
+        # phi's lines again: h in Python over phi's kernels is slower (ROADMAP, "Settled")
         values = list(map(self._value_lines, self.ops))
         jacobian, ((fu, ux, uy), (fv, vx, vy)) = self._jacobian_lines(values, first, second)
         outputs = f"u = {fu}; v = {fv}"
+        # halved term by term, so h stays finite where p + Dphi(0) phi(p) overflows
         h = "0.5 * x + 0.5 * (a11 * u + a12 * v), 0.5 * y + 0.5 * (a21 * u + a22 * v)"
         dh = ", ".join(f"0.5 * ({one} + (a{i}1 * {du} + a{i}2 * {dv}))" for i, one, du, dv in (
             (1, "1.0", ux, vx), (1, "0.0", uy, vy), (2, "0.0", ux, vx), (2, "1.0", uy, vy)))
 
-        def kernel(name, lines, after, checked, message, result):
+        def kernel(name, lines, checked, message, result):
             return ([f"    def {name}(p):", "        try:",
                      "            x = float(p[0]); y = float(p[1])"]
                     + [f"            {line}" for line in lines]
-                    + [f"        {line}" for line in _CATCH + after]
+                    + [f"        {line}" for line in _CATCH]
                     + [f"        if not 0.0 * {checked} == 0.0:",
                        f"            raise EvaluationError('{message}', (p[0], p[1]))",
                        f"        return {result}"])
 
         value_lines = [line for value in values for line in value]
         return self._make(
-            kernel("h_value", value_lines, [outputs], "u * v", "non-finite map value", h)
-            + kernel("h_jacobian", jacobian + [outputs], [],
+            kernel("h_value", value_lines + [outputs], "u * v", "non-finite map value", h)
+            + kernel("h_jacobian", jacobian + [outputs],
                      f"u * v * {ux} * {uy} * {vx} * {vy}",
                      "non-finite map value or derivative", f"{h}, {dh}, u, v")
             + ["    return h_value, h_jacobian"], ["a11", "a12", "a21", "a22"])
@@ -669,14 +676,15 @@ class PlanarMap:
         return compile_standard(*self.asts)
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
+        # checked here, not in phi's kernels, which then compile faster (ROADMAP, "Settled")
         kernel = self._kernels[0]
         try:
             u, v = kernel(float(p[0]), float(p[1]))
+            u, v = float(u), float(v)  # a constant component is its literal: an int may overflow
         except ZeroDivisionError as exc:
             raise EvaluationError(str(exc) or "division by zero", (p[0], p[1])) from exc
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(str(exc), (p[0], p[1])) from exc
-        u, v = float(u), float(v)
         # zero times finite floats stays zero; an inf or NaN turns it into NaN
         if not 0.0 * u * v == 0.0:
             raise EvaluationError("non-finite map value", (p[0], p[1]))

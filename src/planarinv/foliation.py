@@ -91,9 +91,6 @@ class Leaf:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:  # a TypeError for the lists that tracing builds
-        return hash(self._key())
-
     @property
     def residual(self) -> float:
         return max(self.point_residuals, default=0.0)
@@ -407,30 +404,27 @@ def leaf_invariance_check(h: StandardMap, fol: CanonicalFoliation, leaf: Leaf) -
     difference.  Radial case: h(phi(q)) is the antipode of h(q), so the
     residual is the angular distance between h(phi(q)) and -h(q),
     skipping points whose image is within 1e-6 of the origin.  The
-    involution is ``h.base``; h(q) comes from phi(q) by
-    :meth:`StandardMap.from_value`, so each point takes two evaluations
-    of phi, at q and at phi(q).
+    involution is ``h.base``; h(q) and phi(q) come from one
+    :meth:`StandardMap.evaluate_with_jacobian` call, so each point takes
+    two evaluations of phi, at q and at phi(q).
     """
     worst = 0.0
-    phi = h.base.evaluate
-    from_value = h.from_value
+    at_q = h.evaluate_with_jacobian  # h(q), Dh(q), phi(q)
     if fol.kind == VERTICAL:
         s = fol.change_of_basis
         s11, s12 = s.a11, s.a12
         for q in leaf.points:
-            fq = phi(q)
-            hx, hy = from_value(q, fq)
-            gx, gy = h.evaluate(fq)
+            hx, hy, _, _, _, _, fx, fy = at_q(q)
+            gx, gy = h.evaluate((fx, fy))
             gap = abs((s11 * gx + s12 * gy) - (s11 * hx + s12 * hy))  # first entries of S h
             if gap > worst:
                 worst = gap
         return worst
     for q in leaf.points:
-        fq = phi(q)
-        hx, hy = from_value(q, fq)
+        hx, hy, _, _, _, _, fx, fy = at_q(q)
         if math.hypot(hx, hy) < 1e-6:
             continue
-        gx, gy = h.evaluate(fq)
+        gx, gy = h.evaluate((fx, fy))
         gap = _angle_gap(math.atan2(gy, gx), math.atan2(-hy, -hx))
         if gap > worst:
             worst = gap

@@ -23,7 +23,7 @@ class SingularMatrixError(ValueError):
         self.det = det
 
 
-class Mat2:
+class Mat2:  # a plain class: a NamedTuple's attribute reads are slower (ROADMAP, "Settled")
     """The matrix ``[[a11, a12], [a21, a22]]``; it has no ``*`` (see :meth:`scale`)."""
 
     __slots__ = ("a11", "a12", "a21", "a22")

@@ -78,15 +78,7 @@ class StandardMap:
         return self.base.standard_kernels(*self.entries)
 
     def evaluate(self, p: tuple[float, float]) -> tuple[float, float]:
-        return self._kernels[0](p)  # phi(p), then from_value's operations
-
-    def from_value(self, p: tuple[float, float], fp: tuple[float, float]) -> tuple[float, float]:
-        """h(p) from ``fp = phi(p)``: :meth:`evaluate` without the evaluation of phi."""
-        a11, a12, a21, a22 = self.entries
-        fx, fy = fp
-        # halved term by term, so h stays finite where p + Dphi(0) phi(p) overflows
-        return (0.5 * p[0] + 0.5 * (a11 * fx + a12 * fy),
-                0.5 * p[1] + 0.5 * (a21 * fx + a22 * fy))
+        return self._kernels[0](p)
 
     def evaluate_grid(
         self, xs: list[float], ys: list[float]

@@ -27,7 +27,6 @@ another point is recentered first with :func:`planarinv.involution.fix_origin`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
 from .involution import (
@@ -64,9 +63,6 @@ class TheoremAChecks(NamedTuple):
     b: ConditionVerdict
     c: ConditionVerdict
 
-    def as_list(self) -> list[ConditionVerdict]:
-        return [self.a, self.b, self.c]
-
 
 class SpectralAssessment(NamedTuple):
     orientation: OrientationClass
@@ -75,14 +71,14 @@ class SpectralAssessment(NamedTuple):
     linearizable_on_window: bool
 
 
-class SpectrumSamples(Sequence):
+class SpectrumSamples:
     """The spectrum samples of a grid sample, one per node in grid order.
 
-    Holds the sample's Jacobian floats and the linear part; an item is a
-    :class:`SpectrumSample` built on access, with :func:`eigenvalues` and
-    the trace product of :func:`_trace_product`.  :func:`check_condition_A`
-    and :func:`check_condition_B` reduce over the floats and build items
-    only for their witnesses.
+    Holds the sample's Jacobian floats and the linear part; an item, by
+    index or in iteration, is a :class:`SpectrumSample` built on access,
+    with :func:`eigenvalues` and the trace product of :func:`_trace_product`.
+    :func:`check_condition_A` and :func:`check_condition_B` reduce over the
+    floats and build items only for their witnesses.
     """
 
     def __init__(self, sample: GridSample, linear_part: Mat2):
@@ -92,9 +88,7 @@ class SpectrumSamples(Sequence):
     def __len__(self) -> int:
         return len(self.sample.ux)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[j] for j in range(len(self))[index]]
+    def __getitem__(self, index: int) -> SpectrumSample:
         j = range(len(self))[index]
         s = self.sample
         a11, a12, a21, a22 = s.ux[j], s.uy[j], s.vx[j], s.vy[j]
@@ -276,7 +270,7 @@ def theorem_verdict(sample: GridSample) -> SpectralAssessment:
     win = _window_str(sample.region)
     if orient.kind == ORIENTATION_PRESERVING:
         checks = check_condition_A(samples)
-        conditions = checks.as_list()
+        conditions = list(checks)
         if checks.a.holds_on_window:
             verdict = f"Theorem A(a) applies on {win} (every sampled eigenvalue is 1: the map is the identity there)"
             ok = True

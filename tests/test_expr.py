@@ -1,4 +1,7 @@
+import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from planarinv.expr import (
     recentered,
 )
 from planarinv.involution import Region
+from planarinv.linalg2 import Mat2
+from planarinv.linearize import StandardMap
 
 
 def test_parse_polynomial_shear():
@@ -219,6 +224,33 @@ def test_nodes_refuse_a_value_or_exponent_that_their_kind_does_not_take():
         assert repr(m.evaluate((1.0, 2.0))) == repr((float(value), 2.0))
     with pytest.raises(EvaluationError):
         PlanarMap.from_expressions(ExprNode("num", value=1e999), x, "s").evaluate((1.0, 2.0))
+
+
+@pytest.mark.parametrize("value", [Decimal("sNaN"), Fraction(10**400)], ids=["sNaN", "10^400"])
+def test_nodes_refuse_a_literal_that_has_no_float(value):
+    # the kernels take a literal other than an int or a float as its float,
+    # and they compile outside every kernel's try
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        ExprNode("num", value=value)
+
+
+@pytest.mark.parametrize("owner, method", [
+    ("phi", "evaluate"), ("phi", "evaluate_with_jacobian"),
+    ("h", "evaluate"), ("h", "evaluate_with_jacobian"), ("h", "evaluate_grid")])
+def test_a_constant_with_no_float_fails_as_an_evaluation_error(owner, method):
+    # a constant component is its literal, here an int that no float holds
+    phi = PlanarMap.from_expressions(ExprNode("num", value=10**400), ExprNode("y"), "big")
+    call = getattr({"phi": phi, "h": StandardMap(phi, Mat2(1.0, 0.0, 0.0, -1.0))}[owner], method)
+    if method == "evaluate_grid":
+        us, vs, error = call([1.0], [2.0])
+        assert (us, vs) == ([], [])
+    else:
+        with pytest.raises(Exception) as info:
+            call((1.0, 2.0))
+        error = info.value
+    assert isinstance(error, EvaluationError), repr(error)
+    assert error.point == (1.0, 2.0)
+    assert str(error).startswith("int too large to convert to float")
 
 
 def test_native_and_expression_maps_share_the_contract():

@@ -1,8 +1,8 @@
 """``leaf_invariance_check`` against the check it replaced.
 
-The check now evaluates phi twice per leaf point: at q, taking h(q) from
-phi(q) with ``StandardMap.from_value``, and at phi(q), inside
-``StandardMap.evaluate``.  The reference below is the earlier check, which
+The check now evaluates phi twice per leaf point: at q, taking h(q) and
+phi(q) from one ``StandardMap.evaluate_with_jacobian`` call, and at phi(q),
+inside ``StandardMap.evaluate``.  The reference below is the earlier check, which
 evaluated phi three times per point (inside h(q), for phi(q), and inside
 h(phi(q))): the residuals must come out the same, compared by ``repr`` so
 that every float counts bit for bit.  ``trace_leaf`` takes the same check
@@ -110,30 +110,31 @@ def test_residuals_of_a_map_that_is_no_involution_match_the_reference_check():
 # ----------------------------------------------------------------------
 
 def test_phi_is_evaluated_twice_per_leaf_point(monkeypatch):
-    # once by PlanarMap.evaluate at q, once inside StandardMap.evaluate at phi(q)
+    # once inside StandardMap.evaluate_with_jacobian at q, once inside
+    # StandardMap.evaluate at phi(q), and never by a PlanarMap method
     calls = []
-    original, original_h = PlanarMap.evaluate, StandardMap.evaluate
 
-    def counting(self, p):
-        calls.append(("phi", p))
-        return original(self, p)
+    def counting(label, original):
+        def wrapped(self, p):
+            calls.append((label, tuple(p)))
+            return original(self, p)
+        return wrapped
 
-    def counting_h(self, p):
-        calls.append(("h", p))
-        return original_h(self, p)
-
+    originals = {(cls, method): getattr(cls, method) for cls in (PlanarMap, StandardMap)
+                 for method in ("evaluate", "evaluate_with_jacobian")}
     for name, planar_map, window in _gallery_cases():
         h, fol, leaves = _leaves(planar_map, window)
-        monkeypatch.setattr(PlanarMap, "evaluate", counting)
-        monkeypatch.setattr(StandardMap, "evaluate", counting_h)
+        for (cls, method), original in originals.items():
+            monkeypatch.setattr(cls, method, counting((cls.__name__, method), original))
         for leaf in leaves:
             calls.clear()
             leaf_invariance_check(h, fol, leaf)
-            images = [original(planar_map, q) for q in leaf.points]
+            images = [originals[PlanarMap, "evaluate"](planar_map, q) for q in leaf.points]
             assert len(calls) == 2 * len(leaf.points), name
-            # at q, then h at phi(q)
-            assert calls[::2] == [("phi", q) for q in leaf.points], name
-            assert calls[1::2] == [("h", fq) for fq in images], name
+            # h, Dh and phi at q, then h at phi(q)
+            assert calls[::2] == [(("StandardMap", "evaluate_with_jacobian"), q)
+                                  for q in leaf.points], name
+            assert calls[1::2] == [(("StandardMap", "evaluate"), fq) for fq in images], name
         monkeypatch.undo()
 
 

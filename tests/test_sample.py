@@ -557,7 +557,6 @@ def test_spectrum_samples_are_a_sequence():
     old = _ref_sample_spectrum(entry.map, entry.window.with_grid(5))
     assert len(new) == 25
     assert repr(new[-1]) == repr(old[-1]) and repr(new[3]) == repr(old[3])
-    assert [repr(s) for s in new[2:9:3]] == [repr(s) for s in old[2:9:3]]
     with pytest.raises(IndexError):
         new[25]
 

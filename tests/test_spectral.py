@@ -252,7 +252,7 @@ def test_condition_A_margins_have_the_sign_of_the_verdict(a11, a12, a21, a22):
         assert (checks.a.margin >= 0.0) is checks.a.holds_on_window
         assert (checks.b.margin > 0.0) is checks.b.holds_on_window
         assert (checks.c.margin >= 0.0) is checks.c.holds_on_window
-        for verdict in checks.as_list():
+        for verdict in checks:
             assert (verdict.witness is None) is verdict.holds_on_window
 
 
