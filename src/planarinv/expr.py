@@ -47,7 +47,7 @@ from functools import cached_property, partial
 from itertools import count
 from numbers import Number
 from types import CodeType
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 _FUNCTIONS = ("sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos")
 
@@ -106,135 +106,102 @@ class ExprNode:
         self.exponent = exponent
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+# One token per match, after the whitespace before it: a number, a name, an
+# operator, or any other character, which no rule of the grammar accepts
+_TOKENS = re.compile(r"\s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|([A-Za-z]+)|([-+*/^(),])|(\S))")
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+)|(?P<op>[-+*/^(),])"
-)
+def _offset(source: str, index: int) -> int:
+    """The offset in ``source`` of its token ``index``, or its length for the end."""
+    for k, match in enumerate(_TOKENS.finditer(source)):
+        if k == index:
+            return match.start(match.lastindex)
+    return len(source)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        if source[pos].isspace():
-            pos += 1
+def _read(source: str, tokens: list[tuple[str, str, str, str]]) -> list[ExprNode]:
+    """The two trees of the map ``tokens``, in one loop over them.
+
+    The pending sum and product are ``(left operand, operation)`` pairs,
+    and each open parenthesis or call saves the state around it on
+    ``saved``.  An atom that ends with no parenthesis open ends a component.
+    """
+    tokens.append(("", "", "", ""))  # the end
+    if tokens[0][2] != "(":
+        raise ParseError("expected '('", _offset(source, 0))
+    i = 1
+    pair: list[ExprNode] = []
+    saved = []  # per open parenthesis: (opener, its minus signs, total, product)
+    total = product = None  # the pending sum and product
+    while True:
+        negations = 0
+        number, name, op, _ = tokens[i]
+        while op == "-":
+            negations += 1
+            i += 1
+            number, name, op, _ = tokens[i]
+        i += 1
+        if number:
+            node = ExprNode("num", value=float(number))
+        elif name == "x" or name == "y":
+            node = ExprNode(name)
+        elif name in _FUNCTIONS or op == "(":
+            if name:
+                if tokens[i][2] != "(":
+                    raise ParseError("expected '('", _offset(source, i))
+                i += 1
+            saved.append((name or op, negations, total, product))
+            total = product = None
             continue
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def at_op(self, ops: str) -> bool:
-        tok = self.tokens[self.index]
-        return tok.kind == "op" and tok.text in ops
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
-        return self.advance()
-
-    def parse_map(self) -> tuple[ExprNode, ExprNode]:
-        self.expect_op("(")
-        first = self.parse_expr()
-        self.expect_op(",")
-        second = self.parse_expr()
-        self.expect_op(")")
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
-        return first, second
-
-    def parse_expr(self) -> ExprNode:
-        """One ``expr``, in one loop: the pending sum and product are
-        ``(left operand, operation)`` pairs, and each open parenthesis or
-        call saves the state around it on ``saved``."""
-        saved = []  # per open parenthesis: (opener, its minus signs, total, product)
-        total = product = None  # the pending sum and product
-        while True:
-            negations = 0
-            while self.at_op("-"):
-                self.advance()
-                negations += 1
-            tok = self.advance()
-            if (tok.kind == "name" and tok.text in _FUNCTIONS
-                    or tok.kind == "op" and tok.text == "("):
-                if tok.kind == "name":
-                    self.expect_op("(")
-                saved.append((tok.text, negations, total, product))
-                total = product = None
-                continue
-            node = self.parse_leaf(tok)
-            while True:  # node is an atom, after `negations` minus signs
-                for _ in range(negations):
-                    node = ExprNode("neg", (node,))
-                node = self.parse_exponent(node)
-                if product is not None:
-                    node = ExprNode(product[1], (product[0], node))
-                if self.at_op("*/"):
-                    product = node, "mul" if self.advance().text == "*" else "div"
-                    break
-                product = None
-                if total is not None:
-                    node = ExprNode(total[1], (total[0], node))
-                if self.at_op("+-"):
-                    total = node, "add" if self.advance().text == "+" else "sub"
-                    break
-                if not saved:
-                    return node
-                self.expect_op(")")  # the atom that the parenthesis opened ends here
+        elif name:
+            raise ParseError(f"unknown identifier {name!r}", _offset(source, i - 1))
+        else:
+            raise ParseError("expected a number, variable, function call, "
+                             "or parenthesized expression", _offset(source, i - 1))
+        while True:  # node is an atom, after `negations` minus signs
+            for _ in range(negations):
+                node = ExprNode("neg", (node,))
+            op = tokens[i][2]
+            if op == "^":
+                i += 1
+                number, _, op, _ = tokens[i]
+                if op == "-":
+                    raise ParseError("exponent must be non-negative", _offset(source, i))
+                if not number.isdigit():
+                    raise ParseError("exponent must be an integer literal", _offset(source, i))
+                node = ExprNode("pow", (node,), exponent=int(number))
+                i += 1
+                op = tokens[i][2]
+            if product is not None:
+                node = ExprNode(product[1], (product[0], node))
+            i += 1
+            if op == "*" or op == "/":
+                product = node, "mul" if op == "*" else "div"
+                break
+            product = None
+            if total is not None:
+                node = ExprNode(total[1], (total[0], node))
+            if op == "+" or op == "-":
+                total = node, "add" if op == "+" else "sub"
+                break
+            if saved:  # the atom that the parenthesis opened ends here
+                if op != ")":
+                    raise ParseError("expected ')'", _offset(source, i - 1))
                 opener, negations, total, product = saved.pop()
                 if opener != "(":
                     node = ExprNode(opener, (node,))
-
-    def parse_exponent(self, node: ExprNode) -> ExprNode:
-        if not self.at_op("^"):
-            return node
-        self.advance()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            raise ParseError("exponent must be non-negative", tok.pos)
-        if tok.kind != "num" or not tok.text.isdigit():
-            raise ParseError("exponent must be an integer literal", tok.pos)
-        self.advance()
-        return ExprNode("pow", (node,), exponent=int(tok.text))
-
-    @staticmethod
-    def parse_leaf(tok: _Token) -> ExprNode:
-        if tok.kind == "num":
-            return ExprNode("num", value=float(tok.text))
-        if tok.kind == "name":
-            if tok.text in ("x", "y"):
-                return ExprNode(tok.text)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-        raise ParseError(
-            "expected a number, variable, function call, or parenthesized expression",
-            tok.pos,
-        )
+                continue
+            pair.append(node)
+            closer = "," if len(pair) == 1 else ")"
+            if op != closer:
+                raise ParseError(f"expected {closer!r}", _offset(source, i - 1))
+            if len(pair) == 1:
+                total = None
+                break
+            if i < len(tokens) - 1:
+                raise ParseError(f"unexpected trailing input {''.join(tokens[i])!r}",
+                                 _offset(source, i))
+            return pair
 
 
 # The identifiers of generated kernels, held interned for the life of the
@@ -500,19 +467,17 @@ class _KernelWriter:
             components.append((value, depends.get(value, 0)))
         (u, du), (v, dv) = components
         node = levels[_X | _Y]
-        for coord, a1, a2, append in (("x", "a11", "a12", "append_u"),
-                                      ("y", "a21", "a22", "append_v")):
+        for coord, a1, a2, out in (("x", "a11", "a12", "us"), ("y", "a21", "a22", "vs")):
             half = place(f"0.5 * {coord}", depends[coord])
             terms = place(f"{a1} * {u}", du), place(f"{a2} * {v}", dv)
             image = place(f"0.5 * ({terms[0]} + {terms[1]})", du | dv)
-            node.append(f"{append}({half} + {image})")
+            node.append(f"{out}.append({half} + {image})")
             reads += (half,) + (terms if du | dv == _X | _Y else (image,))
         # the column pass is never empty, as 0.5*x is there; whatever it raises
         # ends the grid at that column of row 0, as evaluate_grid catches any
         # exception and evaluates that node again
         column = ", ".join([name for name in dict.fromkeys(reads) if depends.get(name) == _X])
-        lines = ["append_u, append_v = us.append, vs.append"] + levels[0]
-        lines += ["cols = []", "try:", "    for x in xs:"]
+        lines = levels[0] + ["cols = []", "try:", "    for x in xs:"]
         lines += [f"        {line}" for line in levels[_X]]
         lines += [f"        cols.append(({column}))", "except Exception:", "    ys = ys[:1]"]
         lines += ["for y in ys:"] + [f"    {line}" for line in levels[_Y]]
@@ -713,7 +678,14 @@ class PlanarMap:
 
 def parse(source: str) -> PlanarMap:
     """Parse a comma-separated expression pair like ``"(x - y^3, -y)"``."""
-    first, second = _Parser(source).parse_map()
+    tokens = _TOKENS.findall(source)
+    try:
+        first, second = _read(source, tokens)
+    except ValueError:  # an unexpected character anywhere comes first
+        for k, (_, _, _, other) in enumerate(tokens):
+            if other:
+                raise ParseError(f"unexpected character {other!r}", _offset(source, k)) from None
+        raise
     return PlanarMap.from_expressions(first, second, source)
 
 

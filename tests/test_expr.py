@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrices import value_and_jacobian
 from treewalk import entries, evaluate_node, seed
@@ -69,6 +71,83 @@ def test_trailing_garbage_rejected():
         parse("(x, y) extra")
     with pytest.raises(ParseError):
         parse("(x, y")
+
+
+@pytest.mark.parametrize("source, message, position", [
+    ("(x - , y)",
+     "expected a number, variable, function call, or parenthesized expression", 5),
+    ("(x $ y, y)", "unexpected character '$'", 3),
+    ("(tan(x), y)", "unknown identifier 'tan'", 1),
+    ("(x^-2, y)", "exponent must be non-negative", 3),
+    ("(x^2.5, y)", "exponent must be an integer literal", 3),
+    ("(x^y, y)", "exponent must be an integer literal", 3),
+    ("(x^, y)", "exponent must be an integer literal", 3),
+    ("(sin x, y)", "expected '('", 5),
+    ("(2^3^2, y)", "expected ','", 4),
+    ("(x, y) extra", "unexpected trailing input 'extra'", 7),
+    ("(x, y))", "unexpected trailing input ')'", 6),
+    ("(x, y", "expected ')'", 5),
+    ("(x,,y)", "expected a number, variable, function call, or parenthesized expression", 3),
+    ("(1..2, y)", "unexpected character '.'", 3),
+    ("(.5, y)", "unexpected character '.'", 1),
+    ("", "expected '('", 0),
+    ("   ", "expected '('", 3),
+    # an unexpected character anywhere is reported before any syntax error
+    ("(x - , y $)", "unexpected character '$'", 9),
+    # Unicode digits are digits and Unicode whitespace is whitespace
+    ("(x^\u0663, y", "expected ')'", 7),
+    ("(x,\u3000y) (", "unexpected trailing input '('", 7),
+])
+def test_malformed_maps_fail_with_their_message_and_offset(source, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == f"{message} (at offset {position})"
+    assert err.value.position == position
+
+
+_LEAVES = (st.sampled_from(["x", "y"])
+           | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), inner, inner),
+    st.tuples(st.sampled_from(["neg", "sinh", "cosh", "asinh", "sqrt", "abs", "sin", "cos"]),
+              inner),
+    st.tuples(st.just("pow"), inner, st.integers(0, 16) | st.integers(0, 10**9))), max_leaves=12)
+
+
+def _printed(tree) -> str:
+    """``tree`` fully parenthesized, a literal as its repr."""
+    if isinstance(tree, float):
+        return repr(tree)
+    if isinstance(tree, str):
+        return tree
+    kind, *args = tree
+    if kind == "pow":
+        return f"(({_printed(args[0])})^{args[1]})"
+    if kind == "neg":
+        return f"(-{_printed(args[0])})"
+    if len(args) == 2:
+        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+        return f"({_printed(args[0])} {op} {_printed(args[1])})"
+    return f"{kind}({_printed(args[0])})"
+
+
+def _matches(node, tree) -> bool:
+    """Whether ``node`` is ``tree`` node for node: kind, exponent and the repr of the value."""
+    if not isinstance(tree, tuple):
+        value = tree if isinstance(tree, float) else None
+        return ((node.kind, repr(node.value), node.exponent, node.children)
+                == ("num" if value is not None else tree, repr(value), None, ()))
+    kind, *args = tree
+    exponent = args.pop() if kind == "pow" else None
+    return ((node.kind, node.value, node.exponent, len(node.children))
+            == (kind, None, exponent, len(args)) and all(map(_matches, node.children, args)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES)
+def test_a_printed_tree_parses_back_to_itself(first, second):
+    m = parse(f"({_printed(first)}, {_printed(second)})")
+    assert _matches(m.asts[0], first) and _matches(m.asts[1], second)
 
 
 def test_parentheses_and_calls_nest_to_any_depth():
