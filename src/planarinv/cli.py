@@ -25,7 +25,6 @@ from .expr import EvaluationError, PlanarMap, parse
 from .foliation import InversionError, diagonalize_involution, trace_leaves
 from .gallery import get as gallery_get, list_entries
 from .involution import (
-    ORIENTATION_PRESERVING,
     FixedPointScan,
     GridSample,
     Region,
@@ -33,13 +32,8 @@ from .involution import (
     fix_origin,
     verify_involution,
 )
-from .linalg2 import MINUS_IDENTITY, Mat2, Spectrum
-from .linearize import (
-    InjectivityCertificate,
-    injectivity_scan,
-    spectrum_shift_check,
-    standard_map,
-)
+from .linalg2 import Mat2, Spectrum
+from .linearize import InjectivityCertificate, injectivity_scan, standard_map
 from .spectral import ConditionVerdict, SpectrumSample, theorem_verdict
 from .svgplot import write_portrait
 
@@ -222,8 +216,7 @@ def cmd_analyze(args) -> int:
     # each phase fills its own field in place; one that does not run leaves None
     report.update(dict.fromkeys((
         "involution", "orientation", "fixed_points", "conditions", "theorem_verdict",
-        "linearizable_on_window", "injectivity", "spectrum_shift_deviation",
-        "foliation_kind")))
+        "linearizable_on_window", "injectivity", "foliation_kind")))
 
     try:
         phase = "verify"
@@ -261,17 +254,9 @@ def cmd_analyze(args) -> int:
 
             phase = "injectivity"
             h = standard_map(planar_map)
-
-            # the last reader of the sample runs before the scan, whose grids
-            # are the largest allocation, so that the sample is freed first
-            phase = "spectrum-shift"
-            if (assessment.orientation.kind == ORIENTATION_PRESERVING
-                    and (h.linear_part - MINUS_IDENTITY).max_abs() <= 1e-9):
-                report["spectrum_shift_deviation"] = timed(
-                    phase, lambda: spectrum_shift_check(sample))
+            # the spectrum was the sample's last reader: free it before the
+            # scan, whose grids are the largest allocation
             del sample
-
-            phase = "injectivity"
             # a window narrower than 1 scales the collision tolerance with it,
             # as it does the separation, so that neighbouring nodes are no collision
             tol, sep = 1e-6 * min(1.0, region.diameter), 1e-3 * region.diameter

@@ -169,7 +169,12 @@ def _read(source: str, tokens: list[tuple[str, str, str, str]]) -> list[ExprNode
                     raise ParseError("exponent must be non-negative", _offset(source, i))
                 if not number.isdigit():
                     raise ParseError("exponent must be an integer literal", _offset(source, i))
-                node = ExprNode("pow", (node,), exponent=int(number))
+                try:
+                    exponent = int(number)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("exponent has too many digits",
+                                     _offset(source, i)) from None
+                node = ExprNode("pow", (node,), exponent=exponent)
                 i += 1
                 op = tokens[i][2]
             if product is not None:

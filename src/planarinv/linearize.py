@@ -10,11 +10,11 @@ conditions guarantee; the scan here is the empirical counterpart.  It is a
 falsification instrument: a reported collision is decisive, while
 "no collision found" only certifies the scanned grid.
 
-The auxiliary map g = Dphi(0) + phi satisfies h = Dphi(0) g / 2 and, for
-orientation-preserving involutions with linear part -I, the shifted
-spectrum identity Spc(Dg(p)) = Spc(Dphi(p)) - 1, which
-:func:`spectrum_shift_check` verifies numerically on the characteristic
-polynomials.
+The auxiliary map g = Dphi(0) + phi satisfies h = Dphi(0) g / 2 and, where
+Dphi(0) = -I, Spc(Dg(p)) = Spc(Dphi(p)) - 1.  :func:`spectrum_shift_check`
+compares the two characteristic polynomials at every grid node; as they
+agree for every 2x2 matrix, its residual measures only the rounding of a
+trace and a determinant, and no command runs it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 _SLACK = 2.0**-40
 _UNDERFLOW = 16 * 2.0**-1074
 _ROUND_UP = 1.0 + 2.0**-50
+# The power of two by which :func:`spectrum_shift_check` scales a node whose
+# terms overflow: a scaled finite entry is below 2^511, so no sum of two
+# products of them overflows, and the size of the terms, at least 2^511
+# before scaling, stays above 2^-515, far from where their roundings underflow
+_SHIFT_SCALE = 2.0**-513
 
 
 class NotApplicableError(ValueError):
@@ -315,9 +320,9 @@ def spectrum_shift_check(sample: GridSample) -> float:
     terms of ``1 - t + d``.  The Jacobians are those of the grid sample, and
     each node takes the operations of ``Mat2.trace`` and ``Mat2.det`` on
     ``linear_part + jac`` and on ``jac``; where a term of ``t^2 - 4d``
-    overflows, on both times the power of two ``k`` of
-    :func:`power_of_two_scaled` (the residual is relative; the trace
-    difference, of degree 1, times ``k``).  A NaN residual makes it inf.
+    overflows, on both times ``k = 2^-513`` (the residual is relative; the
+    trace difference, of degree 1, times ``k``).  So every finite node's
+    residual is a few roundings, and a NaN residual makes the result inf.
     """
     lin = linear_part(sample.planar_map)
     if (lin - MINUS_IDENTITY).max_abs() > 1e-9:
@@ -332,7 +337,8 @@ def spectrum_shift_check(sample: GridSample) -> float:
         p, q = a11 * a22, a12 * a21
         k, m11, m12, m21, m22 = 1.0, l11, l12, l21, l22
         if t * t + 4.0 * abs(p) + 4.0 * abs(q) == math.inf:  # take it on scaled entries
-            k, a11, a12, a21, a22 = power_of_two_scaled(a11, a12, a21, a22)
+            k = _SHIFT_SCALE
+            a11, a12, a21, a22 = k * a11, k * a12, k * a21, k * a22
             m11, m12, m21, m22 = k * l11, k * l12, k * l21, k * l22
             t, p, q = a11 + a22, a11 * a22, a12 * a21
         g11, g22 = m11 + a11, m22 + a22

@@ -81,6 +81,8 @@ def test_trailing_garbage_rejected():
     ("(x^-2, y)", "exponent must be non-negative", 3),
     ("(x^2.5, y)", "exponent must be an integer literal", 3),
     ("(x^y, y)", "exponent must be an integer literal", 3),
+    pytest.param("(x^" + "9" * 5000 + ", y)", "exponent has too many digits", 3,
+                 id="(x^<5000 nines>, y)"),
     ("(x^, y)", "exponent must be an integer literal", 3),
     ("(sin x, y)", "expected '('", 5),
     ("(2^3^2, y)", "expected ','", 4),

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from matrices import value_and_jacobian
 
 from planarinv.expr import ExprNode, PlanarMap, parse
@@ -183,6 +185,30 @@ def test_spectrum_shift_brute_force_on_random_matrices():
                            f"-y + {d!r}*x^2 + {e!r}*x*y + {f!r}*y^2)")
         assert spectrum_shift_check(GridSample(planar_map, Region(-1, 1, -1, 1, 21))) \
             <= 4 * 2.0**-52
+
+
+# finite entries from subnormal to near overflow, of both signs, zeros included;
+# the second strategy spreads the exponents evenly over the whole range
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.integers(-1074, 1024)))
+_MINUS_IDENTITY_MAP = parse("(-x, -y)")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE)
+# every scaled term of this node underflowed, and 0/0 raised ZeroDivisionError
+@example(1.1458786157567871e+62, 3.297296873705332e-91, 3.114395754230378e+306,
+         -1.2923914033777202e+210)
+# here k*t of the scaled entries was subnormal, and the residual 24.6 ulps
+@example(-1.3729839283579312e+270, 3.4030602497369927e-293, -3.4072546078927685e+289,
+         -1.7048026125497245e-07)
+def test_spectrum_shift_residual_is_a_few_ulps_on_any_finite_matrix(a11, a12, a21, a22):
+    # the identity holds for every 2x2 matrix, so at any finite node the
+    # residual is the rounding of a trace and a determinant
+    node = SimpleNamespace(planar_map=_MINUS_IDENTITY_MAP,
+                           ux=[a11], uy=[a12], vx=[a21], vy=[a22])
+    assert spectrum_shift_check(node) <= 4 * 2.0**-52
 
 
 def test_spectrum_shift_residual_is_finite_at_every_node():

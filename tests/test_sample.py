@@ -237,9 +237,9 @@ def _ref_shift(planar_map, region):
     worst = 0.0
     for p in region.nodes():
         _, jac = value_and_jacobian(planar_map, p)
-        # where a term overflows, both matrices scaled by k; the trace
-        # difference is of degree 1 in k, the others of degree 2
-        k = _ref_scale(jac) if _ref_overflows(jac) else 1.0
+        # where a term overflows, both matrices scaled by k = 2^-513; the
+        # trace difference is of degree 1 in k, the others of degree 2
+        k = 2.0**-513 if _ref_overflows(jac) else 1.0
         a = jac.scale(k)
         g = lin.scale(k) + a
         residual = max(abs(g.trace - (a.trace - 2.0 * k)) * k,
